@@ -231,6 +231,41 @@ class Chain:
         mat.setflags(write=False)
         return mat
 
+    @cached_property
+    def period(self) -> int:
+        """The gcd of the chain's cycle lengths; 1 means aperiodic.
+
+        A birth-death chain has period 2 when no state holds and 1 otherwise.
+        A dense chain takes the gcd of ``level(u) + 1 - level(v)`` over the
+        support edges ``u -> v``, with breadth-first levels from state 0.
+        """
+        if self.is_birth_death:
+            return 1 if np.any(self.hold > 0.0) else 2
+        u, v = np.nonzero(self.kernel > 0.0)
+        level = self._levels
+        return int(np.gcd.reduce(np.abs(level[u] + 1 - level[v])))
+
+    @cached_property
+    def _levels(self) -> np.ndarray:
+        # Breadth-first distance from state 0 on the support digraph; taken
+        # mod the period it numbers the cyclic classes.
+        if self.is_birth_death:
+            return np.arange(self.num_states)
+        adj = self.kernel > 0.0
+        level = np.full(self.num_states, -1)
+        level[0] = 0
+        frontier = level == 0
+        depth = 0
+        while frontier.any():
+            depth += 1
+            frontier = adj[frontier].any(axis=0) & (level < 0)
+            level[frontier] = depth
+        return level
+
+    def _cyclic_classes(self, states) -> set:
+        """The cyclic classes (0..period-1) that the given states lie in."""
+        return {int(c) for c in self._levels[list(states)] % self.period}
+
     # -- evolution ---------------------------------------------------------
 
     def apply(self, dist: np.ndarray) -> np.ndarray:

@@ -11,16 +11,35 @@ integer times), ``continuous`` (the semigroup, real times, truncation
 tolerance ``tol``).
 
 Worst-case starts on birth-death chains default to the two endpoint states.
-That is a deliberate shortcut, not a guarantee: it is exact for chains whose
-stationary law bottoms out at an endpoint (all the built-in families), but
-can undershoot at small times when pi has an interior valley.  The
-``exhaustive`` flag restores full maximization and is the guard for anyone
-feeding in such chains.
+That is a shortcut, not a guarantee.  It is exact where the worst start is
+proved to sit at an endpoint: separation in continuous time and in lazy
+time with delta >= 1/2, by the corner identity.  Elsewhere it can
+undershoot, and it does on the built-in ``random_bd`` family: seed 54,
+n = 29, 1/2-lazy tv at t = 1 reads 0.92567 from the endpoints against
+0.93770 over all starts, and seed 3, n = 8 has 1/2-lazy T(0.9) = 0 from the
+endpoints against 1.  The ``exhaustive`` flag restores full maximization.
 
-``mixing_time`` searches for the smallest time with distance <= eps by
-exponential doubling followed by binary search, valid because all three
-metrics are nonincreasing in time.  Searches give up at 10**7 time units
-(NoConvergence: periodicity or a degenerate input).
+``mixing_time`` searches for the smallest time with distance <= eps, which
+is valid because all three metrics are nonincreasing in time.  The searches
+use the semigroup property:
+
+* Continuous searches advance every probe from the last time whose distance
+  was still above eps, at an increment tolerance of tol/128.
+* Discrete and lazy searches keep one checkpoint, the rows at the latest
+  probed time whose distance was above eps, and evolve later probes from it
+  with ``Chain.apply``.  Continuing those rows performs the same float
+  operations as evolving from time 0, so every probed value is the same.
+  Probes of at least 256 steps on chains of at most 300 states take a dense
+  matrix power instead and leave the checkpoint alone.  A search gallops
+  from its lower end (lo+1, lo+2, lo+4, ...) and then bisects.  Searches
+  over several eps levels of one query run in descending eps and share the
+  checkpoint, so each level starts where the previous one stopped.
+
+Searches give up at 10**7 time units (NoConvergence).  In discrete time a
+periodic chain never mixes, and from point-mass starts its distance has an
+exact floor: 1 - 1/d for tv with period d, 1 for sep, and 1 for dbar when
+the starts meet two cyclic classes.  An eps strictly below that floor raises
+NoConvergence at once.
 """
 from __future__ import annotations
 
@@ -86,7 +105,11 @@ class DistanceQuery:
 
 
 class _Evaluator:
-    """Caches the effective kernel and start set for repeated probes."""
+    """Caches the effective kernel, the start set and probed values.
+
+    On the banded ``Chain.apply`` route it also keeps a checkpoint, the rows
+    at one probed time, that later probes at or after it continue from.
+    """
 
     def __init__(self, chain: Chain, query: DistanceQuery, tol: float):
         _check_tol(tol)
@@ -108,6 +131,8 @@ class _Evaluator:
             else:
                 self.start_idx = list(range(chain.num_states))
         self._cache: dict[float, float] = {}
+        self.checkpoint: tuple[int, np.ndarray] | None = None
+        self._fresh: tuple[int, np.ndarray] | None = None
 
     def value(self, time) -> float:
         key = float(time)
@@ -116,6 +141,11 @@ class _Evaluator:
             hit = self._metric(self._rows(time))
             self._cache[key] = hit
         return hit
+
+    def commit(self, time) -> None:
+        """Make ``time`` the checkpoint if its banded rows are at hand."""
+        if self._fresh is not None and self._fresh[0] == time:
+            self.checkpoint = self._fresh
 
     def _initial_rows(self) -> np.ndarray:
         if self.start_rows is not None:
@@ -137,10 +167,26 @@ class _Evaluator:
             if self.start_rows is not None:
                 return self.start_rows @ power
             return power[self.start_idx]
-        rows = self._initial_rows()
-        for _ in range(steps):
+        if self.checkpoint is not None and self.checkpoint[0] <= steps:
+            done, rows = self.checkpoint
+        else:
+            done, rows = 0, self._initial_rows()
+        for _ in range(steps - done):
             rows = kernel.apply(rows)
+        self._fresh = (steps, rows)
         return rows
+
+    def period_floor(self) -> float:
+        """Exact lower bound on every discrete-time distance of a periodic
+        chain from point-mass starts; 0 where none applies."""
+        chain, query = self.base, self.query
+        if query.time_mode != "discrete" or query.start is not None or chain.period == 1:
+            return 0.0
+        if query.metric == "tv":
+            return 1.0 - 1.0 / chain.period
+        if query.metric == "sep":
+            return 1.0
+        return 1.0 if len(chain._cyclic_classes(self.start_idx)) > 1 else 0.0
 
     def _metric(self, rows: np.ndarray) -> float:
         metric = self.query.metric
@@ -188,14 +234,13 @@ def mixing_time(chain: Chain, eps: float, query: DistanceQuery, tol: float = 1e-
     Discrete modes return the exact minimal integer.  Continuous mode
     bisects to a bracket of width <= max(1e-6, 1e-4 * t) and returns the
     bracket midpoint.  Raises NoConvergence if the distance is still above
-    eps at 10**7.
+    eps at 10**7, or at once when a periodic chain's distance floor lies
+    above eps.
     """
-    if not (isinstance(eps, (int, float)) and 0.0 < eps < 1.0):
-        raise BadEpsilon(f"eps must lie in (0, 1), got {eps!r}")
-    ev = _Evaluator(chain, query, tol)
+    lo, hi = _mixing_times(chain, (eps,), query, tol)[eps]
     if query.time_mode == "continuous":
-        return _search_continuous(ev, eps)
-    return _search_discrete(ev, eps)
+        return 0.5 * (lo + hi)
+    return hi
 
 
 def mixing_bracket(
@@ -204,41 +249,66 @@ def mixing_bracket(
     """(lo, hi) enclosing the exact mixing time; equal endpoints in the
     discrete modes.  Inequality checks against a computed mixing time should
     compare with the safe end of this bracket, not the midpoint."""
-    if not (isinstance(eps, (int, float)) and 0.0 < eps < 1.0):
-        raise BadEpsilon(f"eps must lie in (0, 1), got {eps!r}")
+    lo, hi = _mixing_times(chain, (eps,), query, tol)[eps]
+    return float(lo), float(hi)
+
+
+def _mixing_times(chain: Chain, levels, query: DistanceQuery, tol: float) -> dict:
+    """Brackets (lo, hi) of the mixing times at several eps levels of one
+    query, keyed by level.  The discrete modes return (m, m) with m exact.
+
+    One evaluator serves every level.  Levels run in descending eps, so each
+    discrete search starts from the checkpoint the previous one left just
+    below its answer.  Continuous searches stay independent: their
+    increment budget of tol/128 is per search.
+    """
+    for eps in levels:
+        if not (isinstance(eps, (int, float)) and 0.0 < eps < 1.0):
+            raise BadEpsilon(f"eps must lie in (0, 1), got {eps!r}")
     ev = _Evaluator(chain, query, tol)
-    if query.time_mode == "continuous":
-        return _continuous_bracket(ev, eps)
-    m = _search_discrete(ev, eps)
-    return float(m), float(m)
+    out = {}
+    for eps in sorted(set(levels), reverse=True):
+        if query.time_mode == "continuous":
+            out[eps] = _continuous_bracket(ev, eps)
+        else:
+            m = _search_discrete(ev, eps)
+            out[eps] = (m, m)
+    return out
 
 
 def _search_discrete(ev: _Evaluator, eps: float) -> int:
-    if ev.value(0) <= eps:
+    floor = ev.period_floor()
+    if eps < floor:
+        raise NoConvergence(
+            f"the chain has period {ev.base.period}; its {ev.query.metric} "
+            f"distance stays at or above {floor:g} > {eps}"
+        )
+    if ev.checkpoint is not None and ev.value(ev.checkpoint[0]) > eps:
+        lo = ev.checkpoint[0]
+    elif ev.value(0) <= eps:
         return 0
-    m = 1
-    while ev.value(m) > eps:
-        m *= 2
-        if m > SEARCH_CAP:
-            if ev.value(SEARCH_CAP) <= eps:
-                m = SEARCH_CAP
-                break
+    else:
+        lo = 0
+    base, stride = lo, 1
+    while True:
+        hi = min(base + stride, SEARCH_CAP)
+        if ev.value(hi) <= eps:
+            break
+        if hi == SEARCH_CAP:
             raise NoConvergence(
                 f"distance stays above {eps} through {SEARCH_CAP} steps"
             )
-    lo, hi = m // 2, m
+        ev.commit(hi)
+        lo = hi
+        stride *= 2
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if ev.value(mid) <= eps:
             hi = mid
         else:
+            ev.commit(mid)
             lo = mid
     return hi
-
-
-def _search_continuous(ev: _Evaluator, eps: float) -> float:
-    lo, hi = _continuous_bracket(ev, eps)
-    return 0.5 * (lo + hi)
 
 
 def _continuous_bracket(ev: _Evaluator, eps: float) -> tuple[float, float]:
@@ -308,7 +378,14 @@ def distance_curve(chain: Chain, query: DistanceQuery, times, tol: float = 1e-10
     if any(b < a for a, b in zip(times, times[1:])):
         raise BadShape("time grid must be nondecreasing")
     ev = _Evaluator(chain, query, tol)
-    values = tuple(ev.value(t) for t in times)
+
+    def sample(t) -> float:
+        # each discrete sample continues from the one before it
+        val = ev.value(t)
+        ev.commit(t)
+        return val
+
+    values = tuple(sample(t) for t in times)
     for (t0, v0), (t1, v1) in zip(zip(times, values), zip(times[1:], values[1:])):
         if v1 > v0 + 1e-9:
             raise ArithmeticError(

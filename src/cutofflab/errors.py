@@ -36,10 +36,9 @@ class NonIntegerTime(ChainError):
 
 
 class NoConvergence(ChainError):
-    """Distance stayed above the target through the search cap.
-
-    Signals periodicity or a degenerate input; the cap is 10**7 steps or
-    time units.
+    """Distance stays above the target: it did through the search cap of
+    10**7 steps or time units, or a periodic chain's exact distance floor
+    lies above it.
     """
 
 

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.special import gammaincc
 
 from .chain import Chain
-from .distances import DistanceQuery, distance, mixing_bracket, mixing_time
+from .distances import DistanceQuery, _mixing_times, distance, mixing_bracket, mixing_time
 from .errors import BadEpsilonPair, BadFamily, BadShape, NoConvergence, NotReversible
 from .birth_death import sep_bounds, stationary_time_summary
 from .spectral import beta_delta, eigen_summary
@@ -381,13 +381,12 @@ def family_scan(
         chain = generate(spec, n)
         rec = SizeRecord(n=n)
         _fill_spectrum(rec, chain)
+        lazy = _mixing_times(chain, levels, DistanceQuery("lazy", "tv", delta=delta), tol)
         for level in levels:
             rec.mixing_continuous[level] = float(
                 mixing_time(chain, level, DistanceQuery("continuous", "tv"), tol)
             )
-            rec.mixing_lazy[level] = float(
-                mixing_time(chain, level, DistanceQuery("lazy", "tv", delta=delta), tol)
-            )
+            rec.mixing_lazy[level] = float(lazy[level][1])
         rec.ratio_c_over_lazy = _clock_ratio(
             rec.mixing_continuous[0.25], rec.mixing_lazy[0.25]
         )
@@ -489,9 +488,10 @@ class _BoundEvaluator:
         return self._dist[key]
 
     def mix(self, mode: str, metric: str, eps: float):
-        """Bracket (lo, hi) on the mixing time, or None when the search hits
-        the cap (periodicity).  Bound checks compare against the safe end so
-        an equality-tight inequality cannot fail by bracket width."""
+        """Bracket (lo, hi) on the mixing time, or None when the search
+        cannot converge (periodicity).  Bound checks compare against the
+        safe end so an equality-tight inequality cannot fail by bracket
+        width."""
         key = (mode, metric, float(eps))
         if key not in self._mix:
             try:
@@ -518,7 +518,7 @@ def verify_bounds(
 
     Entries report (lhs, rhs, margin = rhs - lhs) per instance; the report
     passes when every margin is >= -1e-9.  Inapplicable instances (mixing
-    search hits the cap on periodic chains, non-reversible spectra,
+    search cannot converge on periodic chains, non-reversible spectra,
     non-birth-death bracket bounds, eps outside a bound's validity range)
     are recorded as skipped with a reason.
     """

@@ -1,3 +1,6 @@
+from collections import Counter
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 
@@ -34,3 +37,37 @@ def small_corpus():
     chains.append(ehrenfest(8))
     chains.append(two_state(0.3, 0.6))
     return chains
+
+
+@dataclass
+class WorkCount:
+    """Kernel applications per chain and dense matrix powers, as counted by
+    the ``work_count`` fixture."""
+
+    apply_by_chain: Counter = field(default_factory=Counter)
+    matrix_powers: int = 0
+
+    @property
+    def applies(self) -> int:
+        return sum(self.apply_by_chain.values())
+
+
+@pytest.fixture()
+def work_count(monkeypatch):
+    """Count ``Chain.apply`` and ``numpy.linalg.matrix_power`` calls made
+    during a test; the counts are deterministic, so tests can pin them."""
+    work = WorkCount()
+    real_apply = Chain.apply
+    real_power = np.linalg.matrix_power
+
+    def apply(self, dist):
+        work.apply_by_chain[self] += 1
+        return real_apply(self, dist)
+
+    def matrix_power(a, n):
+        work.matrix_powers += 1
+        return real_power(a, n)
+
+    monkeypatch.setattr(Chain, "apply", apply)
+    monkeypatch.setattr(np.linalg, "matrix_power", matrix_power)
+    return work

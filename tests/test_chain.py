@@ -155,6 +155,36 @@ def test_flip_chain_continuous_closed_form():
     assert np.allclose(out, expect, atol=1e-11)
 
 
+def test_period_by_holding_and_by_cycle_gcd():
+    assert flip().period == 2
+    assert ehrenfest(8).period == 2
+    assert ehrenfest(8).lazy(0.5).period == 1
+    assert two_state(0.3, 0.6).period == 1
+    assert random_bd(3, 9).period == 1
+    cycle3 = Chain.from_dense([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    assert cycle3.period == 3
+    assert cycle3._cyclic_classes([0, 1]) == {0, 1}
+    # a 4-cycle with both directions is bipartite; a chord through 0 and 2
+    # keeps it bipartite, a self-loop makes it aperiodic
+    ring = np.array([[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]]) / 2.0
+    assert Chain.from_dense(ring).period == 2
+    assert Chain.from_dense(ring)._cyclic_classes([0, 2]) == {0}
+    loop = ring.copy()
+    loop[0] = [0.2, 0.4, 0.0, 0.4]
+    assert Chain.from_dense(loop).period == 1
+    # cycles of lengths 4 and 6 through state 0 leave period 2; lengths 4
+    # and 5 leave none
+    def cycles(edges, n):
+        mat = np.zeros((n, n))
+        for u, v in edges:
+            mat[u, v] = 1.0
+        return Chain.from_dense(mat / mat.sum(axis=1, keepdims=True))
+
+    four = ((0, 1), (1, 2), (2, 3), (3, 0))
+    assert cycles(four + ((2, 4), (4, 5), (5, 6), (6, 0)), 7).period == 2
+    assert cycles(four + ((2, 4), (4, 5), (5, 0)), 6).period == 1
+
+
 def test_step_distribution_validates_steps():
     chain = two_state()
     with pytest.raises(BadShape):

@@ -137,6 +137,25 @@ def test_analyze_nonmixing_exit_three(capsys, flip_file):
     assert code == 3 and err.startswith("error:")
 
 
+def test_analyze_periodic_chain_above_dense_cliff_exits_three(capsys, tmp_path):
+    # 401 states: the discrete search would step toward the 10**7 cap; the
+    # period certificate refuses at once
+    n = 400
+    chain = write_json(
+        tmp_path / "ehrenfest400.json",
+        {
+            "type": "birth_death",
+            "p": [1 - i / n for i in range(n + 1)],
+            "q": [i / n for i in range(n + 1)],
+            "r": [0.0] * (n + 1),
+        },
+    )
+    code, out, err = run_cli(
+        capsys, "analyze", "--chain", chain, "--mode", "discrete", "--eps", "0.25"
+    )
+    assert code == 3 and out == "" and "period 2" in err
+
+
 def test_unknown_verb_exits_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["summon"])

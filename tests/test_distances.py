@@ -9,6 +9,7 @@ from cutofflab import (
     BadDelta,
     BadEpsilon,
     BadShape,
+    Chain,
     DistanceQuery,
     LengthMismatch,
     NoConvergence,
@@ -62,6 +63,60 @@ def test_flip_chain_never_mixes_discretely():
         assert distance(chain, q, m) == pytest.approx(0.5, abs=1e-15)
     with pytest.raises(NoConvergence):
         mixing_time(chain, 0.25, q)
+
+
+def test_flip_chain_floor_is_strict():
+    # from a point mass the flip chain sits at tv = 1/2 at every time, so an
+    # eps of exactly 1/2 is met at time 0 and only a smaller eps is refused
+    chain = flip()
+    assert mixing_time(chain, 0.5, DistanceQuery(time_mode="discrete", metric="tv")) == 0
+    with pytest.raises(NoConvergence, match="period 2"):
+        mixing_time(chain, 0.4999, DistanceQuery(time_mode="discrete", metric="tv"))
+
+
+def test_periodic_floor_per_metric_and_start_set():
+    cycle3 = Chain.from_dense([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    tv = DistanceQuery(time_mode="discrete", metric="tv")
+    assert mixing_time(cycle3, 0.7, tv) == 0  # floor 1 - 1/3
+    with pytest.raises(NoConvergence):
+        mixing_time(cycle3, 0.6, tv)
+    sep = DistanceQuery(time_mode="discrete", metric="sep")
+    with pytest.raises(NoConvergence):
+        mixing_bracket(ehrenfest(8), 0.9, sep)
+    # dbar has a floor only when the starts meet two cyclic classes: the
+    # endpoints 0 and n share a parity class for even n
+    dbar = DistanceQuery(time_mode="discrete", metric="dbar")
+    full = DistanceQuery(time_mode="discrete", metric="dbar", exhaustive=True)
+    m = mixing_time(ehrenfest(8), 0.25, dbar)
+    assert distance(ehrenfest(8), dbar, m) <= 0.25 < distance(ehrenfest(8), dbar, m - 1)
+    for chain, query in ((ehrenfest(8), full), (ehrenfest(7), dbar)):
+        with pytest.raises(NoConvergence):
+            mixing_time(chain, 0.25, query)
+    # a fixed start vector carries no floor; the capped search still refuses
+    start = DistanceQuery(time_mode="discrete", metric="tv", start=[1.0, 0.0])
+    with pytest.raises(NoConvergence, match="through"):
+        mixing_time(flip(), 0.25, start)
+
+
+def test_endpoint_shortcut_undershoots_on_random_bd():
+    # random_bd is a built-in family, and the endpoint shortcut is not exact
+    # on it: the exhaustive values agree with brute force, the shortcut's
+    # fall below them
+    chain = random_bd(54, 29)
+    fast = DistanceQuery(time_mode="lazy", metric="tv", delta=0.5)
+    slow = DistanceQuery(time_mode="lazy", metric="tv", delta=0.5, exhaustive=True)
+    exact = oracles.metric_at(chain.dense_kernel, chain.stationary, 1, "lazy", "tv", 0.5)
+    assert distance(chain, slow, 1) == pytest.approx(exact, abs=1e-12)
+    assert exact == pytest.approx(0.93770, abs=1e-5)
+    assert distance(chain, fast, 1) == pytest.approx(0.92567, abs=1e-5)
+
+    chain = random_bd(3, 8)
+    kernel, pi = chain.dense_kernel, chain.stationary
+    m = 0
+    while oracles.metric_at(kernel, pi, m, "lazy", "tv", 0.5) > 0.9:
+        m += 1
+    assert mixing_time(chain, 0.9, slow) == m == 1
+    assert mixing_time(chain, 0.9, fast) == 0
 
 
 def test_flip_chain_lazy_half_mixes_instantly():
