@@ -262,9 +262,15 @@ class Chain:
             level[frontier] = depth
         return level
 
+    @cached_property
+    def _classes(self) -> np.ndarray:
+        # Each state's cyclic class, 0..period-1; one step moves class c to
+        # class c + 1 mod the period.
+        return self._levels % self.period
+
     def _cyclic_classes(self, states) -> set:
         """The cyclic classes (0..period-1) that the given states lie in."""
-        return {int(c) for c in self._levels[list(states)] % self.period}
+        return {int(c) for c in self._classes[list(states)]}
 
     # -- evolution ---------------------------------------------------------
 

@@ -23,23 +23,39 @@ endpoints against 1.  The ``exhaustive`` flag restores full maximization.
 is valid because all three metrics are nonincreasing in time.  The searches
 use the semigroup property:
 
-* Continuous searches advance every probe from the last time whose distance
-  was still above eps, at an increment tolerance of tol/128.
+* Continuous searches gallop (1, 2, 4, ...) and then bisect.  Every probe
+  advances from the last time whose distance was still above eps, at an
+  increment tolerance of tol/128.
 * Discrete and lazy searches keep one checkpoint, the rows at the latest
   probed time whose distance was above eps, and evolve later probes from it
   with ``Chain.apply``.  Continuing those rows performs the same float
   operations as evolving from time 0, so every probed value is the same.
   Probes of at least 256 steps on chains of at most 300 states take a dense
   matrix power instead and leave the checkpoint alone.  A search gallops
-  from its lower end (lo+1, lo+2, lo+4, ...) and then bisects.  Searches
-  over several eps levels of one query run in descending eps and share the
-  checkpoint, so each level starts where the previous one stopped.
+  from its lower end (lo+1, lo+2, lo+4, ...) and then bisects.
+
+Levels share the gallop: searches over several eps levels of one query run
+in descending eps on one evaluator, and each level resumes where the
+previous one stopped, at the discrete checkpoint or at the continuous
+gallop's last two points.  A fresh search for the smaller level would pass
+through the same rows, so every bracket is bit-identical to a fresh one and
+each level's chain of tol/128 increments is the fresh search's chain.
+Metrics share the rows: an evaluator keeps its latest evolved rows, so tv,
+dbar and sep at one time reduce one evolution.
 
 Searches give up at 10**7 time units (NoConvergence).  In discrete time a
-periodic chain never mixes, and from point-mass starts its distance has an
+periodic chain never mixes.  From point-mass starts its distance has an
 exact floor: 1 - 1/d for tv with period d, 1 for sep, and 1 for dbar when
-the starts meet two cyclic classes.  An eps strictly below that floor raises
-NoConvergence at once.
+the starts meet two cyclic classes.  A start vector mu puts masses mu(C_i)
+on the cyclic classes, and those masses only rotate, so tv stays at or
+above 1/2 sum_i |mu(C_i) - 1/d| and sep at or above 1 - d min_i mu(C_i).
+An eps strictly below the floor raises NoConvergence at once.  When every
+start lies on one cyclic class (point masses, or a start vector held on one
+class) and eps is at or above the tv floor, the search decides "distance <=
+eps" exactly: there tv = (1 - 1/d) + sum over the occupied class C of
+(pi - P^t)^+, and the search compares that excess, computed directly, with
+eps - (1 - 1/d).  So eps = 1 - 1/d is met at the first time P^t >= pi on
+all of C, not at a rounding crossing of the float distance.
 """
 from __future__ import annotations
 
@@ -105,10 +121,13 @@ class DistanceQuery:
 
 
 class _Evaluator:
-    """Caches the effective kernel, the start set and probed values.
+    """Evolves the query's start set on its clock and reduces rows to metrics.
 
-    On the banded ``Chain.apply`` route it also keeps a checkpoint, the rows
-    at one probed time, that later probes at or after it continue from.
+    The metric is chosen per call (the query's by default), and the latest
+    evolved rows are kept, so every metric at one time reduces one
+    evolution.  On the banded ``Chain.apply`` route the evaluator also keeps a
+    checkpoint, the rows at one probed time, that later probes at or after it
+    continue from; continuous searches keep their gallop here.
     """
 
     def __init__(self, chain: Chain, query: DistanceQuery, tol: float):
@@ -130,15 +149,18 @@ class _Evaluator:
                 self.start_idx = [0, chain.top_state]
             else:
                 self.start_idx = list(range(chain.num_states))
-        self._cache: dict[float, float] = {}
+        self._cache: dict[tuple[float, str], float] = {}
         self.checkpoint: tuple[int, np.ndarray] | None = None
+        self.gallop: tuple[tuple, tuple] | None = None
         self._fresh: tuple[int, np.ndarray] | None = None
+        self._latest: tuple[float, np.ndarray] | None = None
 
-    def value(self, time) -> float:
-        key = float(time)
+    def value(self, time, metric: str | None = None) -> float:
+        metric = metric or self.query.metric
+        key = (float(time), metric)
         hit = self._cache.get(key)
         if hit is None:
-            hit = self._metric(self._rows(time))
+            hit = self._metric(self._rows(time), metric, time)
             self._cache[key] = hit
         return hit
 
@@ -155,6 +177,12 @@ class _Evaluator:
         return rows
 
     def _rows(self, time) -> np.ndarray:
+        key = float(time)
+        if self._latest is None or self._latest[0] != key:
+            self._latest = (key, self._evolve(time))
+        return self._latest[1]
+
+    def _evolve(self, time) -> np.ndarray:
         if self.query.time_mode == "continuous":
             return _uniformized(self.base, self._initial_rows(), float(time), self.tol)
         steps = _as_steps(time)
@@ -177,24 +205,46 @@ class _Evaluator:
         return rows
 
     def period_floor(self) -> float:
-        """Exact lower bound on every discrete-time distance of a periodic
-        chain from point-mass starts; 0 where none applies."""
+        """Lower bound on every discrete-time distance of a periodic chain,
+        exact from point-mass starts; 0 where none applies."""
         chain, query = self.base, self.query
-        if query.time_mode != "discrete" or query.start is not None or chain.period == 1:
+        period = chain.period
+        if query.time_mode != "discrete" or period == 1:
             return 0.0
+        if self.start_rows is not None:
+            # the start's class masses rotate with t and never even out
+            mass = np.bincount(chain._classes, weights=self.start_rows[0], minlength=period)
+            if query.metric == "tv":
+                return float(0.5 * np.abs(mass - 1.0 / period).sum())
+            return float(1.0 - period * mass.min())
         if query.metric == "tv":
-            return 1.0 - 1.0 / chain.period
+            return 1.0 - 1.0 / period
         if query.metric == "sep":
             return 1.0
         return 1.0 if len(chain._cyclic_classes(self.start_idx)) > 1 else 0.0
 
-    def _metric(self, rows: np.ndarray) -> float:
-        metric = self.query.metric
+    def start_classes(self) -> np.ndarray | None:
+        """The cyclic class of each start row, or None when a start vector
+        spreads over several classes."""
+        classes = self.base._classes
+        if self.start_rows is None:
+            return classes[self.start_idx]
+        held = np.unique(classes[self.start_rows[0] > 0.0])
+        return held if held.size == 1 else None
+
+    def _metric(self, rows: np.ndarray, metric: str, time=None) -> float:
         if metric == "tv":
             return float(0.5 * np.abs(rows - self.pi).sum(axis=1).max())
         if metric == "sep":
             worst = 1.0 - (rows / self.pi).min()
             return float(min(max(worst, 0.0), 1.0))
+        if metric == "excess":
+            # From a start held on one cyclic class of a periodic chain, P^t
+            # lives on one class C, and tv = (1 - 1/d) + sum_{y in C} (pi(y) - P^t(y))^+.
+            classes = self.base._classes
+            occupied = (self.start_classes() + _as_steps(time)) % self.base.period
+            short = np.clip(self.pi - rows, 0.0, None)
+            return float(np.where(classes == occupied[:, None], short, 0.0).sum(axis=1).max())
         best = 0.0
         for i in range(rows.shape[0] - 1):
             gap = 0.5 * np.abs(rows[i + 1 :] - rows[i]).sum(axis=1).max()
@@ -220,12 +270,17 @@ def distance(chain: Chain, query: DistanceQuery, time, tol: float = 1e-10) -> fl
     Continuous mode accepts real ``time >= 0`` and obeys the uniformization
     tolerance ``tol``; the discrete modes require integer times.
     """
-    if query.time_mode == "continuous":
+    _check_time(query.time_mode, time)
+    return _Evaluator(chain, query, tol).value(time)
+
+
+def _check_time(time_mode: str, time) -> None:
+    # discrete times are checked where they become step counts
+    if time_mode == "continuous":
         if not (isinstance(time, (int, float)) and math.isfinite(time)):
             raise BadShape(f"time must be a finite number, got {time!r}")
         if time < 0:
             raise BadShape(f"time must be nonnegative, got {time!r}")
-    return _Evaluator(chain, query, tol).value(time)
 
 
 def mixing_time(chain: Chain, eps: float, query: DistanceQuery, tol: float = 1e-10):
@@ -258,21 +313,27 @@ def _mixing_times(chain: Chain, levels, query: DistanceQuery, tol: float) -> dic
     query, keyed by level.  The discrete modes return (m, m) with m exact.
 
     One evaluator serves every level.  Levels run in descending eps, so each
-    discrete search starts from the checkpoint the previous one left just
-    below its answer.  Continuous searches stay independent: their
-    increment budget of tol/128 is per search.
+    search resumes where the previous one stopped: a discrete search at the
+    checkpoint the previous level left just below its answer, a continuous
+    one at the previous level's gallop point.  The first level that cannot
+    converge raises NoConvergence, and every smaller level would too; the
+    exception's ``brackets`` holds the levels found before it.
     """
     for eps in levels:
         if not (isinstance(eps, (int, float)) and 0.0 < eps < 1.0):
             raise BadEpsilon(f"eps must lie in (0, 1), got {eps!r}")
     ev = _Evaluator(chain, query, tol)
     out = {}
-    for eps in sorted(set(levels), reverse=True):
-        if query.time_mode == "continuous":
-            out[eps] = _continuous_bracket(ev, eps)
-        else:
-            m = _search_discrete(ev, eps)
-            out[eps] = (m, m)
+    try:
+        for eps in sorted(set(levels), reverse=True):
+            if query.time_mode == "continuous":
+                out[eps] = _continuous_bracket(ev, eps)
+            else:
+                m = _search_discrete(ev, eps)
+                out[eps] = (m, m)
+    except NoConvergence as exc:
+        exc.brackets = out
+        raise
     return out
 
 
@@ -283,16 +344,24 @@ def _search_discrete(ev: _Evaluator, eps: float) -> int:
             f"the chain has period {ev.base.period}; its {ev.query.metric} "
             f"distance stays at or above {floor:g} > {eps}"
         )
-    if ev.checkpoint is not None and ev.value(ev.checkpoint[0]) > eps:
+    if floor and ev.query.metric == "tv" and ev.start_classes() is not None:
+        # tv = floor + excess exactly, and the excess carries no cancellation
+        # against the floor, so eps == floor is decided by its sign
+        def mixed(t) -> bool:
+            return ev.value(t, "excess") <= eps - floor
+    else:
+        def mixed(t) -> bool:
+            return ev.value(t) <= eps
+    if ev.checkpoint is not None and not mixed(ev.checkpoint[0]):
         lo = ev.checkpoint[0]
-    elif ev.value(0) <= eps:
+    elif mixed(0):
         return 0
     else:
         lo = 0
     base, stride = lo, 1
     while True:
         hi = min(base + stride, SEARCH_CAP)
-        if ev.value(hi) <= eps:
+        if mixed(hi):
             break
         if hi == SEARCH_CAP:
             raise NoConvergence(
@@ -303,7 +372,7 @@ def _search_discrete(ev: _Evaluator, eps: float) -> int:
         stride *= 2
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if ev.value(mid) <= eps:
+        if mixed(mid):
             hi = mid
         else:
             ev.commit(mid)
@@ -316,43 +385,39 @@ def _continuous_bracket(ev: _Evaluator, eps: float) -> tuple[float, float]:
     # which the distance was still above eps, instead of integrating from 0.
     # Increments run at tol/128, so the composed truncation error over the
     # whole search stays below tol (well under 128 committed increments).
+    # Points are (time, rows, value).  The gallop's last two points stay on
+    # the evaluator: a level whose eps lies below the lower point's value
+    # resumes there, since a fresh search would reach the same rows.
     inc_tol = ev.tol / 128.0
-    anchor_t = 0.0
-    anchor = ev._initial_rows()
+    metric = ev.query.metric
 
-    def probe(t: float):
-        delta = t - anchor_t
-        rows = anchor if delta <= 0.0 else _uniformized(ev.base, anchor, delta, inc_tol)
-        return ev._metric(rows), rows
+    def advance(point, t: float):
+        rows = _uniformized(ev.base, point[1], t - point[0], inc_tol)
+        return t, rows, ev._metric(rows, metric)
 
-    val, _ = probe(0.0)
-    if val <= eps:
-        return 0.0, 0.0
-    t = 1.0
-    while True:
-        val, rows = probe(t)
-        if val <= eps:
-            break
-        anchor_t, anchor = t, rows
-        t *= 2.0
-        if t > SEARCH_CAP:
-            val, _ = probe(float(SEARCH_CAP))
-            if val <= eps:
-                t = float(SEARCH_CAP)
-                break
+    if ev.gallop is not None and ev.gallop[0][2] > eps:
+        lo, hi = ev.gallop
+    else:
+        rows = ev._initial_rows()
+        lo = (0.0, rows, ev._metric(rows, metric))
+        if lo[2] <= eps:
+            return 0.0, 0.0
+        hi = advance(lo, 1.0)
+    while hi[2] > eps:
+        if hi[0] == SEARCH_CAP:
             raise NoConvergence(
                 f"distance stays above {eps} through t = {SEARCH_CAP}"
             )
-    lo, hi = anchor_t, t
-    while hi - lo > max(1e-6, 1e-4 * hi):
-        mid = 0.5 * (lo + hi)
-        val, rows = probe(mid)
-        if val <= eps:
-            hi = mid
+        lo, hi = hi, advance(hi, min(2.0 * hi[0], float(SEARCH_CAP)))
+    ev.gallop = lo, hi
+    anchor, hi_t = lo, hi[0]
+    while hi_t - anchor[0] > max(1e-6, 1e-4 * hi_t):
+        probe = advance(anchor, 0.5 * (anchor[0] + hi_t))
+        if probe[2] <= eps:
+            hi_t = probe[0]
         else:
-            lo = mid
-            anchor_t, anchor = mid, rows
-    return lo, hi
+            anchor = probe
+    return anchor[0], hi_t
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,9 +17,10 @@ stabilize near 1 - delta.
 ``verify_bounds`` instantiates every applicable inequality relating the
 metrics, the spectrum, and the stationary-time brackets on concrete grids,
 reporting a margin per instance.  It always evaluates distances with
-exhaustive start maximization: the endpoint shortcut is only exact for
-aperiodic monotone chains, and bound checking must also hold on periodic
-members like the Ehrenfest base chain.
+exhaustive start maximization.  The endpoint shortcut is proved exact only
+for separation in continuous time and in lazy time with delta >= 1/2 (the
+corner identity).  Elsewhere it can undershoot, also on aperiodic monotone
+chains: ``random_bd`` is both and breaks it for tv (see ``distances``).
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ import numpy as np
 from scipy.special import gammaincc
 
 from .chain import Chain
-from .distances import DistanceQuery, _mixing_times, distance, mixing_bracket, mixing_time
+from .distances import DistanceQuery, _Evaluator, _check_time, _mixing_times, mixing_time
 from .errors import BadEpsilonPair, BadFamily, BadShape, NoConvergence, NotReversible
 from .birth_death import sep_bounds, stationary_time_summary
 from .spectral import beta_delta, eigen_summary
@@ -349,20 +350,24 @@ def window_scan(
         and 0.0 < eps < eta < 1.0
     ):
         raise BadEpsilonPair(f"need 0 < eps < eta < 1, got eps={eps!r}, eta={eta!r}")
+    levels = sorted({float(eps), float(eta), 0.25})
     records = []
     for n in spec.sizes:
         chain = generate(spec, n)
         rec = SizeRecord(n=n)
-        for level in sorted({float(eps), float(eta), 0.25}):
-            rec.mixing_continuous[level] = float(
-                mixing_time(chain, level, DistanceQuery("continuous", "tv"), tol)
-            )
+        rec.mixing_continuous.update(_continuous_midpoints(chain, levels, tol))
         rec.window = abs(rec.mixing_continuous[float(eps)] - rec.mixing_continuous[float(eta)])
         rec.sqrt_t = math.sqrt(rec.mixing_continuous[0.25])
         rec.window_over_sqrt_t = rec.window / rec.sqrt_t if rec.sqrt_t > 0 else math.inf
         rec.window_over_n = rec.window / n
         records.append(rec)
     return FamilyReport(spec=spec, delta=None, eps_grid=(eps, eta), records=records)
+
+
+def _continuous_midpoints(chain: Chain, levels, tol: float) -> dict:
+    # the continuous tv mixing times of ``mixing_time``, from one search
+    brackets = _mixing_times(chain, levels, DistanceQuery("continuous", "tv"), tol)
+    return {level: float(0.5 * (lo + hi)) for level, (lo, hi) in sorted(brackets.items())}
 
 
 def family_scan(
@@ -382,10 +387,8 @@ def family_scan(
         rec = SizeRecord(n=n)
         _fill_spectrum(rec, chain)
         lazy = _mixing_times(chain, levels, DistanceQuery("lazy", "tv", delta=delta), tol)
+        rec.mixing_continuous.update(_continuous_midpoints(chain, levels, tol))
         for level in levels:
-            rec.mixing_continuous[level] = float(
-                mixing_time(chain, level, DistanceQuery("continuous", "tv"), tol)
-            )
             rec.mixing_lazy[level] = float(lazy[level][1])
         rec.ratio_c_over_lazy = _clock_ratio(
             rec.mixing_continuous[0.25], rec.mixing_lazy[0.25]
@@ -466,14 +469,19 @@ class BoundReport:
 
 
 class _BoundEvaluator:
-    """Caches distance and mixing evaluations for one chain; everything runs
-    with exhaustive start maximization (see module docstring)."""
+    """Distance and mixing evaluations for one chain; everything runs with
+    exhaustive start maximization (see module docstring).
+
+    Each clock keeps one evaluator, so the metrics at one time reduce one
+    evolution.  ``search`` runs all levels of one (clock, metric) as one
+    multi-level search, and ``mix`` reads its brackets.
+    """
 
     def __init__(self, chain: Chain, delta: float, tol: float):
         self.chain = chain
         self.delta = delta
         self.tol = tol
-        self._dist: dict = {}
+        self._clocks: dict = {}
         self._mix: dict = {}
 
     def _query(self, mode: str, metric: str) -> DistanceQuery:
@@ -482,25 +490,29 @@ class _BoundEvaluator:
         )
 
     def dist(self, mode: str, metric: str, time) -> float:
-        key = (mode, metric, float(time))
-        if key not in self._dist:
-            self._dist[key] = distance(self.chain, self._query(mode, metric), time, self.tol)
-        return self._dist[key]
+        _check_time(mode, time)
+        if mode not in self._clocks:
+            self._clocks[mode] = _Evaluator(self.chain, self._query(mode, "tv"), self.tol)
+        return self._clocks[mode].value(time, metric)
+
+    def search(self, mode: str, metric: str, levels) -> None:
+        """Mixing brackets at every level.  A level whose search cannot
+        converge (periodicity) maps to None, and so does every smaller one."""
+        try:
+            found = _mixing_times(self.chain, levels, self._query(mode, metric), self.tol)
+        except NoConvergence as exc:
+            found = exc.brackets
+        for eps in levels:
+            bracket = found.get(eps)
+            self._mix[(mode, metric, float(eps))] = (
+                None if bracket is None else (float(bracket[0]), float(bracket[1]))
+            )
 
     def mix(self, mode: str, metric: str, eps: float):
         """Bracket (lo, hi) on the mixing time, or None when the search
-        cannot converge (periodicity).  Bound checks compare against the
-        safe end so an equality-tight inequality cannot fail by bracket
-        width."""
-        key = (mode, metric, float(eps))
-        if key not in self._mix:
-            try:
-                self._mix[key] = mixing_bracket(
-                    self.chain, eps, self._query(mode, metric), self.tol
-                )
-            except NoConvergence:
-                self._mix[key] = None
-        return self._mix[key]
+        cannot converge.  Bound checks compare against the safe end so an
+        equality-tight inequality cannot fail by bracket width."""
+        return self._mix[(mode, metric, float(eps))]
 
 
 def _poisson_cdf(count: int, mu: float) -> float:
@@ -538,6 +550,7 @@ def verify_bounds(
         if summary is not None:
             base = summary.spectral_sum
         else:
+            ev.search("lazy", "tv", (0.25,))
             t_lazy = ev.mix("lazy", "tv", 0.25)
             base = (1.0 - delta) * t_lazy[1] if t_lazy else 50.0
         time_grid = (0.3 * base, 0.7 * base, 1.2 * base)
@@ -560,8 +573,11 @@ def verify_bounds(
                 BoundEntry("sep-doubling", point, sep2, 1.0 - (1.0 - dbar) ** 2)
             )
 
-    # Mixing-time orderings: T_tv(eps) <= T_sep(eps) <= 2 T_tv(eps/4).
+    # Mixing-time orderings: T_tv(eps) <= T_sep(eps) <= 2 T_tv(eps/4).  The
+    # continuous levels also serve the spectral and birth-death brackets.
     for mode in ("discrete", "continuous"):
+        ev.search(mode, "tv", set(eps_grid) | {eps / 4.0 for eps in eps_grid})
+        ev.search(mode, "sep", eps_grid)
         for eps in eps_grid:
             point = f"{mode} eps={eps:g}"
             t_tv = ev.mix(mode, "tv", eps)
@@ -613,6 +629,8 @@ def verify_bounds(
                 )
             )
         beta = beta_delta(summary, delta)
+        if 0.0 < beta < 1.0:
+            ev.search("lazy", "tv", [eps for eps in eps_grid if eps < 0.5])
         for eps in eps_grid:
             if not eps < 0.5:
                 skipped.append(

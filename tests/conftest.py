@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from cutofflab import Chain, FamilySpec, generate
+from cutofflab import birth_death as birth_death_module
+from cutofflab import chain as chain_module
+from cutofflab import distances as distances_module
 
 
 def ehrenfest(n: int) -> Chain:
@@ -41,11 +44,14 @@ def small_corpus():
 
 @dataclass
 class WorkCount:
-    """Kernel applications per chain and dense matrix powers, as counted by
-    the ``work_count`` fixture."""
+    """Kernel applications per chain, dense matrix powers and uniformization
+    calls with their summed time argument, as counted by the ``work_count``
+    fixture."""
 
     apply_by_chain: Counter = field(default_factory=Counter)
     matrix_powers: int = 0
+    uniformized_calls: int = 0
+    uniformized_time: float = 0.0
 
     @property
     def applies(self) -> int:
@@ -54,11 +60,13 @@ class WorkCount:
 
 @pytest.fixture()
 def work_count(monkeypatch):
-    """Count ``Chain.apply`` and ``numpy.linalg.matrix_power`` calls made
-    during a test; the counts are deterministic, so tests can pin them."""
+    """Count ``Chain.apply``, ``numpy.linalg.matrix_power`` and
+    ``_uniformized`` calls made during a test; the counts are deterministic,
+    so tests can pin them."""
     work = WorkCount()
     real_apply = Chain.apply
     real_power = np.linalg.matrix_power
+    real_uniformized = chain_module._uniformized
 
     def apply(self, dist):
         work.apply_by_chain[self] += 1
@@ -68,6 +76,13 @@ def work_count(monkeypatch):
         work.matrix_powers += 1
         return real_power(a, n)
 
+    def uniformized(chain, rows, time, tol):
+        work.uniformized_calls += 1
+        work.uniformized_time += time
+        return real_uniformized(chain, rows, time, tol)
+
     monkeypatch.setattr(Chain, "apply", apply)
     monkeypatch.setattr(np.linalg, "matrix_power", matrix_power)
+    for module in (chain_module, distances_module, birth_death_module):
+        monkeypatch.setattr(module, "_uniformized", uniformized)
     return work

@@ -59,6 +59,16 @@ def metric_at(kernel, pi, time, mode, metric, delta=None) -> float:
     return dbar_worst(rows)
 
 
+def class_ratio_floor(kernel: np.ndarray, pi: np.ndarray, start: int, time: int) -> float:
+    """min_y P^time(start, y) / pi(y) - 1 over the parity class a bipartite
+    chain occupies at ``time`` (y = start + time mod 2), by a dense matrix
+    power.  It is >= 0 exactly when the tv from ``start`` equals
+    its floor 1/2."""
+    row = np.linalg.matrix_power(kernel, int(time))[start]
+    occupied = (np.arange(kernel.shape[0]) - start - int(time)) % 2 == 0
+    return float((row[occupied] / pi[occupied]).min() - 1.0)
+
+
 def hypoexp_tail(rates, t: float) -> float:
     """P(sum of independent exponentials > t) via the phase-type generator:
     an upper-bidiagonal matrix walking through the stages."""

@@ -1,11 +1,15 @@
-"""Anchored discrete and lazy mixing-time searches.
+"""Anchored mixing-time searches and shared evolutions.
 
-The searches continue banded evolutions from a checkpoint and share it
-across the eps levels of one query.  Every probed value must be the one a
-fresh evaluation gives, so the answers must equal a fresh search per level
-and, on small chains, a linear scan.
+Discrete and lazy searches continue banded evolutions from a checkpoint,
+continuous searches resume the previous level's gallop, and the levels of
+one query share either.  Every probed value must be the one a fresh
+evaluation gives, so the answers must equal a fresh search per level and,
+on small chains, a linear scan.  ``verify_bounds`` shares one evolution
+across the metrics at one time and one search across the levels of one
+(clock, metric); its reports must equal those built from public calls.
 """
 
+import json
 import random
 
 import numpy as np
@@ -19,11 +23,20 @@ from cutofflab import (
     family_scan,
     generate,
     mixing_time,
+    verify_bounds,
 )
+from cutofflab import families
 from cutofflab.chain import Chain
-from cutofflab.distances import _Evaluator, _mixing_times, _search_discrete, distance_curve
+from cutofflab.distances import (
+    _Evaluator,
+    _continuous_bracket,
+    _mixing_times,
+    _search_discrete,
+    distance_curve,
+    mixing_bracket,
+)
 
-from conftest import ehrenfest, random_bd
+from conftest import ehrenfest, flip, random_bd
 import oracles
 
 LEVELS = (0.75, 0.5, 0.3, 0.25, 0.1, 0.05, 0.01)
@@ -58,6 +71,12 @@ def _shared_search(chain, query, levels):
     # drive one evaluator through the levels in the given order
     ev = _Evaluator(chain, query, 1e-10)
     return {eps: _search_discrete(ev, eps) for eps in levels}, ev
+
+
+def _shared_brackets(chain, query, levels):
+    # drive one evaluator's continuous gallop through the levels in the given order
+    ev = _Evaluator(chain, query, 1e-10)
+    return {eps: _continuous_bracket(ev, eps) for eps in levels}
 
 
 def _orders(levels):
@@ -97,12 +116,101 @@ def test_lazy_ehrenfest_levels_across_the_dense_power_cliff(n):
     assert brackets == {eps: (m, m) for eps, m in fresh.items()}
 
 
+@pytest.mark.parametrize("chain,metric", [(chain, metric) for chain, _, metric in SMALL_CASES])
+def test_shared_continuous_levels_equal_fresh_brackets(chain, metric):
+    query = _query("continuous", metric)
+    fresh = {eps: mixing_bracket(chain, eps, query) for eps in LEVELS}
+    kernel, pi = chain.dense_kernel, chain.stationary
+    for eps, (lo, hi) in fresh.items():
+        # the bracket encloses the crossing of the matrix-exponential oracle
+        assert hi == 0.0 or oracles.metric_at(kernel, pi, lo, "continuous", metric) > eps - 1e-9
+        assert oracles.metric_at(kernel, pi, hi, "continuous", metric) <= eps + 1e-9
+    for order in _orders(LEVELS):
+        assert _shared_brackets(chain, query, order) == fresh
+        assert _mixing_times(chain, order, query, 1e-10) == fresh
+
+
+@pytest.mark.parametrize("n", [150, 290, 310])
+def test_continuous_ehrenfest_levels_equal_fresh_brackets(n):
+    chain = ehrenfest(n)
+    query = _query("continuous", "tv", exhaustive=False)
+    levels = (0.5, 0.25, 0.05)
+    fresh = {eps: mixing_bracket(chain, eps, query) for eps in levels}
+    for order in _orders(levels):
+        assert _shared_brackets(chain, query, order) == fresh
+    assert _mixing_times(chain, levels, query, 1e-10) == fresh
+
+
+def test_levels_below_the_first_failure_carry_the_found_brackets():
+    # period 2: tv from a point mass never drops below 1/2
+    query = _query("discrete", "tv")
+    with pytest.raises(NoConvergence, match="period 2") as info:
+        _mixing_times(ehrenfest(8), (0.9, 0.6, 0.4, 0.1), query, 1e-10)
+    found = {}
+    for eps in (0.9, 0.6):
+        m = mixing_time(ehrenfest(8), eps, query)
+        found[eps] = (m, m)
+    assert info.value.brackets == found
+    # verify_bounds keeps the found levels and maps the rest to None
+    bounds = families._BoundEvaluator(ehrenfest(8), 0.5, 1e-10)
+    bounds.search("discrete", "tv", (0.9, 0.6, 0.4, 0.1))
+    assert [bounds.mix("discrete", "tv", eps) for eps in (0.9, 0.6, 0.4, 0.1)] == [
+        (float(found[0.9][0]),) * 2, (float(found[0.6][0]),) * 2, None, None,
+    ]
+
+
+class _PublicCallBounds:
+    """``verify_bounds``'s evaluator rebuilt from one public ``distance`` or
+    ``mixing_bracket`` call per evaluation, as it was before the sharing."""
+
+    def __init__(self, chain, delta, tol):
+        self.chain, self.delta, self.tol = chain, delta, tol
+
+    def _query(self, mode, metric):
+        return DistanceQuery(mode, metric, delta=self.delta if mode == "lazy" else None,
+                             exhaustive=True)
+
+    def dist(self, mode, metric, time):
+        return distance(self.chain, self._query(mode, metric), time, self.tol)
+
+    def search(self, mode, metric, levels):
+        pass
+
+    def mix(self, mode, metric, eps):
+        try:
+            return mixing_bracket(self.chain, eps, self._query(mode, metric), self.tol)
+        except NoConvergence:
+            return None
+
+
+def _nonreversible() -> Chain:
+    return Chain.from_dense([[0.1, 0.8, 0.1], [0.1, 0.1, 0.8], [0.8, 0.1, 0.1]])
+
+
+@pytest.mark.parametrize("chain", [
+    random_bd(2003, 6), random_bd(2010, 13), random_bd(2031, 34), ehrenfest(16), flip(),
+    _dense_reversible(), _nonreversible(),
+])
+def test_verify_bounds_equals_public_call_reference(chain, monkeypatch):
+    shared = json.dumps(verify_bounds(chain).to_dict())
+    monkeypatch.setattr(families, "_BoundEvaluator", _PublicCallBounds)
+    assert shared == json.dumps(verify_bounds(chain).to_dict())
+
+
+def test_verify_bounds_ehrenfest_64_uniformized_work(work_count):
+    verify_bounds(ehrenfest(64))
+    # 4,166 time units with a fresh search per (clock, metric, eps) and a
+    # fresh evolution per (clock, metric, t)
+    assert 0 < work_count.uniformized_time <= 2_400
+
+
 @pytest.mark.parametrize("chain,mode,metric", SMALL_CASES[:4] + [(ehrenfest(310), "lazy", "tv")])
 def test_probed_values_are_bit_identical_to_fresh_distances(chain, mode, metric):
     query = _query(mode, metric, exhaustive=chain.num_states < 100)
     _, ev = _shared_search(chain, query, _orders((0.5, 0.2, 0.05))[2])
     assert len(ev._cache) > 5
-    for time, value in ev._cache.items():
+    for (time, metric), value in ev._cache.items():
+        assert metric == query.metric
         assert distance(chain, query, int(time)) == value, time
 
 
@@ -142,7 +250,12 @@ def test_family_scan_lazy_column_work(work_count):
     # the lazy kernel is the only chain here that holds at state 0
     lazy = sum(c for chain, c in work_count.apply_by_chain.items() if chain.hold[0] > 0)
     assert 0 < lazy <= 50_000  # 294,604 with one fresh search per level
+    assert lazy == 12_281
     assert work_count.matrix_powers == 0
+    # the continuous column evolves the base chain; 33,219 applications
+    # with one fresh gallop per level
+    base = sum(c for chain, c in work_count.apply_by_chain.items() if chain.hold[0] == 0)
+    assert 0 < base <= 18_000
 
 
 def test_period_refusal_does_no_work(work_count):

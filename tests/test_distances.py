@@ -92,10 +92,57 @@ def test_periodic_floor_per_metric_and_start_set():
     for chain, query in ((ehrenfest(8), full), (ehrenfest(7), dbar)):
         with pytest.raises(NoConvergence):
             mixing_time(chain, 0.25, query)
-    # a fixed start vector carries no floor; the capped search still refuses
+    # a fixed start vector on a periodic chain is refused below its class-mass
+    # floor; on an aperiodic chain that mixes too slowly the capped search
+    # still refuses
     start = DistanceQuery(time_mode="discrete", metric="tv", start=[1.0, 0.0])
-    with pytest.raises(NoConvergence, match="through"):
+    with pytest.raises(NoConvergence, match="period 2"):
         mixing_time(flip(), 0.25, start)
+    with pytest.raises(NoConvergence, match="through"):
+        mixing_time(two_state(1e-9, 1e-9), 0.25, start)
+
+
+def test_eps_at_the_floor_is_decided_exactly():
+    # Ehrenfest 400 has period 2.  From the endpoints tv = 1/2 exactly from
+    # the first time P^t >= pi on the occupied parity class; the float
+    # distance straddles 1/2 by rounding around it.
+    n = 400
+    chain = ehrenfest(n)
+    query = DistanceQuery(time_mode="discrete", metric="tv")
+    assert mixing_time(chain, 0.5, query) == 1271
+    # the same start given as a vector, as ``analyze --start`` builds it
+    start = np.zeros(n + 1)
+    start[0] = 1.0
+    start_query = DistanceQuery(time_mode="discrete", metric="tv", start=start)
+    assert mixing_time(chain, 0.5, start_query) == 1271
+    kernel, pi = chain.dense_kernel, chain.stationary
+    assert min(oracles.class_ratio_floor(kernel, pi, x, 1270) for x in (0, n)) < -1e-3
+    assert min(oracles.class_ratio_floor(kernel, pi, x, 1271) for x in (0, n)) > 1e-3
+    for t in (1270, 1271, 1272):
+        assert distance(chain, query, t) == pytest.approx(0.5, abs=1e-12)
+    # the flip chain sits at its floor from time 0
+    for exhaustive in (False, True):
+        flip_query = DistanceQuery(time_mode="discrete", metric="tv", exhaustive=exhaustive)
+        assert mixing_time(flip(), 0.5, flip_query) == 0
+
+
+def test_start_vector_floor_refuses_without_work(work_count):
+    # masses 0.7 / 0.3 on the two parity classes of Ehrenfest 8 rotate with
+    # t: tv stays >= 1/2 (|0.7 - 1/2| + |0.3 - 1/2|) = 0.2 and sep >= 1 - 2 * 0.3
+    chain = ehrenfest(8)
+    start = np.zeros(9)
+    start[[0, 2]] = 0.35
+    start[[1, 3]] = 0.15
+    work_count.apply_by_chain.clear()
+    for metric, eps in (("tv", 0.19), ("sep", 0.39)):
+        query = DistanceQuery(time_mode="discrete", metric=metric, start=start)
+        with pytest.raises(NoConvergence, match="period 2"):
+            mixing_time(chain, eps, query)
+    assert work_count.applies == 0 and work_count.matrix_powers == 0
+    for metric, eps in (("tv", 0.21), ("sep", 0.41)):
+        query = DistanceQuery(time_mode="discrete", metric=metric, start=start)
+        m = mixing_time(chain, eps, query)
+        assert distance(chain, query, m) <= eps < distance(chain, query, m - 1)
 
 
 def test_endpoint_shortcut_undershoots_on_random_bd():
