@@ -10,7 +10,7 @@ path) is the fingerprint of its absence.
 
 import math
 
-from cutofflab import FamilySpec, criterion_scan, ratio_scan, window_scan
+from cutofflab import FamilySpec, criterion_scan, family_scan
 
 sizes = (16, 32, 64, 128, 256)
 
@@ -21,9 +21,12 @@ for family in ("ehrenfest", "path_symmetric"):
     for rec in report.records:
         print(f"  n={rec.n:4d}  gap={rec.gap:.6f}  s={rec.spectral_sum:10.3f}  product={rec.product:.4f}")
 
+# one scan fills both sections: the clock ratio at eps = 1/4 and the window
+# between the grid's extremes 0.1 and 0.9
+report = family_scan(FamilySpec("ehrenfest", sizes), delta=0.5, eps_grid=(0.1, 0.25, 0.9))
+
 print()
 print("== continuous vs 1/2-lazy clocks, eps = 1/4 ==")
-report = ratio_scan(FamilySpec("ehrenfest", sizes), delta=0.5)
 for rec in report.records:
     t_c = rec.mixing_continuous[0.25]
     scale = 0.25 * rec.n * math.log(rec.n)
@@ -35,7 +38,6 @@ print(f"ratio target 1 - delta = {report.ratio_target}; final deviation {report.
 
 print()
 print("== window between eps=0.1 and eta=0.9 ==")
-report = window_scan(FamilySpec("ehrenfest", sizes), 0.1, 0.9)
 for rec in report.records:
     print(
         f"  n={rec.n:4d}  window={rec.window:8.3f}  window/n={rec.window_over_n:.4f}"

@@ -26,7 +26,6 @@ from .distances import (
 from .errors import (
     BadDelta,
     BadEpsilon,
-    BadEpsilonPair,
     BadFamily,
     BadShape,
     ChainError,
@@ -66,9 +65,7 @@ from .families import (
     family_scan,
     generate,
     load_family,
-    ratio_scan,
     verify_bounds,
-    window_scan,
 )
 
 __version__ = "0.1.0"
@@ -88,7 +85,6 @@ __all__ = [
     "ChainError",
     "BadDelta",
     "BadEpsilon",
-    "BadEpsilonPair",
     "BadFamily",
     "BadShape",
     "LengthMismatch",
@@ -121,7 +117,5 @@ __all__ = [
     "family_scan",
     "generate",
     "load_family",
-    "ratio_scan",
     "verify_bounds",
-    "window_scan",
 ]

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import Chain, _uniformized, _check_tol
-from .errors import BadDelta, BadEpsilon, NonIntegerTime, NotBirthDeath
+from .chain import Chain, _as_steps, _check_eps, _check_time, _check_tol, _uniformized
+from .errors import BadDelta, NotBirthDeath
 from .spectral import eigen_summary, tridiagonal_eigenvalues
 
 # Alternating formula is abandoned when consecutive rates are closer than
@@ -187,23 +187,22 @@ def sst_tail(chain: Chain, time: float, tol: float = 1e-10, method: str = "auto"
     rate spacing and term magnitudes allow, falling back otherwise.
     """
     _require_bd(chain)
-    if not (isinstance(time, (int, float)) and math.isfinite(time) and time >= 0):
-        raise ValueError(f"time must be a finite nonnegative number, got {time!r}")
+    time = _check_time(time)
     if method not in ("auto", "alternating", "uniformized"):
         raise ValueError(f"unknown method {method!r}")
     if method == "uniformized":
-        return corner_separation(chain, float(time), mode="continuous", tol=tol)
+        return corner_separation(chain, time, mode="continuous", tol=tol)
     summary = stationary_time_summary(chain)
     if method == "alternating":
         if summary.min_spacing < SPACING_FLOOR * summary.rates[0]:
             raise ArithmeticError("rates too clustered for the alternating formula")
-        return _alternating_tail(summary.rates, float(time))
+        return _alternating_tail(summary.rates, time)
     if summary.min_spacing < SPACING_FLOOR * summary.rates[0]:
-        return corner_separation(chain, float(time), mode="continuous", tol=tol)
+        return corner_separation(chain, time, mode="continuous", tol=tol)
     try:
-        return _alternating_tail(summary.rates, float(time))
+        return _alternating_tail(summary.rates, time)
     except ArithmeticError:
-        return corner_separation(chain, float(time), mode="continuous", tol=tol)
+        return corner_separation(chain, time, mode="continuous", tol=tol)
 
 
 def corner_separation(
@@ -225,17 +224,11 @@ def corner_separation(
     start[0] = 1.0
     if mode == "continuous":
         _check_tol(tol)
-        if not (isinstance(time, (int, float)) and math.isfinite(time) and time >= 0):
-            raise ValueError(f"time must be a finite nonnegative number, got {time!r}")
-        row = _uniformized(chain, start, float(time), tol)
+        row = _uniformized(chain, start, _check_time(time), tol)
     elif mode == "lazy":
         if not (isinstance(delta, (int, float)) and 0.5 <= delta < 1.0):
             raise BadDelta(f"lazy corner identity needs delta in [1/2, 1), got {delta!r}")
-        if isinstance(time, float) and not time.is_integer():
-            raise NonIntegerTime(f"lazy mode needs integer times, got {time!r}")
-        steps = int(time)
-        if steps < 0:
-            raise ValueError(f"time must be nonnegative, got {time!r}")
+        steps = _as_steps(time)
         lazy = chain.lazy(float(delta))
         row = start
         for _ in range(steps):
@@ -254,8 +247,7 @@ def sep_bounds(summary: StationaryTimeSummary, eps: float) -> tuple[float, float
     multiplies the mean alone by sqrt-based constants.  Lower bounds clamp
     at 0.
     """
-    if not (isinstance(eps, (int, float)) and 0.0 < eps < 1.0):
-        raise BadEpsilon(f"eps must lie in (0, 1), got {eps!r}")
+    _check_eps(eps)
     mean, var = summary.mean, summary.variance
     spread = math.sqrt(var / (1.0 / eps - 1.0))
     lower = max(0.0, mean - spread)

@@ -26,7 +26,9 @@ import numpy as np
 
 from .errors import (
     BadDelta,
+    BadEpsilon,
     BadShape,
+    NonIntegerTime,
     NotIrreducible,
     NotStochastic,
     TolTooLoose,
@@ -294,9 +296,7 @@ class Chain:
         and is reused rather than re-solved; the birth-death form stays
         birth-death (rates scale by ``1-delta``).
         """
-        if not (isinstance(delta, (int, float)) and 0.0 < delta < 1.0):
-            raise BadDelta(f"laziness must lie in (0, 1), got {delta!r}")
-        delta = float(delta)
+        delta = _check_delta(delta)
         if self.form == "birth_death":
             chain = Chain(
                 form="birth_death",
@@ -357,12 +357,9 @@ def load_chain(path) -> Chain:
 
 def step_distribution(chain: Chain, start, steps: int) -> np.ndarray:
     """Distribution after ``steps`` kernel applications from ``start``."""
-    if not (isinstance(steps, (int, np.integer)) and not isinstance(steps, bool)):
-        raise BadShape(f"steps must be an integer, got {steps!r}")
-    if steps < 0:
-        raise BadShape(f"steps must be nonnegative, got {steps}")
+    steps = _as_steps(steps)
     vec = as_probability_vector(start, chain.num_states)
-    for _ in range(int(steps)):
+    for _ in range(steps):
         vec = chain.apply(vec)
     return _clean_distribution(vec)
 
@@ -375,18 +372,52 @@ def continuous_distribution(chain: Chain, start, time: float, tol: float = 1e-10
     in total variation below ``tol``.
     """
     _check_tol(tol)
-    if not (isinstance(time, (int, float)) and math.isfinite(time)):
-        raise BadShape(f"time must be a finite number, got {time!r}")
-    if time < 0:
-        raise BadShape(f"time must be nonnegative, got {time}")
+    time = _check_time(time)
     vec = as_probability_vector(start, chain.num_states)
-    out = _uniformized(chain, vec, float(time), tol)
+    out = _uniformized(chain, vec, time, tol)
     return _clean_distribution(out)
+
+
+# The one check per kind of input; every module validates through these.
 
 
 def _check_tol(tol: float) -> None:
     if not (isinstance(tol, (int, float)) and 0.0 < tol <= 1e-6):
         raise TolTooLoose(f"tol must lie in (0, 1e-6], got {tol!r}")
+
+
+def _check_time(time) -> float:
+    """A continuous time: a finite number >= 0."""
+    if not (isinstance(time, (int, float, np.integer)) and math.isfinite(time) and time >= 0):
+        raise BadShape(f"time must be a finite nonnegative number, got {time!r}")
+    return float(time)
+
+
+def _as_steps(time) -> int:
+    """A step count: an integer >= 0, or a float holding one."""
+    if isinstance(time, (int, np.integer)) and not isinstance(time, bool):
+        steps = int(time)
+    elif isinstance(time, float) and time.is_integer():
+        steps = int(time)
+    else:
+        raise NonIntegerTime(f"discrete times must be integers, got {time!r}")
+    if steps < 0:
+        raise BadShape(f"time must be nonnegative, got {time!r}")
+    return steps
+
+
+def _check_delta(delta) -> float:
+    """A laziness delta in (0, 1)."""
+    if not (isinstance(delta, (int, float)) and 0.0 < delta < 1.0):
+        raise BadDelta(f"laziness delta must lie in (0, 1), got {delta!r}")
+    return float(delta)
+
+
+def _check_eps(eps) -> float:
+    """A threshold eps in (0, 1)."""
+    if not (isinstance(eps, (int, float)) and 0.0 < eps < 1.0):
+        raise BadEpsilon(f"eps must lie in (0, 1), got {eps!r}")
+    return float(eps)
 
 
 def _uniformized(chain: Chain, rows: np.ndarray, time: float, tol: float) -> np.ndarray:

@@ -49,30 +49,34 @@ exact floor: 1 - 1/d for tv with period d, 1 for sep, and 1 for dbar when
 the starts meet two cyclic classes.  A start vector mu puts masses mu(C_i)
 on the cyclic classes, and those masses only rotate, so tv stays at or
 above 1/2 sum_i |mu(C_i) - 1/d| and sep at or above 1 - d min_i mu(C_i).
-An eps strictly below the floor raises NoConvergence at once.  When every
-start lies on one cyclic class (point masses, or a start vector held on one
-class) and eps is at or above the tv floor, the search decides "distance <=
-eps" exactly: there tv = (1 - 1/d) + sum over the occupied class C of
-(pi - P^t)^+, and the search compares that excess, computed directly, with
-eps - (1 - 1/d).  So eps = 1 - 1/d is met at the first time P^t >= pi on
-all of C, not at a rounding crossing of the float distance.
+An eps strictly below the floor raises NoConvergence at once.  At or above
+the tv floor the search decides "distance <= eps" exactly.  With m_C(t) the
+start mass rotated onto class C, tv = floor + excess, where each class adds
+sum_C (pi - P^t)^+ when m_C(t) >= 1/d and sum_C (P^t - pi)^+ otherwise.  The
+search compares that excess, computed directly, with eps - floor.  So eps
+equal to the floor is met at the first time P^t >= pi on every heavy class
+and P^t <= pi on every light one, not at a rounding crossing of the float
+distance.  From a point mass this is the first time P^t >= pi on the
+occupied class.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .chain import Chain, _uniformized, as_probability_vector, _check_tol
-from .errors import (
-    BadDelta,
-    BadEpsilon,
-    BadShape,
-    LengthMismatch,
-    NoConvergence,
-    NonIntegerTime,
+from .chain import (
+    Chain,
+    _as_steps,
+    _check_delta,
+    _check_eps,
+    _check_time,
+    _check_tol,
+    _uniformized,
+    as_probability_vector,
 )
+from .errors import BadShape, LengthMismatch, NoConvergence
 
 SEARCH_CAP = 10_000_000
 
@@ -112,8 +116,7 @@ class DistanceQuery:
         if self.metric not in ("tv", "sep", "dbar"):
             raise ValueError(f"unknown metric {self.metric!r}")
         if self.time_mode == "lazy":
-            if not (isinstance(self.delta, (int, float)) and 0.0 < self.delta < 1.0):
-                raise BadDelta(f"lazy mode needs delta in (0, 1), got {self.delta!r}")
+            _check_delta(self.delta)
         elif self.delta is not None:
             raise ValueError("delta only applies to lazy mode")
         if self.start is not None and self.metric == "dbar":
@@ -157,6 +160,10 @@ class _Evaluator:
 
     def value(self, time, metric: str | None = None) -> float:
         metric = metric or self.query.metric
+        if self.query.time_mode == "continuous":
+            time = _check_time(time)
+        else:
+            time = _as_steps(time)
         key = (float(time), metric)
         hit = self._cache.get(key)
         if hit is None:
@@ -184,8 +191,8 @@ class _Evaluator:
 
     def _evolve(self, time) -> np.ndarray:
         if self.query.time_mode == "continuous":
-            return _uniformized(self.base, self._initial_rows(), float(time), self.tol)
-        steps = _as_steps(time)
+            return _uniformized(self.base, self._initial_rows(), time, self.tol)
+        steps = time
         kernel = self.eff
         if (
             steps >= _POW_MIN_STEPS
@@ -212,8 +219,7 @@ class _Evaluator:
         if query.time_mode != "discrete" or period == 1:
             return 0.0
         if self.start_rows is not None:
-            # the start's class masses rotate with t and never even out
-            mass = np.bincount(chain._classes, weights=self.start_rows[0], minlength=period)
+            mass = self.class_mass[0]
             if query.metric == "tv":
                 return float(0.5 * np.abs(mass - 1.0 / period).sum())
             return float(1.0 - period * mass.min())
@@ -223,14 +229,15 @@ class _Evaluator:
             return 1.0
         return 1.0 if len(chain._cyclic_classes(self.start_idx)) > 1 else 0.0
 
-    def start_classes(self) -> np.ndarray | None:
-        """The cyclic class of each start row, or None when a start vector
-        spreads over several classes."""
-        classes = self.base._classes
-        if self.start_rows is None:
-            return classes[self.start_idx]
-        held = np.unique(classes[self.start_rows[0] > 0.0])
-        return held if held.size == 1 else None
+    @cached_property
+    def class_mass(self) -> np.ndarray:
+        """Each start row's mass on each cyclic class.  The masses rotate
+        with t, class c's to class c + t mod d, and never even out."""
+        chain = self.base
+        return np.stack([
+            np.bincount(chain._classes, weights=row, minlength=chain.period)
+            for row in self._initial_rows()
+        ])
 
     def _metric(self, rows: np.ndarray, metric: str, time=None) -> float:
         if metric == "tv":
@@ -239,29 +246,20 @@ class _Evaluator:
             worst = 1.0 - (rows / self.pi).min()
             return float(min(max(worst, 0.0), 1.0))
         if metric == "excess":
-            # From a start held on one cyclic class of a periodic chain, P^t
-            # lives on one class C, and tv = (1 - 1/d) + sum_{y in C} (pi(y) - P^t(y))^+.
-            classes = self.base._classes
-            occupied = (self.start_classes() + _as_steps(time)) % self.base.period
-            short = np.clip(self.pi - rows, 0.0, None)
-            return float(np.where(classes == occupied[:, None], short, 0.0).sum(axis=1).max())
+            # tv minus its period floor: a cyclic class C whose rotated start
+            # mass is >= 1/d adds sum_C (pi - P^t)^+, any other adds
+            # sum_C (P^t - pi)^+
+            period = self.base.period
+            heavy = self.class_mass[:, (self.base._classes - time) % period] >= 1.0 / period
+            excess = np.where(
+                heavy, np.clip(self.pi - rows, 0.0, None), np.clip(rows - self.pi, 0.0, None)
+            )
+            return float(excess.sum(axis=1).max())
         best = 0.0
         for i in range(rows.shape[0] - 1):
             gap = 0.5 * np.abs(rows[i + 1 :] - rows[i]).sum(axis=1).max()
             best = max(best, float(gap))
         return min(best, 1.0)
-
-
-def _as_steps(time) -> int:
-    if isinstance(time, (int, np.integer)) and not isinstance(time, bool):
-        steps = int(time)
-    elif isinstance(time, float) and time.is_integer():
-        steps = int(time)
-    else:
-        raise NonIntegerTime(f"discrete modes need integer times, got {time!r}")
-    if steps < 0:
-        raise BadShape(f"time must be nonnegative, got {time!r}")
-    return steps
 
 
 def distance(chain: Chain, query: DistanceQuery, time, tol: float = 1e-10) -> float:
@@ -270,17 +268,7 @@ def distance(chain: Chain, query: DistanceQuery, time, tol: float = 1e-10) -> fl
     Continuous mode accepts real ``time >= 0`` and obeys the uniformization
     tolerance ``tol``; the discrete modes require integer times.
     """
-    _check_time(query.time_mode, time)
     return _Evaluator(chain, query, tol).value(time)
-
-
-def _check_time(time_mode: str, time) -> None:
-    # discrete times are checked where they become step counts
-    if time_mode == "continuous":
-        if not (isinstance(time, (int, float)) and math.isfinite(time)):
-            raise BadShape(f"time must be a finite number, got {time!r}")
-        if time < 0:
-            raise BadShape(f"time must be nonnegative, got {time!r}")
 
 
 def mixing_time(chain: Chain, eps: float, query: DistanceQuery, tol: float = 1e-10):
@@ -320,8 +308,7 @@ def _mixing_times(chain: Chain, levels, query: DistanceQuery, tol: float) -> dic
     exception's ``brackets`` holds the levels found before it.
     """
     for eps in levels:
-        if not (isinstance(eps, (int, float)) and 0.0 < eps < 1.0):
-            raise BadEpsilon(f"eps must lie in (0, 1), got {eps!r}")
+        _check_eps(eps)
     ev = _Evaluator(chain, query, tol)
     out = {}
     try:
@@ -344,7 +331,7 @@ def _search_discrete(ev: _Evaluator, eps: float) -> int:
             f"the chain has period {ev.base.period}; its {ev.query.metric} "
             f"distance stays at or above {floor:g} > {eps}"
         )
-    if floor and ev.query.metric == "tv" and ev.start_classes() is not None:
+    if floor and ev.query.metric == "tv":
         # tv = floor + excess exactly, and the excess carries no cancellation
         # against the floor, so eps == floor is decided by its sign
         def mixed(t) -> bool:

@@ -54,10 +54,6 @@ class BadEpsilon(ChainError):
     """Threshold epsilon outside the admissible open interval."""
 
 
-class BadEpsilonPair(ChainError):
-    """Window endpoints must satisfy 0 < eps < eta < 1."""
-
-
 class LengthMismatch(ChainError):
     """Two distributions of different lengths were compared."""
 

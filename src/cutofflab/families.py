@@ -29,11 +29,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaincc
 
-from .chain import Chain
-from .distances import DistanceQuery, _Evaluator, _check_time, _mixing_times, mixing_time
-from .errors import BadEpsilonPair, BadFamily, BadShape, NoConvergence, NotReversible
+from .chain import Chain, _check_eps, _check_time
+from .distances import DistanceQuery, _Evaluator, _mixing_times
+from .errors import BadEpsilon, BadFamily, BadShape, NoConvergence, NotReversible
 from .birth_death import sep_bounds, stationary_time_summary
 from .spectral import beta_delta, eigen_summary
 
@@ -47,13 +46,6 @@ MARGIN_TOL = -1e-9
 GROWTH_FACTOR = 1.5
 FLAT_FACTOR = 1.3
 DIP_TOLERANCE = 0.9
-
-
-def _clock_ratio(t_cont: float, t_lazy: float) -> float:
-    # extreme eps can make tiny chains mixed at time zero on either clock
-    if t_lazy > 0:
-        return t_cont / t_lazy
-    return math.inf if t_cont > 0 else 1.0
 
 
 @dataclass(frozen=True)
@@ -304,72 +296,6 @@ def criterion_scan(spec: FamilySpec) -> FamilyReport:
     return report
 
 
-def ratio_scan(
-    spec: FamilySpec,
-    delta: float = DEFAULT_DELTA,
-    eps: float = 0.25,
-    tol: float = 1e-10,
-) -> FamilyReport:
-    """Continuous vs delta-lazy mixing times at one eps across sizes.
-
-    The ratio should stabilize near 1 - delta as n grows; the report carries
-    that target and the deviation at the largest size.
-    """
-    records = []
-    for n in spec.sizes:
-        chain = generate(spec, n)
-        t_cont = mixing_time(chain, eps, DistanceQuery("continuous", "tv"), tol)
-        t_lazy = mixing_time(chain, eps, DistanceQuery("lazy", "tv", delta=delta), tol)
-        rec = SizeRecord(n=n)
-        rec.mixing_continuous[eps] = float(t_cont)
-        rec.mixing_lazy[eps] = float(t_lazy)
-        rec.ratio_c_over_lazy = _clock_ratio(float(t_cont), float(t_lazy))
-        records.append(rec)
-    target = 1.0 - delta
-    return FamilyReport(
-        spec=spec,
-        delta=delta,
-        eps_grid=(eps,),
-        records=records,
-        ratio_target=target,
-        ratio_deviation_final=abs(records[-1].ratio_c_over_lazy - target),
-    )
-
-
-def window_scan(
-    spec: FamilySpec,
-    eps: float,
-    eta: float,
-    tol: float = 1e-10,
-) -> FamilyReport:
-    """Window |T(eps) - T(eta)| in continuous time, with the comparison
-    scales sqrt(T(1/4)) and n."""
-    if not (
-        isinstance(eps, (int, float))
-        and isinstance(eta, (int, float))
-        and 0.0 < eps < eta < 1.0
-    ):
-        raise BadEpsilonPair(f"need 0 < eps < eta < 1, got eps={eps!r}, eta={eta!r}")
-    levels = sorted({float(eps), float(eta), 0.25})
-    records = []
-    for n in spec.sizes:
-        chain = generate(spec, n)
-        rec = SizeRecord(n=n)
-        rec.mixing_continuous.update(_continuous_midpoints(chain, levels, tol))
-        rec.window = abs(rec.mixing_continuous[float(eps)] - rec.mixing_continuous[float(eta)])
-        rec.sqrt_t = math.sqrt(rec.mixing_continuous[0.25])
-        rec.window_over_sqrt_t = rec.window / rec.sqrt_t if rec.sqrt_t > 0 else math.inf
-        rec.window_over_n = rec.window / n
-        records.append(rec)
-    return FamilyReport(spec=spec, delta=None, eps_grid=(eps, eta), records=records)
-
-
-def _continuous_midpoints(chain: Chain, levels, tol: float) -> dict:
-    # the continuous tv mixing times of ``mixing_time``, from one search
-    brackets = _mixing_times(chain, levels, DistanceQuery("continuous", "tv"), tol)
-    return {level: float(0.5 * (lo + hi)) for level, (lo, hi) in sorted(brackets.items())}
-
-
 def family_scan(
     spec: FamilySpec,
     delta: float = DEFAULT_DELTA,
@@ -379,24 +305,29 @@ def family_scan(
     """Full scan: spectra + verdict, mixing times over the eps grid in both
     continuous and delta-lazy time, the c/lazy ratio at eps=1/4, and the
     window between the grid's extreme eps values."""
-    eps_grid = tuple(float(e) for e in eps_grid)
+    eps_grid = tuple(_check_eps(e) for e in eps_grid)
+    if not eps_grid:
+        raise BadEpsilon("eps_grid must hold at least one eps")
     levels = sorted(set(eps_grid) | {0.25})
+    lo_eps, hi_eps = min(eps_grid), max(eps_grid)
+    continuous = DistanceQuery("continuous", "tv")
+    lazy = DistanceQuery("lazy", "tv", delta=delta)
     records = []
     for n in spec.sizes:
         chain = generate(spec, n)
         rec = SizeRecord(n=n)
         _fill_spectrum(rec, chain)
-        lazy = _mixing_times(chain, levels, DistanceQuery("lazy", "tv", delta=delta), tol)
-        rec.mixing_continuous.update(_continuous_midpoints(chain, levels, tol))
+        lazy_times = _mixing_times(chain, levels, lazy, tol)
+        continuous_times = _mixing_times(chain, levels, continuous, tol)
         for level in levels:
-            rec.mixing_lazy[level] = float(lazy[level][1])
-        rec.ratio_c_over_lazy = _clock_ratio(
-            rec.mixing_continuous[0.25], rec.mixing_lazy[0.25]
-        )
-        lo_eps, hi_eps = min(eps_grid), max(eps_grid)
+            lo, hi = continuous_times[level]
+            rec.mixing_continuous[level] = float(0.5 * (lo + hi))
+            rec.mixing_lazy[level] = float(lazy_times[level][1])
+        # worst-case tv at t = 0 is max_x (1 - pi(x)) >= 1/2, so T(1/4) > 0 on both clocks
+        rec.ratio_c_over_lazy = rec.mixing_continuous[0.25] / rec.mixing_lazy[0.25]
         rec.window = abs(rec.mixing_continuous[lo_eps] - rec.mixing_continuous[hi_eps])
         rec.sqrt_t = math.sqrt(rec.mixing_continuous[0.25])
-        rec.window_over_sqrt_t = rec.window / rec.sqrt_t if rec.sqrt_t > 0 else math.inf
+        rec.window_over_sqrt_t = rec.window / rec.sqrt_t
         rec.window_over_n = rec.window / n
         records.append(rec)
     target = 1.0 - delta
@@ -490,7 +421,6 @@ class _BoundEvaluator:
         )
 
     def dist(self, mode: str, metric: str, time) -> float:
-        _check_time(mode, time)
         if mode not in self._clocks:
             self._clocks[mode] = _Evaluator(self.chain, self._query(mode, "tv"), self.tol)
         return self._clocks[mode].value(time, metric)
@@ -516,6 +446,9 @@ class _BoundEvaluator:
 
 
 def _poisson_cdf(count: int, mu: float) -> float:
+    # imported here so that importing cutofflab does not load scipy
+    from scipy.special import gammaincc
+
     return float(gammaincc(count + 1, mu))
 
 
@@ -554,7 +487,7 @@ def verify_bounds(
             t_lazy = ev.mix("lazy", "tv", 0.25)
             base = (1.0 - delta) * t_lazy[1] if t_lazy else 50.0
         time_grid = (0.3 * base, 0.7 * base, 1.2 * base)
-    t_grid = tuple(float(t) for t in time_grid)
+    t_grid = tuple(_check_time(t) for t in time_grid)
     m_grid = sorted({max(1, round(t)) for t in t_grid})
 
     # Metric comparisons at fixed times: tv <= dbar <= 2 tv, dbar <= sep,

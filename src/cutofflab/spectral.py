@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import Chain
-from .errors import BadDelta, NotReversible
+from .chain import Chain, _check_delta
+from .errors import NotReversible
 
 DETAILED_BALANCE_TOL = 1e-10
 ZERO_SNAP_TOL = 1e-9
@@ -170,7 +170,6 @@ def beta_delta(summary: SpectralSummary, delta: float) -> float:
     beta(delta) = max |delta + (1-delta) theta| over kernel eigenvalues
     theta with the single trivial eigenvalue 1 removed.
     """
-    if not (isinstance(delta, (int, float)) and 0.0 < delta < 1.0):
-        raise BadDelta(f"laziness must lie in (0, 1), got {delta!r}")
+    _check_delta(delta)
     theta = summary.kernel_spectrum[1:]  # drop the trivial eigenvalue
     return float(np.abs(delta + (1.0 - delta) * theta).max())

@@ -59,14 +59,19 @@ def metric_at(kernel, pi, time, mode, metric, delta=None) -> float:
     return dbar_worst(rows)
 
 
-def class_ratio_floor(kernel: np.ndarray, pi: np.ndarray, start: int, time: int) -> float:
-    """min_y P^time(start, y) / pi(y) - 1 over the parity class a bipartite
-    chain occupies at ``time`` (y = start + time mod 2), by a dense matrix
-    power.  It is >= 0 exactly when the tv from ``start`` equals
-    its floor 1/2."""
-    row = np.linalg.matrix_power(kernel, int(time))[start]
-    occupied = (np.arange(kernel.shape[0]) - start - int(time)) % 2 == 0
-    return float((row[occupied] / pi[occupied]).min() - 1.0)
+def class_ratio_floor(kernel: np.ndarray, pi: np.ndarray, start, time: int) -> float:
+    """For a start vector on a bipartite birth-death chain, by a dense
+    matrix power: the min of P^time(y) / pi(y) - 1 over the parity class
+    that carries >= 1/2 of the start mass at ``time``, and of
+    1 - P^time(y) / pi(y) over the other class.  It is >= 0 exactly when the
+    tv from ``start`` equals its class-mass floor (1/2 from a point mass)."""
+    start = np.asarray(start, dtype=float)
+    row = start @ np.linalg.matrix_power(kernel, int(time))
+    parity = np.arange(kernel.shape[0]) % 2
+    mass = np.bincount(parity, weights=start, minlength=2)
+    heavy = mass[(parity - int(time)) % 2] >= 0.5
+    ratio = row / pi - 1.0
+    return float(np.where(heavy, ratio, -ratio).min())
 
 
 def hypoexp_tail(rates, t: float) -> float:

@@ -17,10 +17,10 @@ from cutofflab import (
     criterion_scan,
     distance,
     eigen_summary,
+    family_scan,
     generate,
     hitting_time_bound,
     passage_time,
-    ratio_scan,
     sst_tail,
     stationary_time_summary,
     verify_bounds,
@@ -43,7 +43,7 @@ def _seeded_bd(seed: int, n: int):
 def ehrenfest_ratio_report():
     # shared between criteria 4 and 5; the scan itself is the expensive part
     spec = FamilySpec("ehrenfest", (64, 128, 256, 512, 1024))
-    return ratio_scan(spec, delta=0.5, eps=0.25)
+    return family_scan(spec, delta=0.5, eps_grid=(0.25,))
 
 
 def test_criterion_1_ehrenfest_spectrum():

@@ -8,7 +8,9 @@ import pytest
 from cutofflab import (
     BadDelta,
     BadEpsilon,
+    BadShape,
     DistanceQuery,
+    NonIntegerTime,
     NotBirthDeath,
     corner_separation,
     distance,
@@ -148,9 +150,9 @@ def test_sst_tail_auto_survives_unstable_spectra():
 
 def test_sst_tail_validates_inputs():
     chain = two_state()
-    with pytest.raises(ValueError):
+    with pytest.raises(BadShape):
         sst_tail(chain, -1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadShape):
         sst_tail(chain, math.nan)
     with pytest.raises(ValueError):
         sst_tail(chain, 1.0, method="laplace")
@@ -184,8 +186,12 @@ def test_corner_separation_validates_mode_and_delta():
         corner_separation(chain, 3, mode="lazy")
     with pytest.raises(ValueError):
         corner_separation(chain, 3, mode="discrete")
-    with pytest.raises(ValueError):
+    with pytest.raises(BadShape):
         corner_separation(chain, -1.0)
+    with pytest.raises(NonIntegerTime):
+        corner_separation(chain, "3", mode="lazy", delta=0.5)
+    with pytest.raises(BadShape):
+        corner_separation(chain, -1, mode="lazy", delta=0.5)
 
 
 def test_corner_identity_matches_sst_tail():

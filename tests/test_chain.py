@@ -10,6 +10,7 @@ from cutofflab import (
     BadDelta,
     BadShape,
     Chain,
+    NonIntegerTime,
     NotIrreducible,
     NotStochastic,
     TolTooLoose,
@@ -187,10 +188,13 @@ def test_period_by_holding_and_by_cycle_gcd():
 
 def test_step_distribution_validates_steps():
     chain = two_state()
-    with pytest.raises(BadShape):
+    with pytest.raises(NonIntegerTime):
         step_distribution(chain, [1.0, 0.0], 1.5)
     with pytest.raises(BadShape):
         step_distribution(chain, [1.0, 0.0], -1)
+    # the rule of the discrete distance: a float holding an integer counts
+    start = [1.0, 0.0]
+    assert np.array_equal(step_distribution(chain, start, 3.0), step_distribution(chain, start, 3))
 
 
 def test_continuous_distribution_validates_time_and_tol():

@@ -1,5 +1,6 @@
 """Command-line contract: verbs, exit codes, JSON payloads, CSV schema."""
 
+import glob
 import json
 import math
 import os
@@ -281,6 +282,17 @@ def test_export_csv_empty_report(tmp_path):
     assert path.read_text() == "n,gap,s,product,T_c_eps0.1,T_lazy_eps0.1,ratio,window,sqrt_t\n"
 
 
+def child_env():
+    """Environment in which a fresh interpreter imports the same cutofflab as
+    this process, wherever it came from."""
+    package_root = os.path.dirname(os.path.dirname(cutofflab.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
 def declared_entry_point(name):
     """The ``module:attr`` that ``[project.scripts]`` in pyproject.toml declares."""
     if sys.version_info >= (3, 11):
@@ -308,12 +320,7 @@ def test_console_script_runs(tmp_path):
         tmp_path / "chain.json",
         {"type": "dense", "matrix": [[0.5, 0.5], [0.25, 0.75]]},
     )
-    # the child imports the same cutofflab as this process, wherever it came from
-    package_root = os.path.dirname(os.path.dirname(cutofflab.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (package_root, env.get("PYTHONPATH")) if p
-    )
+    env = child_env()
     commands = [entry_point_command(declared_entry_point("cutofflab"))]
     installed = shutil.which("cutofflab")
     if installed:
@@ -325,3 +332,24 @@ def test_console_script_runs(tmp_path):
         )
         assert proc.returncode == 0, (command, proc.stderr)
         assert json.loads(proc.stdout)["num_states"] == 2
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy serves only verify's Poisson tail, imported where it is used
+    code = "import sys, cutofflab.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+DEMOS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pardir, "demos", "*.py")))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=os.path.basename)
+def test_demo_runs(demo):
+    proc = subprocess.run(
+        [sys.executable, demo], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -116,14 +116,33 @@ def test_eps_at_the_floor_is_decided_exactly():
     start_query = DistanceQuery(time_mode="discrete", metric="tv", start=start)
     assert mixing_time(chain, 0.5, start_query) == 1271
     kernel, pi = chain.dense_kernel, chain.stationary
-    assert min(oracles.class_ratio_floor(kernel, pi, x, 1270) for x in (0, n)) < -1e-3
-    assert min(oracles.class_ratio_floor(kernel, pi, x, 1271) for x in (0, n)) > 1e-3
+    points = np.eye(n + 1)[[0, n]]
+    assert min(oracles.class_ratio_floor(kernel, pi, x, 1270) for x in points) < -1e-3
+    assert min(oracles.class_ratio_floor(kernel, pi, x, 1271) for x in points) > 1e-3
     for t in (1270, 1271, 1272):
         assert distance(chain, query, t) == pytest.approx(0.5, abs=1e-12)
     # the flip chain sits at its floor from time 0
     for exhaustive in (False, True):
         flip_query = DistanceQuery(time_mode="discrete", metric="tv", exhaustive=exhaustive)
         assert mixing_time(flip(), 0.5, flip_query) == 0
+
+
+def test_spread_start_at_its_floor_is_decided_exactly():
+    # masses 0.7 / 0.3 on the two parity classes of Ehrenfest 400: tv equals
+    # its floor 1/2 (|0.7 - 1/2| + |0.3 - 1/2|) from the first time P^t >= pi
+    # on the class holding 0.7 and P^t <= pi on the other
+    n = 400
+    chain = ehrenfest(n)
+    start = np.zeros(n + 1)
+    start[0], start[1] = 0.7, 0.3
+    query = DistanceQuery(time_mode="discrete", metric="tv", start=start)
+    floor = 0.19999999999999998
+    assert mixing_time(chain, floor, query) == 1413
+    with pytest.raises(NoConvergence, match="period 2"):
+        mixing_time(chain, np.nextafter(floor, 0.0), query)
+    kernel, pi = chain.dense_kernel, chain.stationary
+    assert oracles.class_ratio_floor(kernel, pi, start, 1412) < -1e-3
+    assert oracles.class_ratio_floor(kernel, pi, start, 1413) > 1e-4
 
 
 def test_start_vector_floor_refuses_without_work(work_count):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cutofflab import (
-    BadEpsilonPair,
+    BadEpsilon,
     BadFamily,
     BadShape,
     Chain,
@@ -17,9 +17,7 @@ from cutofflab import (
     family_scan,
     generate,
     load_family,
-    ratio_scan,
     verify_bounds,
-    window_scan,
 )
 from cutofflab.families import _trend_verdict
 
@@ -132,7 +130,8 @@ def test_criterion_scan_symmetric_path_is_flat():
 
 
 def test_ratio_scan_targets_one_minus_delta():
-    report = ratio_scan(FamilySpec("ehrenfest", (16, 32)), delta=0.5)
+    # the c/lazy ratio columns of family_scan at eps = 1/4
+    report = family_scan(FamilySpec("ehrenfest", (16, 32)), delta=0.5, eps_grid=(0.25,))
     assert report.ratio_target == 0.5
     for rec in report.records:
         assert rec.ratio_c_over_lazy == pytest.approx(0.5, abs=0.05)
@@ -144,7 +143,7 @@ def test_ratio_approaches_one_as_laziness_vanishes():
     spec = FamilySpec("ehrenfest", (32,))
     ratios = []
     for delta in (0.5, 0.25, 0.1, 0.05):
-        report = ratio_scan(spec, delta=delta)
+        report = family_scan(spec, delta=delta, eps_grid=(0.25,))
         ratios.append(report.records[-1].ratio_c_over_lazy)
     assert all(r <= 1.0 + 1e-9 for r in ratios)
     assert all(b > a for a, b in zip(ratios, ratios[1:]))
@@ -152,22 +151,26 @@ def test_ratio_approaches_one_as_laziness_vanishes():
 
 
 def test_ratio_scan_tolerates_extreme_eps():
-    report = ratio_scan(FamilySpec("ehrenfest", (8,)), delta=0.5, eps=0.999)
-    assert report.records[-1].ratio_c_over_lazy > 0.0
+    # Ehrenfest 8 is mixed at time 0 to within 0.999 on both clocks, and the
+    # scan still completes
+    report = family_scan(FamilySpec("ehrenfest", (8,)), delta=0.5, eps_grid=(0.999,))
+    rec = report.records[-1]
+    assert rec.mixing_continuous[0.999] == 0.0
+    assert rec.mixing_lazy[0.999] == 0.0
+    assert rec.window == 0.0
+    assert rec.ratio_c_over_lazy > 0.0
 
 
-def test_window_scan_validates_pair():
+def test_family_scan_validates_eps_grid():
     spec = FamilySpec("ehrenfest", (8,))
-    with pytest.raises(BadEpsilonPair):
-        window_scan(spec, 0.4, 0.4)
-    with pytest.raises(BadEpsilonPair):
-        window_scan(spec, 0.9, 0.1)
-    with pytest.raises(BadEpsilonPair):
-        window_scan(spec, 0.0, 0.5)
+    for grid in ((), (0.0, 0.5), (0.5, 1.0), ("0.5",)):
+        with pytest.raises(BadEpsilon):
+            family_scan(spec, eps_grid=grid)
 
 
 def test_window_scan_fields():
-    report = window_scan(FamilySpec("ehrenfest", (16, 32)), 0.1, 0.9)
+    # the window columns of family_scan between the grid's extreme eps
+    report = family_scan(FamilySpec("ehrenfest", (16, 32)), eps_grid=(0.1, 0.9))
     assert report.eps_grid == (0.1, 0.9)
     for rec in report.records:
         t_low = rec.mixing_continuous[0.1]
@@ -224,6 +227,13 @@ def test_verify_bounds_random_chain_passes():
     blob = report.to_dict()
     assert blob["passed"] is True
     assert len(blob["entries"]) == len(report.entries)
+
+
+def test_verify_bounds_refuses_bad_time_grid():
+    chain = generate(FamilySpec("random_bd", (6,), seed=3), 6)
+    for bad in (math.inf, math.nan, -1.0, "1"):
+        with pytest.raises(BadShape):
+            verify_bounds(chain, time_grid=(1.0, bad))
 
 
 def test_verify_bounds_periodic_chain_skips_discrete_mixing():
