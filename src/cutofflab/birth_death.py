@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import Chain, _as_steps, _check_eps, _check_time, _check_tol, _uniformized
+from .chain import Chain, _as_steps, _check_cap, _check_eps, _check_time, _check_tol, _uniformized
 from .errors import BadDelta, NotBirthDeath
 from .spectral import eigen_summary, tridiagonal_eigenvalues
 
@@ -224,11 +224,12 @@ def corner_separation(
     start[0] = 1.0
     if mode == "continuous":
         _check_tol(tol)
-        row = _uniformized(chain, start, _check_time(time), tol)
+        row = _uniformized(chain, start, (_check_time(time),), tol)[0]
     elif mode == "lazy":
         if not (isinstance(delta, (int, float)) and 0.5 <= delta < 1.0):
             raise BadDelta(f"lazy corner identity needs delta in [1/2, 1), got {delta!r}")
         steps = _as_steps(time)
+        _check_cap(steps)
         lazy = chain.lazy(float(delta))
         row = start
         for _ in range(steps):

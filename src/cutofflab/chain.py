@@ -13,7 +13,14 @@ exposed:
 Uniformization accumulates terms until the Poisson mass reaches ``1 - tol``
 and renormalizes, so the truncation error in total variation is at most
 ``tol``.  Above t = 700 the Poisson weights are tracked in log space to avoid
-underflow of the leading terms.
+underflow of the leading terms.  One pass serves several times: the kernel
+powers ``start @ K**i`` are the same for every time, and each time keeps its
+own weights, mass and stopping test, so each result is bit for bit the one a
+pass of its own gives.
+
+No evolution runs past ``SEARCH_CAP`` (10**7) steps or time units: a larger
+time raises BadShape before the first kernel application.  Above the mixing
+scale the rows equal pi to rounding, so those steps would be pure waste.
 """
 from __future__ import annotations
 
@@ -40,6 +47,10 @@ STATIONARY_RESIDUAL_TOL = 1e-10
 
 # Poisson weights switch to log-space tracking above this time.
 _LOG_SPACE_TIME = 700.0
+
+# No evolution runs past this many steps or time units, and mixing-time
+# searches give up there.
+SEARCH_CAP = 10_000_000
 
 
 def as_probability_vector(values, size: int | None = None) -> np.ndarray:
@@ -234,6 +245,14 @@ class Chain:
         return mat
 
     @cached_property
+    def _spectrum(self):
+        # spectral.eigen_summary's result, solved once per chain object;
+        # spectral imports this module, so the import waits for the call
+        from .spectral import _solve_summary
+
+        return _solve_summary(self)
+
+    @cached_property
     def period(self) -> int:
         """The gcd of the chain's cycle lengths; 1 means aperiodic.
 
@@ -358,6 +377,7 @@ def load_chain(path) -> Chain:
 def step_distribution(chain: Chain, start, steps: int) -> np.ndarray:
     """Distribution after ``steps`` kernel applications from ``start``."""
     steps = _as_steps(steps)
+    _check_cap(steps)
     vec = as_probability_vector(start, chain.num_states)
     for _ in range(steps):
         vec = chain.apply(vec)
@@ -374,7 +394,7 @@ def continuous_distribution(chain: Chain, start, time: float, tol: float = 1e-10
     _check_tol(tol)
     time = _check_time(time)
     vec = as_probability_vector(start, chain.num_states)
-    out = _uniformized(chain, vec, time, tol)
+    out = _uniformized(chain, vec, (time,), tol)[0]
     return _clean_distribution(out)
 
 
@@ -420,10 +440,57 @@ def _check_eps(eps) -> float:
     return float(eps)
 
 
-def _uniformized(chain: Chain, rows: np.ndarray, time: float, tol: float) -> np.ndarray:
-    """Uniformization core; ``rows`` may be a vector or stacked rows."""
-    if time == 0.0:
-        return rows.copy()
+def _check_cap(time) -> None:
+    """Refuse an evolution past ``SEARCH_CAP`` before it takes a step."""
+    if time > SEARCH_CAP:
+        raise BadShape(f"time {time!r} exceeds the evolution cap {SEARCH_CAP}")
+
+
+class _PoissonSum:
+    """One time's Poisson weights, collected mass and stopping test in a
+    uniformization pass, in exactly the operations of a pass of its own."""
+
+    def __init__(self, time: float, rows: np.ndarray, tol: float):
+        self.time = time
+        self.log_space = time > _LOG_SPACE_TIME
+        if self.log_space:
+            self.log_w = -time
+            self.weight = 0.0  # exp(-t) underflows; weights surface near i ~ t
+        else:
+            self.weight = math.exp(-time)
+        self.acc = self.weight * rows
+        self.mass = self.weight
+        self.stop = 1.0 - tol
+        self.cap = int(time + 40.0 * math.sqrt(time + 1.0) + 120.0)
+
+    def wants(self, i: int) -> bool:
+        """Whether term i + 1 is still needed after terms 0..i."""
+        return self.mass < self.stop and i < self.cap
+
+    def add(self, i: int, rows: np.ndarray) -> bool:
+        """Collect term i, the rows after i kernel applications, and say
+        whether term i + 1 is needed."""
+        if self.log_space:
+            self.log_w += math.log(self.time) - math.log(i)
+            self.weight = math.exp(self.log_w) if self.log_w > -745.0 else 0.0
+        else:
+            self.weight *= self.time / i
+        if self.weight != 0.0:
+            self.acc += self.weight * rows
+            self.mass += self.weight
+        return self.wants(i)
+
+
+def _uniformized(chain: Chain, rows: np.ndarray, times: tuple, tol: float) -> list:
+    """Uniformization core: ``rows @ exp(-t (I - K))`` at each of the
+    ascending ``times``, from one power sequence ``rows @ K**i``.
+
+    ``rows`` may be a vector or stacked rows.  Each time keeps its own Poisson
+    weights, mass, stopping test and accumulated rows, so its result equals a
+    pass of its own bit for bit; the pass runs to the largest time's last
+    term and holds one accumulator per time.
+    """
+    _check_cap(times[-1])
     # One matmul per term beats the banded update when many rows evolve at
     # once; the banded update wins for a few rows on a large chain.
     if (
@@ -435,25 +502,11 @@ def _uniformized(chain: Chain, rows: np.ndarray, time: float, tol: float) -> np.
         step = kernel.__rmatmul__
     else:
         step = chain.apply
-    log_space = time > _LOG_SPACE_TIME
-    if log_space:
-        log_w = -time
-        weight = 0.0  # exp(-t) underflows; weights surface near i ~ t
-    else:
-        weight = math.exp(-time)
-    acc = weight * rows
-    mass = weight
-    cap = int(time + 40.0 * math.sqrt(time + 1.0) + 120.0)
+    sums = [_PoissonSum(time, rows, tol) for time in times]
+    active = [s for s in sums if s.wants(0)]
     i = 0
-    while mass < 1.0 - tol and i < cap:
+    while active:
         i += 1
         rows = step(rows)
-        if log_space:
-            log_w += math.log(time) - math.log(i)
-            weight = math.exp(log_w) if log_w > -745.0 else 0.0
-        else:
-            weight *= time / i
-        if weight != 0.0:
-            acc += weight * rows
-            mass += weight
-    return acc / mass
+        active = [s for s in active if s.add(i, rows)]
+    return [s.acc / s.mass for s in sums]

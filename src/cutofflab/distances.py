@@ -26,22 +26,33 @@ use the semigroup property:
 * Continuous searches gallop (1, 2, 4, ...) and then bisect.  Every probe
   advances from the last time whose distance was still above eps, at an
   increment tolerance of tol/128.
-* Discrete and lazy searches keep one checkpoint, the rows at the latest
-  probed time whose distance was above eps, and evolve later probes from it
-  with ``Chain.apply``.  Continuing those rows performs the same float
-  operations as evolving from time 0, so every probed value is the same.
-  Probes of at least 256 steps on chains of at most 300 states take a dense
-  matrix power instead and leave the checkpoint alone.  A search gallops
-  from its lower end (lo+1, lo+2, lo+4, ...) and then bisects.
+* Discrete and lazy searches keep a checkpoint, the latest probed time
+  whose distance was above eps, and evolve later probes from kept rows with
+  ``Chain.apply``.  Continuing rows performs the same float operations as
+  evolving from time 0, so every probed value is the same.  Probes of at
+  least 256 steps on chains of at most 300 states take a dense matrix power
+  instead and leave the checkpoint alone.  A search gallops from its lower
+  end (lo+1, lo+2, lo+4, ...) and then bisects.
 
-Levels share the gallop: searches over several eps levels of one query run
-in descending eps on one evaluator, and each level resumes where the
-previous one stopped, at the discrete checkpoint or at the continuous
-gallop's last two points.  A fresh search for the smaller level would pass
-through the same rows, so every bracket is bit-identical to a fresh one and
-each level's chain of tol/128 increments is the fresh search's chain.
-Metrics share the rows: an evaluator keeps its latest evolved rows, so tv,
-dbar and sep at one time reduce one evolution.
+One evaluator per clock serves every metric, level and fixed time, and no
+rows are evolved twice on it:
+
+* Continuous targets, each a (metric, eps) pair, share one probe tree.  The
+  gallop's rungs do not depend on the target, and a target's bisection
+  depends only on the two rungs around its crossing.  So all targets walk
+  one gallop, and the targets between the same two rungs walk one bisection
+  tree depth first, each node probed once and reduced to every metric its
+  targets need.  Every probe keeps the anchor and increment of a fresh
+  search, so every bracket is bit-identical to a fresh one.
+* Discrete levels run in descending eps, each metric on its own search
+  state.  A level resumes at its metric's checkpoint, where a fresh search
+  for the smaller level would pass too.  The rows come from what the
+  evaluator keeps: the latest rows, each search's checkpoint and a ladder of
+  O(log T) rows (see ``_Evaluator``).
+* Fixed times reduce one evolution: the continuous clock uniformizes all of
+  them in one pass over one power sequence (``chain._uniformized``), the
+  others step through them in ascending order.  Every metric at one time
+  reduces the same rows.
 
 Searches give up at 10**7 time units (NoConvergence).  In discrete time a
 periodic chain never mixes.  From point-mass starts its distance has an
@@ -67,8 +78,10 @@ from functools import cached_property
 import numpy as np
 
 from .chain import (
+    SEARCH_CAP,
     Chain,
     _as_steps,
+    _check_cap,
     _check_delta,
     _check_eps,
     _check_time,
@@ -77,8 +90,6 @@ from .chain import (
     as_probability_vector,
 )
 from .errors import BadShape, LengthMismatch, NoConvergence
-
-SEARCH_CAP = 10_000_000
 
 # Dense-power probing pays off for repeated large-m probes on small chains.
 _POW_MIN_STEPS = 256
@@ -124,13 +135,23 @@ class DistanceQuery:
 
 
 class _Evaluator:
-    """Evolves the query's start set on its clock and reduces rows to metrics.
+    """One clock's start set, evolved once for every metric, search and fixed
+    time.
 
-    The metric is chosen per call (the query's by default), and the latest
+    The query fixes the clock, the laziness and the start set; its metric is
+    only the default.  Values are cached per (time, metric) and the latest
     evolved rows are kept, so every metric at one time reduces one
-    evolution.  On the banded ``Chain.apply`` route the evaluator also keeps a
-    checkpoint, the rows at one probed time, that later probes at or after it
-    continue from; continuous searches keep their gallop here.
+    evolution.  ``evaluate`` reduces several times from one evolution: one
+    uniformization pass on the continuous clock, one run of ``Chain.apply``
+    on the others.
+
+    Banded rows at step t are the same bits however they were reached, so a
+    banded request continues from the latest kept rows at or below t: the
+    latest evolved rows, a search's checkpoint, or the ladder.  The ladder
+    keeps the rows at every step an evolution passes that is a multiple of
+    2**(floor(log2 t) - 2), four per octave (1..8, 10, 12, 14, 16, 20, ...),
+    so it holds O(log T) rows and no request re-evolves more than a quarter
+    of its steps from it.
     """
 
     def __init__(self, chain: Chain, query: DistanceQuery, tol: float):
@@ -139,6 +160,7 @@ class _Evaluator:
         self.query = query
         self.tol = tol
         self.pi = chain.stationary
+        self.continuous = query.time_mode == "continuous"
         if query.time_mode == "lazy":
             self.eff = chain.lazy(query.delta)
         else:
@@ -153,17 +175,13 @@ class _Evaluator:
             else:
                 self.start_idx = list(range(chain.num_states))
         self._cache: dict[tuple[float, str], float] = {}
-        self.checkpoint: tuple[int, np.ndarray] | None = None
-        self.gallop: tuple[tuple, tuple] | None = None
-        self._fresh: tuple[int, np.ndarray] | None = None
         self._latest: tuple[float, np.ndarray] | None = None
+        self._ladder: dict[int, np.ndarray] = {}
+        self._searches: dict[str, _Search] = {}
 
     def value(self, time, metric: str | None = None) -> float:
         metric = metric or self.query.metric
-        if self.query.time_mode == "continuous":
-            time = _check_time(time)
-        else:
-            time = _as_steps(time)
+        time = self._time(time)
         key = (float(time), metric)
         hit = self._cache.get(key)
         if hit is None:
@@ -171,10 +189,28 @@ class _Evaluator:
             self._cache[key] = hit
         return hit
 
-    def commit(self, time) -> None:
-        """Make ``time`` the checkpoint if its banded rows are at hand."""
-        if self._fresh is not None and self._fresh[0] == time:
-            self.checkpoint = self._fresh
+    def evaluate(self, times, metrics) -> None:
+        """Reduce every metric at every time, evolving the start set once:
+        one multi-time uniformization pass, or ascending banded steps."""
+        times = sorted({self._time(t) for t in times})
+        times = [t for t in times if any((float(t), m) not in self._cache for m in metrics)]
+        if not times:
+            return
+        if self.continuous:
+            evolved = _uniformized(self.base, self._initial_rows(), tuple(times), self.tol)
+        else:
+            evolved = map(self._rows, times)  # each continues from the one before
+        for time, rows in zip(times, evolved):
+            for metric in metrics:
+                self._cache[(float(time), metric)] = self._metric(rows, metric, time)
+
+    def banded(self, steps: int) -> bool:
+        """Whether the discrete rows at ``steps`` come from ``Chain.apply``
+        rather than a dense matrix power."""
+        return steps < _POW_MIN_STEPS or self.eff.num_states > _POW_MAX_STATES
+
+    def _time(self, time):
+        return _check_time(time) if self.continuous else _as_steps(time)
 
     def _initial_rows(self) -> np.ndarray:
         if self.start_rows is not None:
@@ -184,48 +220,53 @@ class _Evaluator:
         return rows
 
     def _rows(self, time) -> np.ndarray:
-        key = float(time)
-        if self._latest is None or self._latest[0] != key:
-            self._latest = (key, self._evolve(time))
+        if self._latest is None or self._latest[0] != time:
+            self._latest = (time, self._evolve(time))
         return self._latest[1]
 
     def _evolve(self, time) -> np.ndarray:
-        if self.query.time_mode == "continuous":
-            return _uniformized(self.base, self._initial_rows(), time, self.tol)
-        steps = time
-        kernel = self.eff
-        if (
-            steps >= _POW_MIN_STEPS
-            and kernel.num_states <= _POW_MAX_STATES
-        ):
-            power = np.linalg.matrix_power(kernel.dense_kernel, steps)
+        if self.continuous:
+            return _uniformized(self.base, self._initial_rows(), (time,), self.tol)[0]
+        _check_cap(time)
+        if not self.banded(time):
+            power = np.linalg.matrix_power(self.eff.dense_kernel, time)
             if self.start_rows is not None:
                 return self.start_rows @ power
             return power[self.start_idx]
-        if self.checkpoint is not None and self.checkpoint[0] <= steps:
-            done, rows = self.checkpoint
-        else:
-            done, rows = 0, self._initial_rows()
-        for _ in range(steps - done):
-            rows = kernel.apply(rows)
-        self._fresh = (steps, rows)
+        # every kept time at or below a banded step is banded itself
+        kept = [*self._ladder.items(), *(
+            s.checkpoint for s in self._searches.values()
+            if s.checkpoint is not None and s.checkpoint[1] is not None
+        )]
+        if self._latest is not None:
+            kept.append(self._latest)
+        done, rows = max(
+            (k for k in kept if k[0] <= time), key=lambda k: k[0], default=(0, None)
+        )
+        if rows is None:
+            rows = self._initial_rows()
+        while done < time:
+            rows = self.eff.apply(rows)
+            done += 1
+            if done % (1 << max(done.bit_length() - 3, 0)) == 0:
+                self._ladder.setdefault(done, rows)
         return rows
 
-    def period_floor(self) -> float:
+    def period_floor(self, metric: str) -> float:
         """Lower bound on every discrete-time distance of a periodic chain,
         exact from point-mass starts; 0 where none applies."""
-        chain, query = self.base, self.query
+        chain = self.base
         period = chain.period
-        if query.time_mode != "discrete" or period == 1:
+        if self.query.time_mode != "discrete" or period == 1:
             return 0.0
         if self.start_rows is not None:
             mass = self.class_mass[0]
-            if query.metric == "tv":
+            if metric == "tv":
                 return float(0.5 * np.abs(mass - 1.0 / period).sum())
             return float(1.0 - period * mass.min())
-        if query.metric == "tv":
+        if metric == "tv":
             return 1.0 - 1.0 / period
-        if query.metric == "sep":
+        if metric == "sep":
             return 1.0
         return 1.0 if len(chain._cyclic_classes(self.start_idx)) > 1 else 0.0
 
@@ -260,6 +301,24 @@ class _Evaluator:
             gap = 0.5 * np.abs(rows[i + 1 :] - rows[i]).sum(axis=1).max()
             best = max(best, float(gap))
         return min(best, 1.0)
+
+
+@dataclass
+class _Search:
+    """One metric's discrete search state on a shared evaluator.
+
+    It keeps what the search would keep on an evaluator of its own: the
+    times it has probed, and its checkpoint.  The checkpoint is the latest
+    probe that found the distance above eps and, on an evaluator of its own,
+    would have evolved banded rows, that is, a first probe on the banded
+    route.  A later level resumes at the checkpoint, so every level probes
+    exactly the times it would probe alone, whatever else the evaluator
+    serves.  The checkpoint's rows are kept when they are at hand.
+    """
+
+    probed: set = field(default_factory=set)
+    evolved: int | None = None  # the latest first probe on the banded route
+    checkpoint: tuple | None = None  # (time, rows or None)
 
 
 def distance(chain: Chain, query: DistanceQuery, time, tol: float = 1e-10) -> float:
@@ -300,47 +359,74 @@ def _mixing_times(chain: Chain, levels, query: DistanceQuery, tol: float) -> dic
     """Brackets (lo, hi) of the mixing times at several eps levels of one
     query, keyed by level.  The discrete modes return (m, m) with m exact.
 
-    One evaluator serves every level.  Levels run in descending eps, so each
-    search resumes where the previous one stopped: a discrete search at the
-    checkpoint the previous level left just below its answer, a continuous
-    one at the previous level's gallop point.  The first level that cannot
-    converge raises NoConvergence, and every smaller level would too; the
-    exception's ``brackets`` holds the levels found before it.
+    A level that cannot converge raises NoConvergence, and every smaller
+    level would too; the exception's ``brackets`` holds the levels found.
     """
     for eps in levels:
         _check_eps(eps)
     ev = _Evaluator(chain, query, tol)
-    out = {}
-    try:
-        for eps in sorted(set(levels), reverse=True):
-            if query.time_mode == "continuous":
-                out[eps] = _continuous_bracket(ev, eps)
-            else:
-                m = _search_discrete(ev, eps)
-                out[eps] = (m, m)
-    except NoConvergence as exc:
-        exc.brackets = out
-        raise
-    return out
+    found, error = _brackets(ev, [(query.metric, eps) for eps in levels])
+    brackets = {eps: bracket for (_, eps), bracket in found.items()}
+    if error is not None:
+        error.brackets = brackets
+        raise error
+    return brackets
 
 
-def _search_discrete(ev: _Evaluator, eps: float) -> int:
-    floor = ev.period_floor()
+def _brackets(ev: _Evaluator, targets) -> tuple[dict, NoConvergence | None]:
+    """Mixing brackets at (metric, eps) targets on one evaluator.
+
+    Returns the brackets found, keyed by target, and the first NoConvergence
+    met (None when every target converged).  Discrete searches run each
+    metric's levels in descending eps on that metric's search state; the
+    continuous targets share one probe tree.
+    """
+    targets = list(dict.fromkeys(targets))
+    if ev.continuous:
+        return _continuous_brackets(ev, targets)
+    found, error = {}, None
+    for metric in dict.fromkeys(m for m, _ in targets):
+        try:
+            for eps in sorted({e for m, e in targets if m == metric}, reverse=True):
+                steps = _search_discrete(ev, eps, metric)
+                found[(metric, eps)] = (steps, steps)
+        except NoConvergence as exc:
+            error = error or exc
+    return found, error
+
+
+def _search_discrete(ev: _Evaluator, eps: float, metric: str | None = None) -> int:
+    metric = metric or ev.query.metric
+    floor = ev.period_floor(metric)
     if eps < floor:
         raise NoConvergence(
-            f"the chain has period {ev.base.period}; its {ev.query.metric} "
+            f"the chain has period {ev.base.period}; its {metric} "
             f"distance stays at or above {floor:g} > {eps}"
         )
-    if floor and ev.query.metric == "tv":
+    search = ev._searches.setdefault(metric, _Search())
+    if floor and metric == "tv":
         # tv = floor + excess exactly, and the excess carries no cancellation
         # against the floor, so eps == floor is decided by its sign
-        def mixed(t) -> bool:
-            return ev.value(t, "excess") <= eps - floor
+        probe_metric, threshold = "excess", eps - floor
     else:
-        def mixed(t) -> bool:
-            return ev.value(t) <= eps
-    if ev.checkpoint is not None and not mixed(ev.checkpoint[0]):
-        lo = ev.checkpoint[0]
+        probe_metric, threshold = metric, eps
+
+    def mixed(t) -> bool:
+        if t not in search.probed:
+            search.probed.add(t)
+            if ev.banded(t):
+                search.evolved = t
+        return ev.value(t, probe_metric) <= threshold
+
+    def commit(t) -> None:
+        # a probe above eps becomes the checkpoint if it was the latest
+        # first probe on the banded route
+        if search.evolved == t:
+            latest = ev._latest
+            search.checkpoint = latest if latest[0] == t else (t, None)
+
+    if search.checkpoint is not None and not mixed(search.checkpoint[0]):
+        lo = search.checkpoint[0]
     elif mixed(0):
         return 0
     else:
@@ -354,7 +440,7 @@ def _search_discrete(ev: _Evaluator, eps: float) -> int:
             raise NoConvergence(
                 f"distance stays above {eps} through {SEARCH_CAP} steps"
             )
-        ev.commit(hi)
+        commit(hi)
         lo = hi
         stride *= 2
     while hi - lo > 1:
@@ -362,49 +448,57 @@ def _search_discrete(ev: _Evaluator, eps: float) -> int:
         if mixed(mid):
             hi = mid
         else:
-            ev.commit(mid)
+            commit(mid)
             lo = mid
     return hi
 
 
-def _continuous_bracket(ev: _Evaluator, eps: float) -> tuple[float, float]:
+def _continuous_brackets(ev: _Evaluator, targets) -> tuple[dict, NoConvergence | None]:
     # The semigroup property lets every probe advance from the last time at
     # which the distance was still above eps, instead of integrating from 0.
     # Increments run at tol/128, so the composed truncation error over the
     # whole search stays below tol (well under 128 committed increments).
-    # Points are (time, rows, value).  The gallop's last two points stay on
-    # the evaluator: a level whose eps lies below the lower point's value
-    # resumes there, since a fresh search would reach the same rows.
+    # Points are (time, rows, {metric: value}).  One gallop (0, 1, 2, 4, ...)
+    # serves every target; a target's interval is bounded by the first rung
+    # at or below its eps.  Its bisection tree depends only on that interval,
+    # so the targets of one interval walk one tree depth first, each node
+    # probed once for all of them; the walk holds the current rung and one
+    # anchor per level of depth.
     inc_tol = ev.tol / 128.0
-    metric = ev.query.metric
 
-    def advance(point, t: float):
-        rows = _uniformized(ev.base, point[1], t - point[0], inc_tol)
-        return t, rows, ev._metric(rows, metric)
+    def point(t: float, rows, group):
+        return t, rows, {m: ev._metric(rows, m) for m in {m for m, _ in group}}
 
-    if ev.gallop is not None and ev.gallop[0][2] > eps:
-        lo, hi = ev.gallop
-    else:
-        rows = ev._initial_rows()
-        lo = (0.0, rows, ev._metric(rows, metric))
-        if lo[2] <= eps:
-            return 0.0, 0.0
-        hi = advance(lo, 1.0)
-    while hi[2] > eps:
-        if hi[0] == SEARCH_CAP:
-            raise NoConvergence(
+    def advance(anchor, t: float, group):
+        return point(t, _uniformized(ev.base, anchor[1], (t - anchor[0],), inc_tol)[0], group)
+
+    lo = point(0.0, ev._initial_rows(), targets)
+    found = {tg: (0.0, 0.0) for tg in targets if lo[2][tg[0]] <= tg[1]}
+    waiting = [tg for tg in targets if tg not in found]
+    while waiting:
+        if lo[0] == SEARCH_CAP:
+            eps = max(e for _, e in waiting)
+            return found, NoConvergence(
                 f"distance stays above {eps} through t = {SEARCH_CAP}"
             )
-        lo, hi = hi, advance(hi, min(2.0 * hi[0], float(SEARCH_CAP)))
-    ev.gallop = lo, hi
-    anchor, hi_t = lo, hi[0]
-    while hi_t - anchor[0] > max(1e-6, 1e-4 * hi_t):
-        probe = advance(anchor, 0.5 * (anchor[0] + hi_t))
-        if probe[2] <= eps:
-            hi_t = probe[0]
-        else:
-            anchor = probe
-    return anchor[0], hi_t
+        hi = advance(lo, min(2.0 * lo[0], float(SEARCH_CAP)) if lo[0] else 1.0, waiting)
+        crossed = [tg for tg in waiting if hi[2][tg[0]] <= tg[1]]
+        waiting = [tg for tg in waiting if hi[2][tg[0]] > tg[1]]
+        stack = [(lo, hi[0], crossed)] if crossed else []
+        while stack:
+            anchor, hi_t, group = stack.pop()
+            if hi_t - anchor[0] <= max(1e-6, 1e-4 * hi_t):
+                found.update((tg, (anchor[0], hi_t)) for tg in group)
+                continue
+            probe = advance(anchor, 0.5 * (anchor[0] + hi_t), group)
+            above = [tg for tg in group if probe[2][tg[0]] > tg[1]]
+            below = [tg for tg in group if probe[2][tg[0]] <= tg[1]]
+            if above:
+                stack.append((probe, hi_t, above))
+            if below:
+                stack.append((anchor, probe[0], below))
+        lo = hi
+    return found, None
 
 
 @dataclass(frozen=True, eq=False)
@@ -430,14 +524,8 @@ def distance_curve(chain: Chain, query: DistanceQuery, times, tol: float = 1e-10
     if any(b < a for a, b in zip(times, times[1:])):
         raise BadShape("time grid must be nondecreasing")
     ev = _Evaluator(chain, query, tol)
-
-    def sample(t) -> float:
-        # each discrete sample continues from the one before it
-        val = ev.value(t)
-        ev.commit(t)
-        return val
-
-    values = tuple(sample(t) for t in times)
+    ev.evaluate(times, (query.metric,))
+    values = tuple(ev.value(t) for t in times)
     for (t0, v0), (t1, v1) in zip(zip(times, values), zip(times[1:], values[1:])):
         if v1 > v0 + 1e-9:
             raise ArithmeticError(

@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import Chain, _check_eps, _check_time
-from .distances import DistanceQuery, _Evaluator, _mixing_times
-from .errors import BadEpsilon, BadFamily, BadShape, NoConvergence, NotReversible
+from .distances import DistanceQuery, _brackets, _Evaluator, _mixing_times
+from .errors import BadEpsilon, BadFamily, BadShape, NotReversible
 from .birth_death import sep_bounds, stationary_time_summary
 from .spectral import beta_delta, eigen_summary
 
@@ -403,9 +403,10 @@ class _BoundEvaluator:
     """Distance and mixing evaluations for one chain; everything runs with
     exhaustive start maximization (see module docstring).
 
-    Each clock keeps one evaluator, so the metrics at one time reduce one
-    evolution.  ``search`` runs all levels of one (clock, metric) as one
-    multi-level search, and ``mix`` reads its brackets.
+    Each clock keeps one evaluator for all of its metrics, fixed times and
+    searches.  ``evaluate`` reduces a set of fixed times from one evolution,
+    ``search`` runs every (metric, eps) target of one clock at once, and
+    ``mix`` reads its brackets.
     """
 
     def __init__(self, chain: Chain, delta: float, tol: float):
@@ -415,26 +416,29 @@ class _BoundEvaluator:
         self._clocks: dict = {}
         self._mix: dict = {}
 
-    def _query(self, mode: str, metric: str) -> DistanceQuery:
-        return DistanceQuery(
-            mode, metric, delta=self.delta if mode == "lazy" else None, exhaustive=True
-        )
+    def _clock(self, mode: str) -> _Evaluator:
+        if mode not in self._clocks:
+            query = DistanceQuery(
+                mode, "tv", delta=self.delta if mode == "lazy" else None, exhaustive=True
+            )
+            self._clocks[mode] = _Evaluator(self.chain, query, self.tol)
+        return self._clocks[mode]
 
     def dist(self, mode: str, metric: str, time) -> float:
-        if mode not in self._clocks:
-            self._clocks[mode] = _Evaluator(self.chain, self._query(mode, "tv"), self.tol)
-        return self._clocks[mode].value(time, metric)
+        return self._clock(mode).value(time, metric)
 
-    def search(self, mode: str, metric: str, levels) -> None:
-        """Mixing brackets at every level.  A level whose search cannot
-        converge (periodicity) maps to None, and so does every smaller one."""
-        try:
-            found = _mixing_times(self.chain, levels, self._query(mode, metric), self.tol)
-        except NoConvergence as exc:
-            found = exc.brackets
-        for eps in levels:
-            bracket = found.get(eps)
-            self._mix[(mode, metric, float(eps))] = (
+    def evaluate(self, mode: str, times, metrics) -> None:
+        self._clock(mode).evaluate(times, metrics)
+
+    def search(self, mode: str, levels: dict) -> None:
+        """Mixing brackets at every level of every metric (``levels`` maps a
+        metric to its levels).  A level whose search cannot converge
+        (periodicity) maps to None, and so does every smaller one."""
+        targets = [(metric, float(eps)) for metric, group in levels.items() for eps in group]
+        found, _ = _brackets(self._clock(mode), targets)
+        for metric, eps in targets:
+            bracket = found.get((metric, eps))
+            self._mix[(mode, metric, eps)] = (
                 None if bracket is None else (float(bracket[0]), float(bracket[1]))
             )
 
@@ -483,7 +487,7 @@ def verify_bounds(
         if summary is not None:
             base = summary.spectral_sum
         else:
-            ev.search("lazy", "tv", (0.25,))
+            ev.search("lazy", {"tv": (0.25,)})
             t_lazy = ev.mix("lazy", "tv", 0.25)
             base = (1.0 - delta) * t_lazy[1] if t_lazy else 50.0
         time_grid = (0.3 * base, 0.7 * base, 1.2 * base)
@@ -493,6 +497,7 @@ def verify_bounds(
     # Metric comparisons at fixed times: tv <= dbar <= 2 tv, dbar <= sep,
     # and the separation doubling bound sep(2t) <= 1 - (1 - dbar(t))^2.
     for mode, grid in (("discrete", m_grid), ("continuous", t_grid)):
+        ev.evaluate(mode, [*grid, *(2 * t for t in grid)], ("tv", "dbar", "sep"))
         for t in grid:
             tv = ev.dist(mode, "tv", t)
             dbar = ev.dist(mode, "dbar", t)
@@ -509,8 +514,7 @@ def verify_bounds(
     # Mixing-time orderings: T_tv(eps) <= T_sep(eps) <= 2 T_tv(eps/4).  The
     # continuous levels also serve the spectral and birth-death brackets.
     for mode in ("discrete", "continuous"):
-        ev.search(mode, "tv", set(eps_grid) | {eps / 4.0 for eps in eps_grid})
-        ev.search(mode, "sep", eps_grid)
+        ev.search(mode, {"tv": set(eps_grid) | {eps / 4.0 for eps in eps_grid}, "sep": eps_grid})
         for eps in eps_grid:
             point = f"{mode} eps={eps:g}"
             t_tv = ev.mix(mode, "tv", eps)
@@ -525,15 +529,16 @@ def verify_bounds(
             )
 
     # Continuous distance dominated by a Poisson tail plus the lazy distance.
+    poisson = []
     for t in t_grid:
         mu = t / (1.0 - delta)
         base_m = max(0, round(mu))
-        for m in (base_m, base_m + math.ceil(2.0 * math.sqrt(mu)) + 1):
-            lhs = ev.dist("continuous", "tv", t)
-            rhs = _poisson_cdf(m, mu) + ev.dist("lazy", "tv", m)
-            entries.append(
-                BoundEntry("continuous-below-poisson-lazy", f"t={t:g} m={m}", lhs, rhs)
-            )
+        poisson += [(t, mu, m) for m in (base_m, base_m + math.ceil(2.0 * math.sqrt(mu)) + 1)]
+    ev.evaluate("lazy", [m for _, _, m in poisson], ("tv",))
+    for t, mu, m in poisson:
+        lhs = ev.dist("continuous", "tv", t)
+        rhs = _poisson_cdf(m, mu) + ev.dist("lazy", "tv", m)
+        entries.append(BoundEntry("continuous-below-poisson-lazy", f"t={t:g} m={m}", lhs, rhs))
 
     if summary is not None:
         lam = summary.gap
@@ -563,7 +568,7 @@ def verify_bounds(
             )
         beta = beta_delta(summary, delta)
         if 0.0 < beta < 1.0:
-            ev.search("lazy", "tv", [eps for eps in eps_grid if eps < 0.5])
+            ev.search("lazy", {"tv": [eps for eps in eps_grid if eps < 0.5]})
         for eps in eps_grid:
             if not eps < 0.5:
                 skipped.append(

@@ -25,11 +25,6 @@ from .errors import NotReversible
 DETAILED_BALANCE_TOL = 1e-10
 ZERO_SNAP_TOL = 1e-9
 
-# Identity-keyed cache: chains are immutable, summaries are pure functions
-# of them, and family scans ask for the same summary many times.
-_SUMMARY_CACHE: dict[int, tuple["Chain", "SpectralSummary"]] = {}
-_SUMMARY_CACHE_MAX = 64
-
 
 @dataclass(frozen=True)
 class SpectralSummary:
@@ -120,12 +115,13 @@ def eigen_summary(chain: Chain) -> SpectralSummary:
 
     The eigenvalue closest to 0 is snapped to exactly 0 when within 1e-9
     (irreducibility guarantees its existence and simplicity) and excluded
-    from the spectral sum.
+    from the spectral sum.  Chains are immutable, so each chain object solves
+    once and keeps its summary.
     """
-    cached = _SUMMARY_CACHE.get(id(chain))
-    if cached is not None and cached[0] is chain:
-        return cached[1]
+    return chain._spectrum
 
+
+def _solve_summary(chain: Chain) -> SpectralSummary:
     if chain.is_birth_death:
         diag = 1.0 - chain.hold
         off2 = chain.birth[:-1] * chain.death[1:]
@@ -158,9 +154,6 @@ def eigen_summary(chain: Chain) -> SpectralSummary:
     )
     summary.eigenvalues.setflags(write=False)
     summary.kernel_spectrum.setflags(write=False)
-    if len(_SUMMARY_CACHE) >= _SUMMARY_CACHE_MAX:
-        _SUMMARY_CACHE.pop(next(iter(_SUMMARY_CACHE)))
-    _SUMMARY_CACHE[id(chain)] = (chain, summary)
     return summary
 
 

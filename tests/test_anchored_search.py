@@ -1,12 +1,13 @@
 """Anchored mixing-time searches and shared evolutions.
 
-Discrete and lazy searches continue banded evolutions from a checkpoint,
-continuous searches resume the previous level's gallop, and the levels of
-one query share either.  Every probed value must be the one a fresh
-evaluation gives, so the answers must equal a fresh search per level and,
-on small chains, a linear scan.  ``verify_bounds`` shares one evolution
-across the metrics at one time and one search across the levels of one
-(clock, metric); its reports must equal those built from public calls.
+Discrete and lazy searches continue banded evolutions from kept rows, and
+the levels of one metric resume at its checkpoint; continuous targets share
+one gallop and one bisection tree per gallop interval.  Every probed value
+must be the one a fresh evaluation gives, so the answers must equal a fresh
+search per level and, on small chains, a linear scan.  ``verify_bounds``
+shares one evaluator per clock across metrics, levels and fixed times; its
+reports must equal those built from public calls, and it must uniformize no
+(start rows, time, tol) twice.
 """
 
 import json
@@ -25,11 +26,13 @@ from cutofflab import (
     mixing_time,
     verify_bounds,
 )
+from cutofflab import chain as chain_module
+from cutofflab import distances as distances_module
 from cutofflab import families
 from cutofflab.chain import Chain
 from cutofflab.distances import (
     _Evaluator,
-    _continuous_bracket,
+    _continuous_brackets,
     _mixing_times,
     _search_discrete,
     distance_curve,
@@ -74,9 +77,11 @@ def _shared_search(chain, query, levels):
 
 
 def _shared_brackets(chain, query, levels):
-    # drive one evaluator's continuous gallop through the levels in the given order
+    # walk the levels, listed in the given order, through one probe tree
     ev = _Evaluator(chain, query, 1e-10)
-    return {eps: _continuous_bracket(ev, eps) for eps in levels}
+    found, error = _continuous_brackets(ev, [(query.metric, eps) for eps in levels])
+    assert error is None
+    return {eps: bracket for (_, eps), bracket in found.items()}
 
 
 def _orders(levels):
@@ -153,7 +158,7 @@ def test_levels_below_the_first_failure_carry_the_found_brackets():
     assert info.value.brackets == found
     # verify_bounds keeps the found levels and maps the rest to None
     bounds = families._BoundEvaluator(ehrenfest(8), 0.5, 1e-10)
-    bounds.search("discrete", "tv", (0.9, 0.6, 0.4, 0.1))
+    bounds.search("discrete", {"tv": (0.9, 0.6, 0.4, 0.1)})
     assert [bounds.mix("discrete", "tv", eps) for eps in (0.9, 0.6, 0.4, 0.1)] == [
         (float(found[0.9][0]),) * 2, (float(found[0.6][0]),) * 2, None, None,
     ]
@@ -173,7 +178,10 @@ class _PublicCallBounds:
     def dist(self, mode, metric, time):
         return distance(self.chain, self._query(mode, metric), time, self.tol)
 
-    def search(self, mode, metric, levels):
+    def evaluate(self, mode, times, metrics):
+        pass
+
+    def search(self, mode, levels):
         pass
 
     def mix(self, mode, metric, eps):
@@ -200,8 +208,30 @@ def test_verify_bounds_equals_public_call_reference(chain, monkeypatch):
 def test_verify_bounds_ehrenfest_64_uniformized_work(work_count):
     verify_bounds(ehrenfest(64))
     # 4,166 time units with a fresh search per (clock, metric, eps) and a
-    # fresh evolution per (clock, metric, t)
-    assert 0 < work_count.uniformized_time <= 2_400
+    # fresh evolution per (clock, metric, t); 2,346 with one search per
+    # (clock, metric), of which 735 repeated earlier probes and 1,002 were
+    # fixed-time evaluations from t = 0 whose largest time is 364
+    assert 0 < work_count.uniformized_time <= 1_000
+
+
+@pytest.mark.parametrize("chain", [
+    random_bd(2003, 6), random_bd(2031, 34), ehrenfest(16), _dense_reversible(), _nonreversible(),
+])
+def test_verify_bounds_repeats_no_uniformization(chain, monkeypatch):
+    # every (start rows, time, tol) is uniformized once: the fixed times in
+    # one pass, the searches' probes once for every metric and level
+    seen = []
+    real = chain_module._uniformized
+
+    def uniformized(c, rows, times, tol):
+        seen.extend((rows.tobytes(), rows.shape, t, tol) for t in times)
+        return real(c, rows, times, tol)
+
+    for module in (chain_module, distances_module):
+        monkeypatch.setattr(module, "_uniformized", uniformized)
+    verify_bounds(chain)
+    assert len(seen) > 50
+    assert len(set(seen)) == len(seen)
 
 
 @pytest.mark.parametrize("chain,mode,metric", SMALL_CASES[:4] + [(ehrenfest(310), "lazy", "tv")])
@@ -250,12 +280,13 @@ def test_family_scan_lazy_column_work(work_count):
     # the lazy kernel is the only chain here that holds at state 0
     lazy = sum(c for chain, c in work_count.apply_by_chain.items() if chain.hold[0] > 0)
     assert 0 < lazy <= 50_000  # 294,604 with one fresh search per level
-    assert lazy == 12_281
+    assert lazy == 9_803  # 12,281 continuing only from the latest checkpoint
     assert work_count.matrix_powers == 0
     # the continuous column evolves the base chain; 33,219 applications
-    # with one fresh gallop per level
+    # with one fresh gallop per level, 17,649 with a shared gallop and a
+    # bisection per level, 13,972 with one probe tree for all levels
     base = sum(c for chain, c in work_count.apply_by_chain.items() if chain.hold[0] == 0)
-    assert 0 < base <= 18_000
+    assert 0 < base <= 14_000
 
 
 def test_period_refusal_does_no_work(work_count):

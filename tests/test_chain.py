@@ -10,15 +10,20 @@ from cutofflab import (
     BadDelta,
     BadShape,
     Chain,
+    DistanceQuery,
     NonIntegerTime,
     NotIrreducible,
     NotStochastic,
     TolTooLoose,
     as_probability_vector,
     continuous_distribution,
+    corner_separation,
+    distance,
     load_chain,
+    sst_tail,
     step_distribution,
 )
+from cutofflab.chain import SEARCH_CAP, _LOG_SPACE_TIME, _uniformized
 
 from conftest import ehrenfest, flip, random_bd, two_state
 import oracles
@@ -286,3 +291,56 @@ def test_load_chain_bad_inputs(tmp_path):
     nolist.write_text(json.dumps([1, 2, 3]))
     with pytest.raises(BadShape):
         load_chain(nolist)
+
+
+def _hex(rows):
+    return [float(x).hex() for x in np.ravel(rows)]
+
+
+def _endpoint_rows(n):
+    rows = np.zeros((2, n + 1))
+    rows[0, 0] = rows[1, n] = 1.0
+    return rows
+
+
+@pytest.mark.parametrize("chain,rows", [
+    (random_bd(3, 12), np.eye(13)),                 # stacked rows, dense matmul per term
+    (random_bd(3, 12), np.eye(13)[4]),              # one vector, banded Chain.apply
+    (ehrenfest(700), _endpoint_rows(700)),          # stacked rows, banded Chain.apply
+    (Chain.from_dense(oracles.random_reversible_dense(np.random.default_rng(5), 6)),
+     np.full(6, 1.0 / 6.0)),                        # one vector, dense kernel
+])
+def test_multi_time_pass_equals_single_time_passes(chain, rows):
+    times = (0.0, 0.25, 3.0, 699.5, 700.5, 760.0)  # both sides of _LOG_SPACE_TIME
+    assert times[3] < _LOG_SPACE_TIME < times[4]
+    together = _uniformized(chain, rows, times, 1e-10)
+    assert len(together) == len(times)
+    for time, got in zip(times, together):
+        assert _hex(got) == _hex(_uniformized(chain, rows, (time,), 1e-10)[0]), time
+    assert _hex(together[0]) == _hex(rows)
+
+
+def test_evolutions_past_the_cap_are_refused_before_any_step(work_count):
+    small = two_state(0.3, 0.6)   # discrete probes of >= 256 steps take matrix powers
+    large = ehrenfest(400)        # every discrete probe runs Chain.apply
+    work_count.apply_by_chain.clear()  # construction checks pi with one application
+    past = SEARCH_CAP + 1
+    with pytest.raises(BadShape, match="cap"):
+        continuous_distribution(small, [1.0, 0.0], 1e9)
+    with pytest.raises(BadShape, match="cap"):
+        step_distribution(small, [1.0, 0.0], past)
+    for chain in (small, large):
+        for query in (
+            DistanceQuery("continuous", "tv"),
+            DistanceQuery("discrete", "sep"),
+            DistanceQuery("lazy", "tv", delta=0.5),
+        ):
+            with pytest.raises(BadShape, match="cap"):
+                distance(chain, query, past)
+    with pytest.raises(BadShape, match="cap"):
+        corner_separation(small, float(past), mode="continuous")
+    with pytest.raises(BadShape, match="cap"):
+        corner_separation(small, past, mode="lazy", delta=0.5)
+    assert work_count.applies == 0 and work_count.matrix_powers == 0
+    # closed forms stay unbounded
+    assert sst_tail(small, 1e9, method="alternating") == 0.0

@@ -124,6 +124,12 @@ def test_analyze_usage_errors(capsys, two_state_file):
     assert code == 2 and "--eps" in err
 
 
+def test_analyze_time_past_the_cap_exits_two(capsys, two_state_file):
+    # uniformization to t = 1e9 would take about 1e9 kernel applications
+    code, out, err = run_cli(capsys, "analyze", "--chain", two_state_file, "--time", "1e9")
+    assert code == 2 and out == "" and "cap" in err
+
+
 def test_analyze_missing_chain_file(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "analyze", "--chain", str(tmp_path / "absent.json"), "--eps", "0.25"

@@ -173,3 +173,34 @@ def test_beta_delta_bounds(small_corpus):
             assert low <= 1 - beta + 1e-12
             assert 1 - beta <= mid + 1e-12
             assert mid <= high + 1e-12
+
+
+def _counted_solves(monkeypatch):
+    from cutofflab import spectral
+
+    solves = []
+    real = spectral.tridiagonal_eigenvalues
+
+    def counted(diag, off_squared):
+        solves.append(len(diag))
+        return real(diag, off_squared)
+
+    monkeypatch.setattr(spectral, "tridiagonal_eigenvalues", counted)
+    return solves
+
+
+def test_spectrum_is_solved_once_per_chain(monkeypatch):
+    solves = _counted_solves(monkeypatch)
+    chain = random_bd(4, 20)
+    first = eigen_summary(chain)
+    assert eigen_summary(chain) is first
+    assert solves == [21]
+
+
+def test_equal_chain_object_gets_its_own_solve(monkeypatch):
+    solves = _counted_solves(monkeypatch)
+    chain, twin = random_bd(4, 20), random_bd(4, 20)
+    first, second = eigen_summary(chain), eigen_summary(twin)
+    assert solves == [21, 21]
+    assert second is not first
+    assert np.array_equal(second.eigenvalues, first.eigenvalues)
