@@ -29,7 +29,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import Chain, _as_steps, _check_cap, _check_eps, _check_time, _check_tol, _uniformized
+from .chain import (
+    Chain,
+    _as_steps,
+    _check_cap,
+    _check_eps,
+    _check_separation,
+    _check_time,
+    _check_tol,
+    _uniformized,
+)
 from .errors import BadDelta, NotBirthDeath
 from .spectral import eigen_summary, tridiagonal_eigenvalues
 
@@ -220,6 +229,7 @@ def corner_separation(
     """
     _require_bd(chain)
     n = chain.top_state
+    _check_separation(chain.stationary[n])
     start = np.zeros(chain.num_states)
     start[0] = 1.0
     if mode == "continuous":

@@ -35,6 +35,7 @@ from .errors import (
     BadDelta,
     BadEpsilon,
     BadShape,
+    ChainError,
     NonIntegerTime,
     NotIrreducible,
     NotStochastic,
@@ -438,6 +439,14 @@ def _check_eps(eps) -> float:
     if not (isinstance(eps, (int, float)) and 0.0 < eps < 1.0):
         raise BadEpsilon(f"eps must lie in (0, 1), got {eps!r}")
     return float(eps)
+
+
+def _check_separation(pi) -> None:
+    """Separation divides by pi; refuse it where an entry underflowed to 0."""
+    if not np.all(pi):
+        raise ChainError(
+            "a stationary probability underflows to 0, so separation is undefined"
+        )
 
 
 def _check_cap(time) -> None:

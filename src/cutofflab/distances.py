@@ -26,13 +26,17 @@ use the semigroup property:
 * Continuous searches gallop (1, 2, 4, ...) and then bisect.  Every probe
   advances from the last time whose distance was still above eps, at an
   increment tolerance of tol/128.
-* Discrete and lazy searches keep a checkpoint, the latest probed time
-  whose distance was above eps, and evolve later probes from kept rows with
-  ``Chain.apply``.  Continuing rows performs the same float operations as
-  evolving from time 0, so every probed value is the same.  Probes of at
-  least 256 steps on chains of at most 300 states take a dense matrix power
-  instead and leave the checkpoint alone.  A search gallops from its lower
-  end (lo+1, lo+2, lo+4, ...) and then bisects.
+* Discrete and lazy searches take their bracket from the values the
+  evaluator already holds.  A discrete value depends on the step alone, so
+  the lower end is the largest held step whose distance is above eps (step
+  0 is probed when none is), and the upper end is the smallest held step
+  above it.  With no upper end held, the search gallops from the lower end
+  (lo+1, lo+2, lo+4, ...); then it bisects.  Wherever the float distance is
+  nonincreasing at eps, every probe order finds the same minimal step.
+  Probes evolve rows with ``Chain.apply`` from kept rows, which performs
+  the same float operations as evolving from time 0.  Probes of at least
+  256 steps on chains of at most 300 states take a dense matrix power
+  instead, which depends only on the step and the chain.
 
 One evaluator per clock serves every metric, level and fixed time, and no
 rows are evolved twice on it:
@@ -44,11 +48,10 @@ rows are evolved twice on it:
   tree depth first, each node probed once and reduced to every metric its
   targets need.  Every probe keeps the anchor and increment of a fresh
   search, so every bracket is bit-identical to a fresh one.
-* Discrete levels run in descending eps, each metric on its own search
-  state.  A level resumes at its metric's checkpoint, where a fresh search
-  for the smaller level would pass too.  The rows come from what the
-  evaluator keeps: the latest rows, each search's checkpoint and a ladder of
-  O(log T) rows (see ``_Evaluator``).
+* Discrete levels run in descending eps.  Each is bracketed by whatever
+  earlier levels, other metrics and fixed times left on the evaluator, and
+  its rows come from what the evaluator keeps: the latest rows, the anchor
+  and a ladder of O(log T) rows (see ``_Evaluator``).
 * Fixed times reduce one evolution: the continuous clock uniformizes all of
   them in one pass over one power sequence (``chain._uniformized``), the
   others step through them in ascending order.  Every metric at one time
@@ -84,6 +87,7 @@ from .chain import (
     _check_cap,
     _check_delta,
     _check_eps,
+    _check_separation,
     _check_time,
     _check_tol,
     _uniformized,
@@ -147,11 +151,11 @@ class _Evaluator:
 
     Banded rows at step t are the same bits however they were reached, so a
     banded request continues from the latest kept rows at or below t: the
-    latest evolved rows, a search's checkpoint, or the ladder.  The ladder
-    keeps the rows at every step an evolution passes that is a multiple of
-    2**(floor(log2 t) - 2), four per octave (1..8, 10, 12, 14, 16, 20, ...),
-    so it holds O(log T) rows and no request re-evolves more than a quarter
-    of its steps from it.
+    latest evolved rows, the anchor (the latest rows a search probe found
+    above its threshold), or the ladder.  The ladder keeps the rows at every
+    step an evolution passes that is a multiple of 2**(floor(log2 t) - 2),
+    four per octave (1..8, 10, 12, 14, 16, 20, ...), so it holds O(log T)
+    rows and no request re-evolves more than a quarter of its steps from it.
     """
 
     def __init__(self, chain: Chain, query: DistanceQuery, tol: float):
@@ -177,7 +181,7 @@ class _Evaluator:
         self._cache: dict[tuple[float, str], float] = {}
         self._latest: tuple[float, np.ndarray] | None = None
         self._ladder: dict[int, np.ndarray] = {}
-        self._searches: dict[str, _Search] = {}
+        self._anchor: tuple[int, np.ndarray] | None = None
 
     def value(self, time, metric: str | None = None) -> float:
         metric = metric or self.query.metric
@@ -185,6 +189,8 @@ class _Evaluator:
         key = (float(time), metric)
         hit = self._cache.get(key)
         if hit is None:
+            if metric == "sep":
+                _check_separation(self.pi)
             hit = self._metric(self._rows(time), metric, time)
             self._cache[key] = hit
         return hit
@@ -192,6 +198,8 @@ class _Evaluator:
     def evaluate(self, times, metrics) -> None:
         """Reduce every metric at every time, evolving the start set once:
         one multi-time uniformization pass, or ascending banded steps."""
+        if "sep" in metrics:
+            _check_separation(self.pi)
         times = sorted({self._time(t) for t in times})
         times = [t for t in times if any((float(t), m) not in self._cache for m in metrics)]
         if not times:
@@ -203,11 +211,6 @@ class _Evaluator:
         for time, rows in zip(times, evolved):
             for metric in metrics:
                 self._cache[(float(time), metric)] = self._metric(rows, metric, time)
-
-    def banded(self, steps: int) -> bool:
-        """Whether the discrete rows at ``steps`` come from ``Chain.apply``
-        rather than a dense matrix power."""
-        return steps < _POW_MIN_STEPS or self.eff.num_states > _POW_MAX_STATES
 
     def _time(self, time):
         return _check_time(time) if self.continuous else _as_steps(time)
@@ -228,20 +231,16 @@ class _Evaluator:
         if self.continuous:
             return _uniformized(self.base, self._initial_rows(), (time,), self.tol)[0]
         _check_cap(time)
-        if not self.banded(time):
+        if time >= _POW_MIN_STEPS and self.eff.num_states <= _POW_MAX_STATES:
             power = np.linalg.matrix_power(self.eff.dense_kernel, time)
             if self.start_rows is not None:
                 return self.start_rows @ power
             return power[self.start_idx]
         # every kept time at or below a banded step is banded itself
-        kept = [*self._ladder.items(), *(
-            s.checkpoint for s in self._searches.values()
-            if s.checkpoint is not None and s.checkpoint[1] is not None
-        )]
-        if self._latest is not None:
-            kept.append(self._latest)
+        kept = [*self._ladder.items(), self._anchor, self._latest]
         done, rows = max(
-            (k for k in kept if k[0] <= time), key=lambda k: k[0], default=(0, None)
+            (k for k in kept if k is not None and k[0] <= time),
+            key=lambda k: k[0], default=(0, None),
         )
         if rows is None:
             rows = self._initial_rows()
@@ -303,24 +302,6 @@ class _Evaluator:
         return min(best, 1.0)
 
 
-@dataclass
-class _Search:
-    """One metric's discrete search state on a shared evaluator.
-
-    It keeps what the search would keep on an evaluator of its own: the
-    times it has probed, and its checkpoint.  The checkpoint is the latest
-    probe that found the distance above eps and, on an evaluator of its own,
-    would have evolved banded rows, that is, a first probe on the banded
-    route.  A later level resumes at the checkpoint, so every level probes
-    exactly the times it would probe alone, whatever else the evaluator
-    serves.  The checkpoint's rows are kept when they are at hand.
-    """
-
-    probed: set = field(default_factory=set)
-    evolved: int | None = None  # the latest first probe on the banded route
-    checkpoint: tuple | None = None  # (time, rows or None)
-
-
 def distance(chain: Chain, query: DistanceQuery, time, tol: float = 1e-10) -> float:
     """Distance to stationarity at one time point.
 
@@ -378,10 +359,12 @@ def _brackets(ev: _Evaluator, targets) -> tuple[dict, NoConvergence | None]:
 
     Returns the brackets found, keyed by target, and the first NoConvergence
     met (None when every target converged).  Discrete searches run each
-    metric's levels in descending eps on that metric's search state; the
-    continuous targets share one probe tree.
+    metric's levels in descending eps; the continuous targets share one
+    probe tree.
     """
     targets = list(dict.fromkeys(targets))
+    if any(metric == "sep" for metric, _ in targets):
+        _check_separation(ev.pi)
     if ev.continuous:
         return _continuous_brackets(ev, targets)
     found, error = {}, None
@@ -403,7 +386,6 @@ def _search_discrete(ev: _Evaluator, eps: float, metric: str | None = None) -> i
             f"the chain has period {ev.base.period}; its {metric} "
             f"distance stays at or above {floor:g} > {eps}"
         )
-    search = ev._searches.setdefault(metric, _Search())
     if floor and metric == "tv":
         # tv = floor + excess exactly, and the excess carries no cancellation
         # against the floor, so eps == floor is decided by its sign
@@ -412,43 +394,37 @@ def _search_discrete(ev: _Evaluator, eps: float, metric: str | None = None) -> i
         probe_metric, threshold = metric, eps
 
     def mixed(t) -> bool:
-        if t not in search.probed:
-            search.probed.add(t)
-            if ev.banded(t):
-                search.evolved = t
-        return ev.value(t, probe_metric) <= threshold
+        if ev.value(t, probe_metric) <= threshold:
+            return True
+        if ev._latest[0] == t:  # later probes lie above t; keep its rows
+            ev._anchor = ev._latest
+        return False
 
-    def commit(t) -> None:
-        # a probe above eps becomes the checkpoint if it was the latest
-        # first probe on the banded route
-        if search.evolved == t:
-            latest = ev._latest
-            search.checkpoint = latest if latest[0] == t else (t, None)
-
-    if search.checkpoint is not None and not mixed(search.checkpoint[0]):
-        lo = search.checkpoint[0]
-    elif mixed(0):
-        return 0
-    else:
+    # a discrete value depends on the step alone, so every value the
+    # evaluator holds brackets the crossing as well as a probe would
+    known = {int(t): v for (t, m), v in ev._cache.items() if m == probe_metric}
+    lo = max((t for t, v in known.items() if v > threshold), default=None)
+    if lo is None:
+        if mixed(0):
+            return 0
         lo = 0
+    hi = min((t for t in known if t > lo), default=None)
     base, stride = lo, 1
-    while True:
-        hi = min(base + stride, SEARCH_CAP)
-        if mixed(hi):
-            break
-        if hi == SEARCH_CAP:
+    while hi is None:
+        probe = min(base + stride, SEARCH_CAP)
+        if mixed(probe):
+            hi = probe
+        elif probe == SEARCH_CAP:
             raise NoConvergence(
                 f"distance stays above {eps} through {SEARCH_CAP} steps"
             )
-        commit(hi)
-        lo = hi
-        stride *= 2
+        else:
+            lo, stride = probe, 2 * stride
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if mixed(mid):
             hi = mid
         else:
-            commit(mid)
             lo = mid
     return hi
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import Chain, _check_eps, _check_time
+from .chain import Chain, _check_delta, _check_eps, _check_time
 from .distances import DistanceQuery, _brackets, _Evaluator, _mixing_times
 from .errors import BadEpsilon, BadFamily, BadShape, NotReversible
 from .birth_death import sep_bounds, stationary_time_summary
@@ -471,6 +471,8 @@ def verify_bounds(
     non-birth-death bracket bounds, eps outside a bound's validity range)
     are recorded as skipped with a reason.
     """
+    delta = _check_delta(delta)
+    eps_grid = tuple(_check_eps(eps) for eps in eps_grid)
     ev = _BoundEvaluator(chain, delta, tol)
     entries: list[BoundEntry] = []
     skipped: list[SkippedEntry] = []

@@ -1,9 +1,10 @@
 """Anchored mixing-time searches and shared evolutions.
 
-Discrete and lazy searches continue banded evolutions from kept rows, and
-the levels of one metric resume at its checkpoint; continuous targets share
-one gallop and one bisection tree per gallop interval.  Every probed value
-must be the one a fresh evaluation gives, so the answers must equal a fresh
+Discrete and lazy searches take their bracket from the values the evaluator
+already holds, whatever metric, level or fixed time put them there, and
+continue banded evolutions from kept rows; continuous targets share one
+gallop and one bisection tree per gallop interval.  Every probed value must
+be the one a fresh evaluation gives, so the answers must equal a fresh
 search per level and, on small chains, a linear scan.  ``verify_bounds``
 shares one evaluator per clock across metrics, levels and fixed times; its
 reports must equal those built from public calls, and it must uniformize no
@@ -234,6 +235,21 @@ def test_verify_bounds_repeats_no_uniformization(chain, monkeypatch):
     assert len(set(seen)) == len(seen)
 
 
+@pytest.mark.parametrize("chain,mode,metric", SMALL_CASES + [(ehrenfest(310), "lazy", "tv")])
+def test_a_level_bracketed_by_held_values_probes_only_inside(chain, mode, metric):
+    query = _query(mode, metric, exhaustive=chain.num_states < 100)
+    m = mixing_time(chain, 0.01, query)
+    assert m >= 3
+    lo, hi = m // 2, 2 * m
+    ev = _Evaluator(chain, query, 1e-10)
+    ev.evaluate([lo, hi], (metric,))
+    held = set(ev._cache)
+    assert _search_discrete(ev, 0.01) == m
+    probed = {int(time) for time, _ in set(ev._cache) - held}
+    assert probed and all(lo < t < hi for t in probed)
+    assert len(probed) <= (hi - lo - 1).bit_length()
+
+
 @pytest.mark.parametrize("chain,mode,metric", SMALL_CASES[:4] + [(ehrenfest(310), "lazy", "tv")])
 def test_probed_values_are_bit_identical_to_fresh_distances(chain, mode, metric):
     query = _query(mode, metric, exhaustive=chain.num_states < 100)
@@ -280,7 +296,10 @@ def test_family_scan_lazy_column_work(work_count):
     # the lazy kernel is the only chain here that holds at state 0
     lazy = sum(c for chain, c in work_count.apply_by_chain.items() if chain.hold[0] > 0)
     assert 0 < lazy <= 50_000  # 294,604 with one fresh search per level
-    assert lazy == 9_803  # 12,281 continuing only from the latest checkpoint
+    # 12,281 continuing only from the latest checkpoint, 9,803 resuming
+    # each level at its metric's checkpoint, 8,699 bracketing each level by
+    # the values already held
+    assert lazy == 8_699
     assert work_count.matrix_powers == 0
     # the continuous column evolves the base chain; 33,219 applications
     # with one fresh gallop per level, 17,649 with a shared gallop and a

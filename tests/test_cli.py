@@ -251,6 +251,24 @@ def test_verify_verb(capsys, two_state_file):
     assert isinstance(payload["entries"], list) and payload["entries"]
 
 
+def test_verify_bad_delta_exits_two(capsys, two_state_file):
+    code, out, err = run_cli(capsys, "verify", "--chain", two_state_file, "--delta", "1.0")
+    assert code == 2 and out == "" and "delta" in err
+
+
+def test_analyze_separation_with_underflowed_pi_exits_two(capsys, tmp_path):
+    # Ehrenfest 1100: pi(0) = 2**-1100 underflows to 0
+    n = 1100
+    path = write_json(tmp_path / "ehrenfest1100.json", {
+        "type": "birth_death",
+        "p": [1 - i / n for i in range(n + 1)],
+        "q": [i / n for i in range(n + 1)],
+        "r": [0.0] * (n + 1),
+    })
+    code, out, err = run_cli(capsys, "analyze", "--chain", path, "--metric", "sep", "--eps", "0.25")
+    assert code == 2 and out == "" and "underflows" in err
+
+
 def test_export_csv_twelve_digits(tmp_path):
     report = FamilyReport(
         spec=FamilySpec("ehrenfest", (4,)),

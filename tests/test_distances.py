@@ -10,10 +10,12 @@ from cutofflab import (
     BadEpsilon,
     BadShape,
     Chain,
+    ChainError,
     DistanceQuery,
     LengthMismatch,
     NoConvergence,
     NonIntegerTime,
+    corner_separation,
     distance,
     distance_curve,
     mixing_time,
@@ -386,3 +388,30 @@ def test_separation_is_one_before_support_spreads():
     chain = ehrenfest(8)
     q = DistanceQuery(time_mode="discrete", metric="sep", exhaustive=True)
     assert distance(chain, q, 3) == 1.0
+
+
+def test_separation_refuses_an_underflowed_stationary_entry(work_count):
+    # pi(0) = 2**-1100 underflows to 0, so P^t(x, 0) / pi(0) is undefined;
+    # separation read NaN or raised a bare KeyError
+    chain = ehrenfest(1100)
+    assert chain.stationary[0] == 0.0
+    work_count.apply_by_chain.clear()  # construction checks pi with one application
+    lazy = DistanceQuery(time_mode="lazy", metric="sep", delta=0.5)
+    calls = [
+        lambda: distance(chain, DistanceQuery(time_mode="discrete", metric="sep"), 5),
+        lambda: distance(chain, DistanceQuery(time_mode="continuous", metric="sep"), 5.0),
+        lambda: distance(chain, lazy, 5),
+        lambda: mixing_time(chain, 0.25, DistanceQuery(time_mode="continuous", metric="sep")),
+        lambda: mixing_time(chain, 0.25, lazy),
+        lambda: distance_curve(chain, lazy, [0, 3]),
+        lambda: corner_separation(chain, 5.0),
+        lambda: corner_separation(chain, 5, mode="lazy", delta=0.5),
+    ]
+    for call in calls:
+        with pytest.raises(ChainError, match="underflows"):
+            call()
+    assert work_count.applies == 0
+    assert work_count.matrix_powers == 0 and work_count.uniformized_calls == 0
+    # tv and dbar divide by nothing and stay defined
+    for metric in ("tv", "dbar"):
+        assert 0.0 < distance(chain, DistanceQuery(time_mode="continuous", metric=metric), 5.0) <= 1.0

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cutofflab import (
+    BadDelta,
     BadEpsilon,
     BadFamily,
     BadShape,
@@ -234,6 +235,26 @@ def test_verify_bounds_refuses_bad_time_grid():
     for bad in (math.inf, math.nan, -1.0, "1"):
         with pytest.raises(BadShape):
             verify_bounds(chain, time_grid=(1.0, bad))
+
+
+def test_verify_bounds_refuses_bad_eps_and_delta_before_any_step(work_count):
+    # eps = 0 or below never mixes and stepped toward the search cap; NaN
+    # and 1.5 were not refused, and delta = 1 divided by zero
+    import oracles
+
+    chain = Chain.from_dense(oracles.random_reversible_dense(np.random.default_rng(5), 8))
+    work_count.apply_by_chain.clear()  # construction checks pi with one application
+    for bad in (0.0, -0.2, math.nan, 1.5, "0.1"):
+        with pytest.raises(BadEpsilon):
+            verify_bounds(chain, eps_grid=(0.1, bad))
+    for bad in (0.0, 1.0, -0.5, math.nan):
+        with pytest.raises(BadDelta):
+            verify_bounds(chain, delta=bad)
+    assert work_count.applies == 0
+    assert work_count.matrix_powers == 0 and work_count.uniformized_calls == 0
+    # an empty eps grid still checks the fixed-time bounds
+    report = verify_bounds(chain, eps_grid=())
+    assert report.passed and report.entries
 
 
 def test_verify_bounds_periodic_chain_skips_discrete_mixing():
