@@ -18,9 +18,12 @@ oversized intermediate terms).
 
 All rate-side sums use the prefix recurrences
 ``S_{k+1} = S_k q_{k+1}/p_k + 1`` and ``R_k = R_{k+1} p_k/q_{k+1} + 1`` for
-``pi([0,k])/pi(k)`` and ``pi([k,n])/pi(k)``; they stay O(1)-sized relative
-to the local stationary weight, so nothing overflows even when pi itself
-spans hundreds of orders of magnitude.
+``pi([0,k])/pi(k)`` and ``pi([k,n])/pi(k)``.  They never form pi itself, so
+pi may span hundreds of orders of magnitude; a ratio overflows only where
+the mass on one side of k outweighs pi(k) by more than the double range
+(S_n = 2**n on Ehrenfest n, past it from n = 1024).  An overflowed ratio
+reads inf: ``passage_time`` then refuses, and ``hitting_time_bound`` takes
+its minimum over the sums that stayed finite.
 """
 from __future__ import annotations
 
@@ -39,7 +42,7 @@ from .chain import (
     _check_tol,
     _uniformized,
 )
-from .errors import BadDelta, NotBirthDeath
+from .errors import BadDelta, ChainError, NotBirthDeath
 from .spectral import eigen_summary, tridiagonal_eigenvalues
 
 # Alternating formula is abandoned when consecutive rates are closer than
@@ -88,21 +91,31 @@ class PassageReport:
 def passage_time(chain: Chain) -> PassageReport:
     """E[tau_n] from state 0 via rates and via the restricted spectrum.
 
-    ``residual`` is the relative difference between the two routes; it is an
-    internal consistency certificate and should sit at rounding level.
+    ``residual`` is the relative difference between the two routes, an
+    internal consistency certificate.  It sits at rounding level only while
+    the restricted spectrum is resolvable: the smallest eigenvalue is at
+    most 1/E[tau_n], and it carries the absolute rounding error of the
+    largest.  On Ehrenfest n the residual reads 4e-7 at n = 30 and 0.42 at
+    n = 50.  Raises ChainError when the smallest eigenvalue is not resolved
+    as positive (Ehrenfest n = 64) or the mean overflows a double
+    (Ehrenfest n = 1100).
     """
     _require_bd(chain)
-    s = _prefix_weight_ratios(chain)
-    terms = s[:-1] / chain.birth[:-1]
+    with np.errstate(over="ignore"):
+        terms = _prefix_weight_ratios(chain)[:-1] / chain.birth[:-1]
+        if not np.isfinite(terms.sum()):
+            raise ChainError("the mean passage time overflows a double")
     by_rates = math.fsum(terms.tolist())
 
     # Principal submatrix of I - K on {0..n-1}; positive definite, so all
-    # eigenvalues are strictly positive.
+    # eigenvalues are strictly positive in exact arithmetic.
     diag = (1.0 - chain.hold)[:-1]
     off2 = (chain.birth[:-1] * chain.death[1:])[:-1]
     theta = tridiagonal_eigenvalues(diag, off2)
     if theta[0] <= 0.0:
-        raise ArithmeticError(f"restricted spectrum not positive: {theta[0]}")
+        raise ChainError(
+            f"the restricted spectrum is not resolvable: smallest eigenvalue {theta[0]}"
+        )
     by_spectrum = math.fsum((1.0 / theta).tolist())
 
     residual = abs(by_rates - by_spectrum) / max(abs(by_rates), abs(by_spectrum))
@@ -115,18 +128,22 @@ def hitting_time_bound(chain: Chain) -> tuple[float, int]:
     """Two-sided hitting bound min_i [sum_{k<i} S_k/p_k + sum_{k>i} R_k/q_k].
 
     Returns (value, argmin index); ties resolve to the smallest index.  The
-    value dominates the spectral sum of the full chain.
+    value dominates the spectral sum of the full chain.  Raises ChainError
+    when every sum overflows a double.
     """
     _require_bd(chain)
-    s = _prefix_weight_ratios(chain)
-    r = _suffix_weight_ratios(chain)
     n1 = chain.num_states
     left = np.zeros(n1)
-    left[1:] = np.cumsum(s[:-1] / chain.birth[:-1])
     right = np.zeros(n1)
-    right[:-1] = np.cumsum((r[1:] / chain.death[1:])[::-1])[::-1]
-    values = left + right
+    with np.errstate(over="ignore"):
+        s = _prefix_weight_ratios(chain)
+        r = _suffix_weight_ratios(chain)
+        left[1:] = np.cumsum(s[:-1] / chain.birth[:-1])
+        right[:-1] = np.cumsum((r[1:] / chain.death[1:])[::-1])[::-1]
+        values = left + right
     best = int(np.argmin(values))
+    if not np.isfinite(values[best]):
+        raise ChainError("every term of the hitting bound overflows a double")
     return float(values[best]), best
 
 

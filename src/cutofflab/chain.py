@@ -85,22 +85,18 @@ def _clean_distribution(vec: np.ndarray) -> np.ndarray:
     return vec / vec.sum(axis=-1, keepdims=True) if vec.ndim > 1 else vec / vec.sum()
 
 
-def _strongly_connected(adj: np.ndarray) -> bool:
-    # Two breadth-first sweeps on the support digraph: forward from state 0
-    # and backward (transpose) from state 0.
-    n = adj.shape[0]
-    for mat in (adj, adj.T):
-        seen = np.zeros(n, dtype=bool)
-        seen[0] = True
-        frontier = np.zeros(n, dtype=bool)
-        frontier[0] = True
-        while frontier.any():
-            nxt = mat[frontier].any(axis=0) & ~seen
-            seen |= nxt
-            frontier = nxt
-        if not seen.all():
-            return False
-    return True
+def _levels_from_zero(adj: np.ndarray) -> np.ndarray:
+    """Breadth-first distance from state 0 on a support digraph; -1 where
+    state 0 does not reach."""
+    level = np.full(adj.shape[0], -1)
+    level[0] = 0
+    frontier = level == 0
+    depth = 0
+    while frontier.any():
+        depth += 1
+        frontier = adj[frontier].any(axis=0) & (level < 0)
+        level[frontier] = depth
+    return level
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,7 +139,10 @@ class Chain:
         row_err = np.abs(mat.sum(axis=1) - 1.0).max()
         if row_err > ROW_SUM_TOL:
             raise NotStochastic(f"row sums deviate from 1 by {row_err:.3e}")
-        if not _strongly_connected(mat > 0.0):
+        # strongly connected: state 0 reaches every state and every state
+        # reaches state 0
+        adj = mat > 0.0
+        if (_levels_from_zero(adj) < 0).any() or (_levels_from_zero(adj.T) < 0).any():
             raise NotIrreducible("support digraph is not strongly connected")
         pi = _dense_stationary(mat)
         chain = cls(form="dense", stationary=pi, kernel=mat)
@@ -273,16 +272,7 @@ class Chain:
         # mod the period it numbers the cyclic classes.
         if self.is_birth_death:
             return np.arange(self.num_states)
-        adj = self.kernel > 0.0
-        level = np.full(self.num_states, -1)
-        level[0] = 0
-        frontier = level == 0
-        depth = 0
-        while frontier.any():
-            depth += 1
-            frontier = adj[frontier].any(axis=0) & (level < 0)
-            level[frontier] = depth
-        return level
+        return _levels_from_zero(self.kernel > 0.0)
 
     @cached_property
     def _classes(self) -> np.ndarray:

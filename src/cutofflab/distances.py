@@ -49,9 +49,10 @@ rows are evolved twice on it:
   targets need.  Every probe keeps the anchor and increment of a fresh
   search, so every bracket is bit-identical to a fresh one.
 * Discrete levels run in descending eps.  Each is bracketed by whatever
-  earlier levels, other metrics and fixed times left on the evaluator, and
-  its rows come from what the evaluator keeps: the latest rows, the anchor
-  and a ladder of O(log T) rows (see ``_Evaluator``).
+  earlier levels, other metrics and fixed times left on the evaluator.  Its
+  banded probes continue from the evaluator's one store of banded rows,
+  keyed by step: every banded step evaluated and a ladder of O(log T) steps
+  (see ``_Evaluator``).  Matrix-power rows are not kept.
 * Fixed times reduce one evolution: the continuous clock uniformizes all of
   them in one pass over one power sequence (``chain._uniformized``), the
   others step through them in ascending order.  Every metric at one time
@@ -143,19 +144,21 @@ class _Evaluator:
     time.
 
     The query fixes the clock, the laziness and the start set; its metric is
-    only the default.  Values are cached per (time, metric) and the latest
-    evolved rows are kept, so every metric at one time reduces one
-    evolution.  ``evaluate`` reduces several times from one evolution: one
-    uniformization pass on the continuous clock, one run of ``Chain.apply``
-    on the others.
+    only the default.  Every evaluation goes through ``evaluate``, which
+    reduces every requested metric at several times from one evolution (one
+    uniformization pass on the continuous clock, ascending steps on the
+    others) and caches the values per (time, metric).
 
-    Banded rows at step t are the same bits however they were reached, so a
-    banded request continues from the latest kept rows at or below t: the
-    latest evolved rows, the anchor (the latest rows a search probe found
-    above its threshold), or the ladder.  The ladder keeps the rows at every
-    step an evolution passes that is a multiple of 2**(floor(log2 t) - 2),
-    four per octave (1..8, 10, 12, 14, 16, 20, ...), so it holds O(log T)
-    rows and no request re-evolves more than a quarter of its steps from it.
+    Discrete and lazy steps of at least 256 on chains of at most 300 states
+    take a dense matrix power, and those rows are not kept.  Every other
+    step is banded, and banded rows at step t are the same bits however they
+    were reached.  So one store, ``_kept``, maps steps to banded rows: the
+    rows of every banded step evaluated, and the rows at every step an
+    evolution passes that is a multiple of 2**(floor(log2 t) - 2), four per
+    octave (1..8, 10, 12, 14, 16, 20, ...).  A banded request reads its step
+    there or continues ``Chain.apply`` from the largest kept step below it;
+    once an evolution has passed the request, that re-evolves less than a
+    quarter of its steps.
     """
 
     def __init__(self, chain: Chain, query: DistanceQuery, tol: float):
@@ -179,21 +182,13 @@ class _Evaluator:
             else:
                 self.start_idx = list(range(chain.num_states))
         self._cache: dict[tuple[float, str], float] = {}
-        self._latest: tuple[float, np.ndarray] | None = None
-        self._ladder: dict[int, np.ndarray] = {}
-        self._anchor: tuple[int, np.ndarray] | None = None
+        self._kept: dict[int, np.ndarray] = {}
 
     def value(self, time, metric: str | None = None) -> float:
         metric = metric or self.query.metric
         time = self._time(time)
-        key = (float(time), metric)
-        hit = self._cache.get(key)
-        if hit is None:
-            if metric == "sep":
-                _check_separation(self.pi)
-            hit = self._metric(self._rows(time), metric, time)
-            self._cache[key] = hit
-        return hit
+        self.evaluate((time,), (metric,))
+        return self._cache[(float(time), metric)]
 
     def evaluate(self, times, metrics) -> None:
         """Reduce every metric at every time, evolving the start set once:
@@ -222,33 +217,24 @@ class _Evaluator:
         rows[np.arange(len(self.start_idx)), self.start_idx] = 1.0
         return rows
 
-    def _rows(self, time) -> np.ndarray:
-        if self._latest is None or self._latest[0] != time:
-            self._latest = (time, self._evolve(time))
-        return self._latest[1]
-
-    def _evolve(self, time) -> np.ndarray:
-        if self.continuous:
-            return _uniformized(self.base, self._initial_rows(), (time,), self.tol)[0]
-        _check_cap(time)
-        if time >= _POW_MIN_STEPS and self.eff.num_states <= _POW_MAX_STATES:
-            power = np.linalg.matrix_power(self.eff.dense_kernel, time)
+    def _rows(self, steps: int) -> np.ndarray:
+        _check_cap(steps)
+        if steps >= _POW_MIN_STEPS and self.eff.num_states <= _POW_MAX_STATES:
+            power = np.linalg.matrix_power(self.eff.dense_kernel, steps)
             if self.start_rows is not None:
                 return self.start_rows @ power
             return power[self.start_idx]
-        # every kept time at or below a banded step is banded itself
-        kept = [*self._ladder.items(), self._anchor, self._latest]
-        done, rows = max(
-            (k for k in kept if k is not None and k[0] <= time),
-            key=lambda k: k[0], default=(0, None),
-        )
+        # every kept step at or below a banded step is banded itself
+        done = max((k for k in self._kept if k <= steps), default=0)
+        rows = self._kept.get(done)
         if rows is None:
             rows = self._initial_rows()
-        while done < time:
+        while done < steps:
             rows = self.eff.apply(rows)
             done += 1
             if done % (1 << max(done.bit_length() - 3, 0)) == 0:
-                self._ladder.setdefault(done, rows)
+                self._kept[done] = rows
+        self._kept[steps] = rows
         return rows
 
     def period_floor(self, metric: str) -> float:
@@ -394,11 +380,7 @@ def _search_discrete(ev: _Evaluator, eps: float, metric: str | None = None) -> i
         probe_metric, threshold = metric, eps
 
     def mixed(t) -> bool:
-        if ev.value(t, probe_metric) <= threshold:
-            return True
-        if ev._latest[0] == t:  # later probes lie above t; keep its rows
-            ev._anchor = ev._latest
-        return False
+        return ev.value(t, probe_metric) <= threshold
 
     # a discrete value depends on the step alone, so every value the
     # evaluator holds brackets the crossing as well as a probe would

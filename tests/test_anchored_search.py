@@ -1,14 +1,16 @@
 """Anchored mixing-time searches and shared evolutions.
 
 Discrete and lazy searches take their bracket from the values the evaluator
-already holds, whatever metric, level or fixed time put them there, and
-continue banded evolutions from kept rows; continuous targets share one
-gallop and one bisection tree per gallop interval.  Every probed value must
-be the one a fresh evaluation gives, so the answers must equal a fresh
-search per level and, on small chains, a linear scan.  ``verify_bounds``
-shares one evaluator per clock across metrics, levels and fixed times; its
-reports must equal those built from public calls, and it must uniformize no
-(start rows, time, tol) twice.
+already holds, whatever metric, level or fixed time put them there.  The
+evaluator keeps the rows of every banded step it evaluates, and of a ladder
+of four steps per octave, in one store keyed by step; a banded request
+reads its step there or continues from the largest kept step below it.
+Continuous targets share one gallop and one bisection tree per gallop
+interval.  Every probed value must be the one a fresh evaluation gives, so
+the answers must equal a fresh search per level and, on small chains, a
+linear scan.  ``verify_bounds`` shares one evaluator per clock across
+metrics, levels and fixed times; its reports must equal those built from
+public calls, and it must uniformize no (start rows, time, tol) twice.
 """
 
 import json
@@ -258,6 +260,32 @@ def test_probed_values_are_bit_identical_to_fresh_distances(chain, mode, metric)
     for (time, metric), value in ev._cache.items():
         assert metric == query.metric
         assert distance(chain, query, int(time)) == value, time
+
+
+def test_every_probed_banded_step_is_kept(work_count):
+    # 311 states lie above the dense-power cliff, so every probe is banded
+    chain = ehrenfest(310)
+    ev = _Evaluator(chain, _query("lazy", "tv", exhaustive=False), 1e-10)
+    assert _search_discrete(ev, 0.25) > 256
+    probed = {int(time) for time, _ in ev._cache}
+    work_count.apply_by_chain.clear()
+    for t in probed:
+        ev.value(t, "sep")
+    assert work_count.applies == 0
+    assert all((float(t), "sep") in ev._cache for t in probed)
+
+
+def test_a_banded_request_continues_from_the_largest_kept_step(work_count):
+    chain = ehrenfest(64)
+    ev = _Evaluator(chain, _query("lazy", "tv", exhaustive=False), 1e-10)
+    work_count.apply_by_chain.clear()
+    # each request applies exactly the gap from the largest kept step below
+    # it: 192 is a ladder step (a multiple of 32 in 128..255), the others
+    # are steps evaluated earlier
+    for t, gap in ((197, 197), (210, 13), (199, 2), (205, 6), (193, 1), (197, 0)):
+        before = work_count.applies
+        ev.value(t)
+        assert work_count.applies - before == gap, t
 
 
 @pytest.mark.parametrize("mode", ["discrete", "lazy", "continuous"])

@@ -1,6 +1,7 @@
 """Hitting times, strong stationary times, and the corner identity."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from cutofflab import (
     BadDelta,
     BadEpsilon,
     BadShape,
+    Chain,
+    ChainError,
     DistanceQuery,
     NonIntegerTime,
     NotBirthDeath,
@@ -48,6 +51,30 @@ def test_passage_time_matches_fundamental_matrix_oracle():
         assert report.mean_by_rates == pytest.approx(expect, rel=1e-9)
         assert report.mean_by_spectrum == pytest.approx(expect, rel=1e-8)
         assert report.residual <= 1e-8 * max(1.0, expect)
+
+
+@pytest.mark.parametrize("n,reason", [
+    (64, "restricted spectrum is not resolvable"),  # below the rounding error
+    (1100, "overflows a double"),                   # S_n = 2**1100
+])
+def test_passage_time_refuses_what_doubles_cannot_hold(n, reason):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ChainError, match=reason):
+            passage_time(ehrenfest(n))
+
+
+def test_hitting_time_bound_keeps_the_finite_sums():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # the sums near both corners overflow; the minimum sits in the middle
+        assert hitting_time_bound(ehrenfest(1100)) == (4550.385643093898, 550)
+        # pi falls by a factor 18 per step towards the middle from either
+        # side, so every sum overflows
+        p = np.r_[np.full(300, 0.05), np.full(300, 0.9), 0.0]
+        q = np.r_[0.0, np.full(299, 0.9), np.full(301, 0.05)]
+        with pytest.raises(ChainError, match="overflows a double"):
+            hitting_time_bound(Chain.from_rates(p, q, 1.0 - p - q))
 
 
 def test_hitting_time_bound_hand_values():

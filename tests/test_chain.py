@@ -68,6 +68,9 @@ def test_from_dense_validation():
                 [0.0, 0.0, 0.5, 0.5],
             ]
         )
+    # state 0 reaches every state, but no state leaves the absorbing one
+    with pytest.raises(NotIrreducible):
+        Chain.from_dense([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]])
 
 
 def test_from_rates_validation():
