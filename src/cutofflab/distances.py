@@ -39,20 +39,26 @@ use the semigroup property:
   instead, which depends only on the step and the chain.
 
 One evaluator per clock serves every metric, level and fixed time, and no
-rows are evolved twice on it:
+rows are evolved twice on it.  Its ``search`` takes (metric, eps) targets
+and writes each bracket to ``found``; ``mixing_time``, ``mixing_bracket``,
+``family_scan`` and ``verify_bounds`` all read their answers there.  A
+target that cannot converge is left out of ``found``, and so is every
+smaller eps of its metric; ``search`` raises the first such NoConvergence
+after every other target has been searched.
 
-* Continuous targets, each a (metric, eps) pair, share one probe tree.  The
-  gallop's rungs do not depend on the target, and a target's bisection
-  depends only on the two rungs around its crossing.  So all targets walk
-  one gallop, and the targets between the same two rungs walk one bisection
-  tree depth first, each node probed once and reduced to every metric its
-  targets need.  Every probe keeps the anchor and increment of a fresh
-  search, so every bracket is bit-identical to a fresh one.
-* Discrete levels run in descending eps.  Each is bracketed by whatever
-  earlier levels, other metrics and fixed times left on the evaluator.  Its
-  banded probes continue from the evaluator's one store of banded rows,
-  keyed by step: every banded step evaluated and a ladder of O(log T) steps
-  (see ``_Evaluator``).  Matrix-power rows are not kept.
+* Continuous targets share one probe tree.  The gallop's rungs do not
+  depend on the target, and a target's bisection depends only on the two
+  rungs around its crossing.  So all targets walk one gallop, and the
+  targets between the same two rungs walk one bisection tree depth first,
+  each node probed once and reduced to every metric its targets need.
+  Every probe keeps the anchor and increment of a fresh search, so every
+  bracket is bit-identical to a fresh one.
+* Discrete targets run one metric at a time, each metric's levels in
+  descending eps.  Each level is bracketed by whatever earlier levels, other
+  metrics and fixed times left on the evaluator.  Its banded probes continue
+  from the evaluator's one store of banded rows, keyed by step: every banded
+  step evaluated and a ladder of O(log T) steps (see ``_Evaluator``).
+  Matrix-power rows are not kept.
 * Fixed times reduce one evolution: the continuous clock uniformizes all of
   them in one pass over one power sequence (``chain._uniformized``), the
   others step through them in ascending order.  Every metric at one time
@@ -144,10 +150,12 @@ class _Evaluator:
     time.
 
     The query fixes the clock, the laziness and the start set; its metric is
-    only the default.  Every evaluation goes through ``evaluate``, which
-    reduces every requested metric at several times from one evolution (one
-    uniformization pass on the continuous clock, ascending steps on the
-    others) and caches the values per (time, metric).
+    not read here, since every call names its metric.  Every evaluation goes
+    through ``evaluate``, which reduces every requested metric at several
+    times from one evolution (one uniformization pass on the continuous
+    clock, ascending steps on the others) and caches the values per (time,
+    metric).  ``search`` brackets mixing times at (metric, eps) targets from
+    those values and keeps the brackets in ``found``, keyed by target.
 
     Discrete and lazy steps of at least 256 on chains of at most 300 states
     take a dense matrix power, and those rows are not kept.  Every other
@@ -183,12 +191,36 @@ class _Evaluator:
                 self.start_idx = list(range(chain.num_states))
         self._cache: dict[tuple[float, str], float] = {}
         self._kept: dict[int, np.ndarray] = {}
+        self.found: dict[tuple[str, float], tuple] = {}
 
-    def value(self, time, metric: str | None = None) -> float:
-        metric = metric or self.query.metric
+    def value(self, time, metric: str) -> float:
         time = self._time(time)
         self.evaluate((time,), (metric,))
         return self._cache[(float(time), metric)]
+
+    def search(self, targets) -> None:
+        """Mixing brackets (lo, hi) at (metric, eps) targets, written to
+        ``found``; the discrete modes give (m, m) with m exact.
+
+        A target that cannot converge raises NoConvergence, and so would
+        every smaller eps of its metric; the first such error is raised
+        after every other target has been searched.
+        """
+        targets = list(dict.fromkeys((metric, _check_eps(eps)) for metric, eps in targets))
+        if any(metric == "sep" for metric, _ in targets):
+            _check_separation(self.pi)
+        if self.continuous:
+            return _continuous_brackets(self, targets)
+        error = None
+        for metric in dict.fromkeys(m for m, _ in targets):
+            try:
+                for eps in sorted({e for m, e in targets if m == metric}, reverse=True):
+                    steps = _search_discrete(self, eps, metric)
+                    self.found[(metric, eps)] = (steps, steps)
+            except NoConvergence as exc:
+                error = error or exc
+        if error is not None:
+            raise error
 
     def evaluate(self, times, metrics) -> None:
         """Reduce every metric at every time, evolving the start set once:
@@ -294,7 +326,7 @@ def distance(chain: Chain, query: DistanceQuery, time, tol: float = 1e-10) -> fl
     Continuous mode accepts real ``time >= 0`` and obeys the uniformization
     tolerance ``tol``; the discrete modes require integer times.
     """
-    return _Evaluator(chain, query, tol).value(time)
+    return _Evaluator(chain, query, tol).value(time, query.metric)
 
 
 def mixing_time(chain: Chain, eps: float, query: DistanceQuery, tol: float = 1e-10):
@@ -306,7 +338,9 @@ def mixing_time(chain: Chain, eps: float, query: DistanceQuery, tol: float = 1e-
     eps at 10**7, or at once when a periodic chain's distance floor lies
     above eps.
     """
-    lo, hi = _mixing_times(chain, (eps,), query, tol)[eps]
+    ev = _Evaluator(chain, query, tol)
+    ev.search([(query.metric, eps)])
+    lo, hi = ev.found[(query.metric, eps)]
     if query.time_mode == "continuous":
         return 0.5 * (lo + hi)
     return hi
@@ -318,54 +352,13 @@ def mixing_bracket(
     """(lo, hi) enclosing the exact mixing time; equal endpoints in the
     discrete modes.  Inequality checks against a computed mixing time should
     compare with the safe end of this bracket, not the midpoint."""
-    lo, hi = _mixing_times(chain, (eps,), query, tol)[eps]
+    ev = _Evaluator(chain, query, tol)
+    ev.search([(query.metric, eps)])
+    lo, hi = ev.found[(query.metric, eps)]
     return float(lo), float(hi)
 
 
-def _mixing_times(chain: Chain, levels, query: DistanceQuery, tol: float) -> dict:
-    """Brackets (lo, hi) of the mixing times at several eps levels of one
-    query, keyed by level.  The discrete modes return (m, m) with m exact.
-
-    A level that cannot converge raises NoConvergence, and every smaller
-    level would too; the exception's ``brackets`` holds the levels found.
-    """
-    for eps in levels:
-        _check_eps(eps)
-    ev = _Evaluator(chain, query, tol)
-    found, error = _brackets(ev, [(query.metric, eps) for eps in levels])
-    brackets = {eps: bracket for (_, eps), bracket in found.items()}
-    if error is not None:
-        error.brackets = brackets
-        raise error
-    return brackets
-
-
-def _brackets(ev: _Evaluator, targets) -> tuple[dict, NoConvergence | None]:
-    """Mixing brackets at (metric, eps) targets on one evaluator.
-
-    Returns the brackets found, keyed by target, and the first NoConvergence
-    met (None when every target converged).  Discrete searches run each
-    metric's levels in descending eps; the continuous targets share one
-    probe tree.
-    """
-    targets = list(dict.fromkeys(targets))
-    if any(metric == "sep" for metric, _ in targets):
-        _check_separation(ev.pi)
-    if ev.continuous:
-        return _continuous_brackets(ev, targets)
-    found, error = {}, None
-    for metric in dict.fromkeys(m for m, _ in targets):
-        try:
-            for eps in sorted({e for m, e in targets if m == metric}, reverse=True):
-                steps = _search_discrete(ev, eps, metric)
-                found[(metric, eps)] = (steps, steps)
-        except NoConvergence as exc:
-            error = error or exc
-    return found, error
-
-
-def _search_discrete(ev: _Evaluator, eps: float, metric: str | None = None) -> int:
-    metric = metric or ev.query.metric
+def _search_discrete(ev: _Evaluator, eps: float, metric: str) -> int:
     floor = ev.period_floor(metric)
     if eps < floor:
         raise NoConvergence(
@@ -411,7 +404,7 @@ def _search_discrete(ev: _Evaluator, eps: float, metric: str | None = None) -> i
     return hi
 
 
-def _continuous_brackets(ev: _Evaluator, targets) -> tuple[dict, NoConvergence | None]:
+def _continuous_brackets(ev: _Evaluator, targets) -> None:
     # The semigroup property lets every probe advance from the last time at
     # which the distance was still above eps, instead of integrating from 0.
     # Increments run at tol/128, so the composed truncation error over the
@@ -431,14 +424,12 @@ def _continuous_brackets(ev: _Evaluator, targets) -> tuple[dict, NoConvergence |
         return point(t, _uniformized(ev.base, anchor[1], (t - anchor[0],), inc_tol)[0], group)
 
     lo = point(0.0, ev._initial_rows(), targets)
-    found = {tg: (0.0, 0.0) for tg in targets if lo[2][tg[0]] <= tg[1]}
-    waiting = [tg for tg in targets if tg not in found]
+    ev.found.update((tg, (0.0, 0.0)) for tg in targets if lo[2][tg[0]] <= tg[1])
+    waiting = [tg for tg in targets if lo[2][tg[0]] > tg[1]]
     while waiting:
         if lo[0] == SEARCH_CAP:
             eps = max(e for _, e in waiting)
-            return found, NoConvergence(
-                f"distance stays above {eps} through t = {SEARCH_CAP}"
-            )
+            raise NoConvergence(f"distance stays above {eps} through t = {SEARCH_CAP}")
         hi = advance(lo, min(2.0 * lo[0], float(SEARCH_CAP)) if lo[0] else 1.0, waiting)
         crossed = [tg for tg in waiting if hi[2][tg[0]] <= tg[1]]
         waiting = [tg for tg in waiting if hi[2][tg[0]] > tg[1]]
@@ -446,7 +437,7 @@ def _continuous_brackets(ev: _Evaluator, targets) -> tuple[dict, NoConvergence |
         while stack:
             anchor, hi_t, group = stack.pop()
             if hi_t - anchor[0] <= max(1e-6, 1e-4 * hi_t):
-                found.update((tg, (anchor[0], hi_t)) for tg in group)
+                ev.found.update((tg, (anchor[0], hi_t)) for tg in group)
                 continue
             probe = advance(anchor, 0.5 * (anchor[0] + hi_t), group)
             above = [tg for tg in group if probe[2][tg[0]] > tg[1]]
@@ -456,7 +447,6 @@ def _continuous_brackets(ev: _Evaluator, targets) -> tuple[dict, NoConvergence |
             if below:
                 stack.append((anchor, probe[0], below))
         lo = hi
-    return found, None
 
 
 @dataclass(frozen=True, eq=False)
@@ -483,7 +473,7 @@ def distance_curve(chain: Chain, query: DistanceQuery, times, tol: float = 1e-10
         raise BadShape("time grid must be nondecreasing")
     ev = _Evaluator(chain, query, tol)
     ev.evaluate(times, (query.metric,))
-    values = tuple(ev.value(t) for t in times)
+    values = tuple(ev.value(t, query.metric) for t in times)
     for (t0, v0), (t1, v1) in zip(zip(times, values), zip(times[1:], values[1:])):
         if v1 > v0 + 1e-9:
             raise ArithmeticError(

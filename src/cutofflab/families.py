@@ -26,13 +26,14 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .chain import Chain, _check_delta, _check_eps, _check_time
-from .distances import DistanceQuery, _brackets, _Evaluator, _mixing_times
-from .errors import BadEpsilon, BadFamily, BadShape, NotReversible
+from .distances import DistanceQuery, _Evaluator
+from .errors import BadEpsilon, BadFamily, BadShape, NoConvergence, NotReversible
 from .birth_death import sep_bounds, stationary_time_summary
 from .spectral import beta_delta, eigen_summary
 
@@ -310,6 +311,7 @@ def family_scan(
         raise BadEpsilon("eps_grid must hold at least one eps")
     levels = sorted(set(eps_grid) | {0.25})
     lo_eps, hi_eps = min(eps_grid), max(eps_grid)
+    targets = [("tv", level) for level in levels]
     continuous = DistanceQuery("continuous", "tv")
     lazy = DistanceQuery("lazy", "tv", delta=delta)
     records = []
@@ -317,12 +319,14 @@ def family_scan(
         chain = generate(spec, n)
         rec = SizeRecord(n=n)
         _fill_spectrum(rec, chain)
-        lazy_times = _mixing_times(chain, levels, lazy, tol)
-        continuous_times = _mixing_times(chain, levels, continuous, tol)
+        lazy_ev = _Evaluator(chain, lazy, tol)
+        lazy_ev.search(targets)
+        continuous_ev = _Evaluator(chain, continuous, tol)
+        continuous_ev.search(targets)
         for level in levels:
-            lo, hi = continuous_times[level]
+            lo, hi = continuous_ev.found[("tv", level)]
             rec.mixing_continuous[level] = float(0.5 * (lo + hi))
-            rec.mixing_lazy[level] = float(lazy_times[level][1])
+            rec.mixing_lazy[level] = float(lazy_ev.found[("tv", level)][1])
         # worst-case tv at t = 0 is max_x (1 - pi(x)) >= 1/2, so T(1/4) > 0 on both clocks
         rec.ratio_c_over_lazy = rec.mixing_continuous[0.25] / rec.mixing_lazy[0.25]
         rec.window = abs(rec.mixing_continuous[lo_eps] - rec.mixing_continuous[hi_eps])
@@ -399,56 +403,6 @@ class BoundReport:
         }
 
 
-class _BoundEvaluator:
-    """Distance and mixing evaluations for one chain; everything runs with
-    exhaustive start maximization (see module docstring).
-
-    Each clock keeps one evaluator for all of its metrics, fixed times and
-    searches.  ``evaluate`` reduces a set of fixed times from one evolution,
-    ``search`` runs every (metric, eps) target of one clock at once, and
-    ``mix`` reads its brackets.
-    """
-
-    def __init__(self, chain: Chain, delta: float, tol: float):
-        self.chain = chain
-        self.delta = delta
-        self.tol = tol
-        self._clocks: dict = {}
-        self._mix: dict = {}
-
-    def _clock(self, mode: str) -> _Evaluator:
-        if mode not in self._clocks:
-            query = DistanceQuery(
-                mode, "tv", delta=self.delta if mode == "lazy" else None, exhaustive=True
-            )
-            self._clocks[mode] = _Evaluator(self.chain, query, self.tol)
-        return self._clocks[mode]
-
-    def dist(self, mode: str, metric: str, time) -> float:
-        return self._clock(mode).value(time, metric)
-
-    def evaluate(self, mode: str, times, metrics) -> None:
-        self._clock(mode).evaluate(times, metrics)
-
-    def search(self, mode: str, levels: dict) -> None:
-        """Mixing brackets at every level of every metric (``levels`` maps a
-        metric to its levels).  A level whose search cannot converge
-        (periodicity) maps to None, and so does every smaller one."""
-        targets = [(metric, float(eps)) for metric, group in levels.items() for eps in group]
-        found, _ = _brackets(self._clock(mode), targets)
-        for metric, eps in targets:
-            bracket = found.get((metric, eps))
-            self._mix[(mode, metric, eps)] = (
-                None if bracket is None else (float(bracket[0]), float(bracket[1]))
-            )
-
-    def mix(self, mode: str, metric: str, eps: float):
-        """Bracket (lo, hi) on the mixing time, or None when the search
-        cannot converge.  Bound checks compare against the safe end so an
-        equality-tight inequality cannot fail by bracket width."""
-        return self._mix[(mode, metric, float(eps))]
-
-
 def _poisson_cdf(count: int, mu: float) -> float:
     # imported here so that importing cutofflab does not load scipy
     from scipy.special import gammaincc
@@ -473,7 +427,24 @@ def verify_bounds(
     """
     delta = _check_delta(delta)
     eps_grid = tuple(_check_eps(eps) for eps in eps_grid)
-    ev = _BoundEvaluator(chain, delta, tol)
+    # One evaluator per clock serves every metric, fixed time and search, all
+    # with exhaustive start maximization (see module docstring).
+    clocks = {
+        mode: _Evaluator(
+            chain,
+            DistanceQuery(mode, "tv", delta=delta if mode == "lazy" else None, exhaustive=True),
+            tol,
+        )
+        for mode in ("discrete", "lazy", "continuous")
+    }
+
+    def mix(mode: str, metric: str, eps: float):
+        """Bracket (lo, hi) on the mixing time, or None when the search could
+        not converge (periodicity).  Bound checks compare against the safe end
+        so an equality-tight inequality cannot fail by bracket width."""
+        bracket = clocks[mode].found.get((metric, eps))
+        return None if bracket is None else (float(bracket[0]), float(bracket[1]))
+
     entries: list[BoundEntry] = []
     skipped: list[SkippedEntry] = []
 
@@ -489,8 +460,9 @@ def verify_bounds(
         if summary is not None:
             base = summary.spectral_sum
         else:
-            ev.search("lazy", {"tv": (0.25,)})
-            t_lazy = ev.mix("lazy", "tv", 0.25)
+            with suppress(NoConvergence):
+                clocks["lazy"].search([("tv", 0.25)])
+            t_lazy = mix("lazy", "tv", 0.25)
             base = (1.0 - delta) * t_lazy[1] if t_lazy else 50.0
         time_grid = (0.3 * base, 0.7 * base, 1.2 * base)
     t_grid = tuple(_check_time(t) for t in time_grid)
@@ -499,12 +471,13 @@ def verify_bounds(
     # Metric comparisons at fixed times: tv <= dbar <= 2 tv, dbar <= sep,
     # and the separation doubling bound sep(2t) <= 1 - (1 - dbar(t))^2.
     for mode, grid in (("discrete", m_grid), ("continuous", t_grid)):
-        ev.evaluate(mode, [*grid, *(2 * t for t in grid)], ("tv", "dbar", "sep"))
+        ev = clocks[mode]
+        ev.evaluate([*grid, *(2 * t for t in grid)], ("tv", "dbar", "sep"))
         for t in grid:
-            tv = ev.dist(mode, "tv", t)
-            dbar = ev.dist(mode, "dbar", t)
-            sep = ev.dist(mode, "sep", t)
-            sep2 = ev.dist(mode, "sep", 2 * t)
+            tv = ev.value(t, "tv")
+            dbar = ev.value(t, "dbar")
+            sep = ev.value(t, "sep")
+            sep2 = ev.value(2 * t, "sep")
             point = f"{mode} t={t:g}"
             entries.append(BoundEntry("tv-below-dbar", point, tv, dbar))
             entries.append(BoundEntry("dbar-below-2tv", point, dbar, 2.0 * tv))
@@ -513,15 +486,23 @@ def verify_bounds(
                 BoundEntry("sep-doubling", point, sep2, 1.0 - (1.0 - dbar) ** 2)
             )
 
-    # Mixing-time orderings: T_tv(eps) <= T_sep(eps) <= 2 T_tv(eps/4).  The
-    # continuous levels also serve the spectral and birth-death brackets.
+    # Mixing-time orderings: T_tv(eps) <= T_sep(eps) <= 2 T_tv(eps/4).  Each
+    # clock searches every level at once; a level that cannot converge
+    # (periodicity) is missing from ``found``, and so is every smaller one of
+    # its metric.  The continuous levels also serve the spectral and
+    # birth-death brackets.
     for mode in ("discrete", "continuous"):
-        ev.search(mode, {"tv": set(eps_grid) | {eps / 4.0 for eps in eps_grid}, "sep": eps_grid})
+        with suppress(NoConvergence):
+            clocks[mode].search(
+                [("tv", eps) for eps in eps_grid]
+                + [("tv", eps / 4.0) for eps in eps_grid]
+                + [("sep", eps) for eps in eps_grid]
+            )
         for eps in eps_grid:
             point = f"{mode} eps={eps:g}"
-            t_tv = ev.mix(mode, "tv", eps)
-            t_sep = ev.mix(mode, "sep", eps)
-            t_tv4 = ev.mix(mode, "tv", eps / 4.0)
+            t_tv = mix(mode, "tv", eps)
+            t_sep = mix(mode, "sep", eps)
+            t_tv4 = mix(mode, "tv", eps / 4.0)
             if None in (t_tv, t_sep, t_tv4):
                 skipped.append(SkippedEntry("tv-sep-ordering", point, "non-mixing"))
                 continue
@@ -536,10 +517,10 @@ def verify_bounds(
         mu = t / (1.0 - delta)
         base_m = max(0, round(mu))
         poisson += [(t, mu, m) for m in (base_m, base_m + math.ceil(2.0 * math.sqrt(mu)) + 1)]
-    ev.evaluate("lazy", [m for _, _, m in poisson], ("tv",))
+    clocks["lazy"].evaluate([m for _, _, m in poisson], ("tv",))
     for t, mu, m in poisson:
-        lhs = ev.dist("continuous", "tv", t)
-        rhs = _poisson_cdf(m, mu) + ev.dist("lazy", "tv", m)
+        lhs = clocks["continuous"].value(t, "tv")
+        rhs = _poisson_cdf(m, mu) + clocks["lazy"].value(m, "tv")
         entries.append(BoundEntry("continuous-below-poisson-lazy", f"t={t:g} m={m}", lhs, rhs))
 
     if summary is not None:
@@ -565,19 +546,20 @@ def verify_bounds(
                     "tv-spectral-floor",
                     f"t={t:g}",
                     0.5 * math.exp(-lam * t),
-                    ev.dist("continuous", "tv", t),
+                    clocks["continuous"].value(t, "tv"),
                 )
             )
         beta = beta_delta(summary, delta)
         if 0.0 < beta < 1.0:
-            ev.search("lazy", {"tv": [eps for eps in eps_grid if eps < 0.5]})
+            with suppress(NoConvergence):
+                clocks["lazy"].search([("tv", eps) for eps in eps_grid if eps < 0.5])
         for eps in eps_grid:
             if not eps < 0.5:
                 skipped.append(
                     SkippedEntry("mixing-spectral-floor", f"eps={eps:g}", "needs eps < 1/2")
                 )
                 continue
-            t_cont = ev.mix("continuous", "tv", eps)
+            t_cont = mix("continuous", "tv", eps)
             if t_cont is not None:
                 entries.append(
                     BoundEntry(
@@ -588,7 +570,7 @@ def verify_bounds(
                     )
                 )
             if 0.0 < beta < 1.0:
-                t_lazy = ev.mix("lazy", "tv", eps)
+                t_lazy = mix("lazy", "tv", eps)
                 if t_lazy is not None:
                     entries.append(
                         BoundEntry(
@@ -610,7 +592,7 @@ def verify_bounds(
             for eps in eps_grid:
                 point = f"eps={eps:g}"
                 if eps < 0.5:
-                    t_sep = ev.mix("continuous", "sep", eps)
+                    t_sep = mix("continuous", "sep", eps)
                     root_e, root_1e = math.sqrt(eps), math.sqrt(1.0 - eps)
                     if t_sep is not None:
                         entries.append(
@@ -634,7 +616,7 @@ def verify_bounds(
                         SkippedEntry("sep-time-vs-sum", point, "needs eps < 1/2")
                     )
                 if eps < 0.125:
-                    t_tv = ev.mix("continuous", "tv", eps)
+                    t_tv = mix("continuous", "tv", eps)
                     root4 = math.sqrt(4.0 * eps)
                     root4c = math.sqrt(1.0 - 4.0 * eps)
                     root_e, root_1e = math.sqrt(eps), math.sqrt(1.0 - eps)
@@ -664,7 +646,7 @@ def verify_bounds(
             for eps in eps_grid:
                 point = f"eps={eps:g}"
                 lower, upper, lower_mean, upper_mean = sep_bounds(sst, eps)
-                t_sep = ev.mix("continuous", "sep", eps)
+                t_sep = mix("continuous", "sep", eps)
                 if t_sep is None:
                     skipped.append(SkippedEntry("stationary-time-brackets", point, "non-mixing"))
                     continue

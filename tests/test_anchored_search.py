@@ -6,11 +6,13 @@ evaluator keeps the rows of every banded step it evaluates, and of a ladder
 of four steps per octave, in one store keyed by step; a banded request
 reads its step there or continues from the largest kept step below it.
 Continuous targets share one gallop and one bisection tree per gallop
-interval.  Every probed value must be the one a fresh evaluation gives, so
-the answers must equal a fresh search per level and, on small chains, a
-linear scan.  ``verify_bounds`` shares one evaluator per clock across
-metrics, levels and fixed times; its reports must equal those built from
-public calls, and it must uniformize no (start rows, time, tol) twice.
+interval.  ``_Evaluator.search`` takes every (metric, eps) target of one
+clock and writes its brackets to ``found``.  Every probed value must be the
+one a fresh evaluation gives, so the answers must equal a fresh search per
+level and, on small chains, a linear scan.  ``verify_bounds`` keeps one
+evaluator per clock for every metric, level and fixed time; its reports must
+equal those built from public calls, and it must uniformize no (start rows,
+time, tol) twice.
 """
 
 import json
@@ -33,14 +35,7 @@ from cutofflab import chain as chain_module
 from cutofflab import distances as distances_module
 from cutofflab import families
 from cutofflab.chain import Chain
-from cutofflab.distances import (
-    _Evaluator,
-    _continuous_brackets,
-    _mixing_times,
-    _search_discrete,
-    distance_curve,
-    mixing_bracket,
-)
+from cutofflab.distances import _Evaluator, _search_discrete, distance_curve, mixing_bracket
 
 from conftest import ehrenfest, flip, random_bd
 import oracles
@@ -76,15 +71,14 @@ def _query(mode, metric, exhaustive=True):
 def _shared_search(chain, query, levels):
     # drive one evaluator through the levels in the given order
     ev = _Evaluator(chain, query, 1e-10)
-    return {eps: _search_discrete(ev, eps) for eps in levels}, ev
+    return {eps: _search_discrete(ev, eps, query.metric) for eps in levels}, ev
 
 
-def _shared_brackets(chain, query, levels):
-    # walk the levels, listed in the given order, through one probe tree
+def _brackets(chain, query, levels):
+    # search the levels, listed in the given order, on one evaluator
     ev = _Evaluator(chain, query, 1e-10)
-    found, error = _continuous_brackets(ev, [(query.metric, eps) for eps in levels])
-    assert error is None
-    return {eps: bracket for (_, eps), bracket in found.items()}
+    ev.search([(query.metric, eps) for eps in levels])
+    return {eps: bracket for (_, eps), bracket in ev.found.items()}
 
 
 def _orders(levels):
@@ -106,8 +100,7 @@ def test_shared_levels_equal_fresh_searches_and_linear_scan(chain, mode, metric)
         assert fresh[eps] == m, eps
     for order in _orders(LEVELS):
         assert _shared_search(chain, query, order)[0] == fresh
-        brackets = _mixing_times(chain, order, query, 1e-10)
-        assert brackets == {eps: (m, m) for eps, m in fresh.items()}
+        assert _brackets(chain, query, order) == {eps: (m, m) for eps, m in fresh.items()}
 
 
 @pytest.mark.parametrize("n", [150, 290, 310])
@@ -120,8 +113,7 @@ def test_lazy_ehrenfest_levels_across_the_dense_power_cliff(n):
     fresh = {eps: mixing_time(chain, eps, query) for eps in levels}
     for order in _orders(levels):
         assert _shared_search(chain, query, order)[0] == fresh
-    brackets = _mixing_times(chain, levels, query, 1e-10)
-    assert brackets == {eps: (m, m) for eps, m in fresh.items()}
+    assert _brackets(chain, query, levels) == {eps: (m, m) for eps, m in fresh.items()}
 
 
 @pytest.mark.parametrize("chain,metric", [(chain, metric) for chain, _, metric in SMALL_CASES])
@@ -134,8 +126,7 @@ def test_shared_continuous_levels_equal_fresh_brackets(chain, metric):
         assert hi == 0.0 or oracles.metric_at(kernel, pi, lo, "continuous", metric) > eps - 1e-9
         assert oracles.metric_at(kernel, pi, hi, "continuous", metric) <= eps + 1e-9
     for order in _orders(LEVELS):
-        assert _shared_brackets(chain, query, order) == fresh
-        assert _mixing_times(chain, order, query, 1e-10) == fresh
+        assert _brackets(chain, query, order) == fresh
 
 
 @pytest.mark.parametrize("n", [150, 290, 310])
@@ -145,53 +136,61 @@ def test_continuous_ehrenfest_levels_equal_fresh_brackets(n):
     levels = (0.5, 0.25, 0.05)
     fresh = {eps: mixing_bracket(chain, eps, query) for eps in levels}
     for order in _orders(levels):
-        assert _shared_brackets(chain, query, order) == fresh
-    assert _mixing_times(chain, levels, query, 1e-10) == fresh
+        assert _brackets(chain, query, order) == fresh
 
 
 def test_levels_below_the_first_failure_carry_the_found_brackets():
     # period 2: tv from a point mass never drops below 1/2
+    levels = (0.9, 0.6, 0.4, 0.1)
     query = _query("discrete", "tv")
-    with pytest.raises(NoConvergence, match="period 2") as info:
-        _mixing_times(ehrenfest(8), (0.9, 0.6, 0.4, 0.1), query, 1e-10)
+    ev = _Evaluator(ehrenfest(8), query, 1e-10)
+    with pytest.raises(NoConvergence, match="period 2"):
+        ev.search([("tv", eps) for eps in levels])
     found = {}
     for eps in (0.9, 0.6):
         m = mixing_time(ehrenfest(8), eps, query)
-        found[eps] = (m, m)
-    assert info.value.brackets == found
-    # verify_bounds keeps the found levels and maps the rest to None
-    bounds = families._BoundEvaluator(ehrenfest(8), 0.5, 1e-10)
-    bounds.search("discrete", {"tv": (0.9, 0.6, 0.4, 0.1)})
-    assert [bounds.mix("discrete", "tv", eps) for eps in (0.9, 0.6, 0.4, 0.1)] == [
-        (float(found[0.9][0]),) * 2, (float(found[0.6][0]),) * 2, None, None,
+        found[("tv", eps)] = (m, m)
+    assert ev.found == found
+    # verify_bounds maps the failed levels to None and skips their entries
+    report = verify_bounds(ehrenfest(8), eps_grid=levels)
+    assert [s.point for s in report.skipped if s.inequality == "tv-sep-ordering"] == [
+        f"discrete eps={eps:g}" for eps in levels
     ]
+    assert ("mixing-spectral-floor-continuous", "eps=0.1") in {
+        (e.inequality, e.point) for e in report.entries
+    }
 
 
-class _PublicCallBounds:
-    """``verify_bounds``'s evaluator rebuilt from one public ``distance`` or
-    ``mixing_bracket`` call per evaluation, as it was before the sharing."""
+class _PublicCallEvaluator:
+    """``verify_bounds``'s per-clock evaluator rebuilt from one public
+    ``distance`` or ``mixing_bracket`` call per evaluation, as it was before
+    the sharing."""
 
-    def __init__(self, chain, delta, tol):
-        self.chain, self.delta, self.tol = chain, delta, tol
+    def __init__(self, chain, query, tol):
+        self.chain, self.query, self.tol = chain, query, tol
+        self.found = {}
 
-    def _query(self, mode, metric):
-        return DistanceQuery(mode, metric, delta=self.delta if mode == "lazy" else None,
-                             exhaustive=True)
+    def _query(self, metric):
+        q = self.query
+        return DistanceQuery(q.time_mode, metric, delta=q.delta, exhaustive=q.exhaustive)
 
-    def dist(self, mode, metric, time):
-        return distance(self.chain, self._query(mode, metric), time, self.tol)
+    def value(self, time, metric):
+        return distance(self.chain, self._query(metric), time, self.tol)
 
-    def evaluate(self, mode, times, metrics):
+    def evaluate(self, times, metrics):
         pass
 
-    def search(self, mode, levels):
-        pass
-
-    def mix(self, mode, metric, eps):
-        try:
-            return mixing_bracket(self.chain, eps, self._query(mode, metric), self.tol)
-        except NoConvergence:
-            return None
+    def search(self, targets):
+        error = None
+        for metric, eps in targets:
+            try:
+                self.found[(metric, eps)] = mixing_bracket(
+                    self.chain, eps, self._query(metric), self.tol
+                )
+            except NoConvergence as exc:
+                error = error or exc
+        if error is not None:
+            raise error
 
 
 def _nonreversible() -> Chain:
@@ -204,7 +203,7 @@ def _nonreversible() -> Chain:
 ])
 def test_verify_bounds_equals_public_call_reference(chain, monkeypatch):
     shared = json.dumps(verify_bounds(chain).to_dict())
-    monkeypatch.setattr(families, "_BoundEvaluator", _PublicCallBounds)
+    monkeypatch.setattr(families, "_Evaluator", _PublicCallEvaluator)
     assert shared == json.dumps(verify_bounds(chain).to_dict())
 
 
@@ -246,7 +245,7 @@ def test_a_level_bracketed_by_held_values_probes_only_inside(chain, mode, metric
     ev = _Evaluator(chain, query, 1e-10)
     ev.evaluate([lo, hi], (metric,))
     held = set(ev._cache)
-    assert _search_discrete(ev, 0.01) == m
+    assert _search_discrete(ev, 0.01, metric) == m
     probed = {int(time) for time, _ in set(ev._cache) - held}
     assert probed and all(lo < t < hi for t in probed)
     assert len(probed) <= (hi - lo - 1).bit_length()
@@ -266,7 +265,7 @@ def test_every_probed_banded_step_is_kept(work_count):
     # 311 states lie above the dense-power cliff, so every probe is banded
     chain = ehrenfest(310)
     ev = _Evaluator(chain, _query("lazy", "tv", exhaustive=False), 1e-10)
-    assert _search_discrete(ev, 0.25) > 256
+    assert _search_discrete(ev, 0.25, "tv") > 256
     probed = {int(time) for time, _ in ev._cache}
     work_count.apply_by_chain.clear()
     for t in probed:
@@ -284,7 +283,7 @@ def test_a_banded_request_continues_from_the_largest_kept_step(work_count):
     # are steps evaluated earlier
     for t, gap in ((197, 197), (210, 13), (199, 2), (205, 6), (193, 1), (197, 0)):
         before = work_count.applies
-        ev.value(t)
+        ev.value(t, "tv")
         assert work_count.applies - before == gap, t
 
 
