@@ -205,7 +205,7 @@ class Chain:
                 raise BadShape('dense chain spec needs a "matrix" field')
             try:
                 return cls.from_dense(obj["matrix"])
-            except ValueError as exc:  # ragged nested lists
+            except (TypeError, ValueError) as exc:  # ragged or non-numeric nested lists
                 raise BadShape(f"malformed matrix: {exc}") from exc
         if kind == "birth_death":
             missing = [k for k in ("p", "q", "r") if k not in obj]
@@ -213,7 +213,7 @@ class Chain:
                 raise BadShape(f"birth_death chain spec missing fields: {missing}")
             try:
                 return cls.from_rates(obj["p"], obj["q"], obj["r"])
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:
                 raise BadShape(f"malformed rate arrays: {exc}") from exc
         raise BadShape(f"unknown chain type {kind!r}")
 
@@ -398,8 +398,10 @@ def _check_tol(tol: float) -> None:
 
 
 def _check_time(time) -> float:
-    """A continuous time: a finite number >= 0."""
-    if not (isinstance(time, (int, float, np.integer)) and math.isfinite(time) and time >= 0):
+    """A continuous time: a finite number >= 0, not a bool."""
+    if isinstance(time, bool) or not (
+        isinstance(time, (int, float, np.integer)) and math.isfinite(time) and time >= 0
+    ):
         raise BadShape(f"time must be a finite nonnegative number, got {time!r}")
     return float(time)
 

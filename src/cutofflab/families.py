@@ -68,6 +68,10 @@ class FamilySpec:
     def __post_init__(self):
         if self.family not in FAMILY_NAMES:
             raise BadFamily(f"unknown family {self.family!r}; choose from {FAMILY_NAMES}")
+        if not all(
+            isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in self.sizes
+        ):
+            raise BadFamily(f"sizes must be integers, got {list(self.sizes)!r}")
         sizes = tuple(int(n) for n in self.sizes)
         if len(sizes) == 0:
             raise BadFamily("sizes must be nonempty")
@@ -89,11 +93,12 @@ class FamilySpec:
         elif self.seed is not None:
             raise BadFamily(f"seed only applies to random_bd, not {self.family}")
         if self.eps_grid is not None:
-            grid = tuple(float(e) for e in self.eps_grid)
-            if any(not 0.0 < e < 1.0 for e in grid):
-                raise BadFamily(f"eps_grid entries must lie in (0,1), got {grid}")
-            object.__setattr__(self, "eps_grid", grid)
-        if self.delta is not None and not 0.0 < self.delta < 1.0:
+            if any(not (isinstance(e, (int, float)) and 0.0 < e < 1.0) for e in self.eps_grid):
+                raise BadFamily(f"eps_grid entries must lie in (0,1), got {list(self.eps_grid)!r}")
+            object.__setattr__(self, "eps_grid", tuple(float(e) for e in self.eps_grid))
+        if self.delta is not None and not (
+            isinstance(self.delta, (int, float)) and 0.0 < self.delta < 1.0
+        ):
             raise BadFamily(f"delta must lie in (0,1), got {self.delta!r}")
 
     def to_dict(self) -> dict:
@@ -119,6 +124,8 @@ class FamilySpec:
         if unknown:
             raise BadShape(f"unknown family spec fields: {sorted(unknown)}")
         eps_grid = obj.get("eps_grid")
+        if not isinstance(obj["sizes"], list) or not isinstance(eps_grid, (list, type(None))):
+            raise BadShape('family spec "sizes" and "eps_grid" must be JSON lists')
         return cls(
             family=obj["family"],
             sizes=tuple(obj["sizes"]),

@@ -13,10 +13,12 @@ from cutofflab import (
     Chain,
     ChainError,
     DistanceQuery,
+    FamilySpec,
     NonIntegerTime,
     NotBirthDeath,
     corner_separation,
     distance,
+    generate,
     hitting_time_bound,
     passage_time,
     sep_bounds,
@@ -62,6 +64,23 @@ def test_passage_time_refuses_what_doubles_cannot_hold(n, reason):
         warnings.simplefilter("error")
         with pytest.raises(ChainError, match=reason):
             passage_time(ehrenfest(n))
+
+
+@pytest.mark.parametrize("chain", [
+    ehrenfest(50), ehrenfest(63), ehrenfest(100), ehrenfest(200),
+    generate(FamilySpec("path_biased", (40,), rho=0.3), 40),
+])
+def test_passage_time_refuses_an_unresolvable_restricted_spectrum(chain):
+    # u * theta_max / theta_min > 1e-6: Ehrenfest 50 read mean_by_spectrum
+    # 1.99e15 against 1.15e15 by rates, with residual 0.42
+    with pytest.raises(ChainError, match="restricted spectrum is not resolvable"):
+        passage_time(chain)
+
+
+def test_passage_time_answers_while_the_spectrum_is_resolvable():
+    # u * theta_max / theta_min = 4.9e-7 on Ehrenfest 30
+    report = passage_time(ehrenfest(30))
+    assert report.residual <= 1e-6
 
 
 def test_hitting_time_bound_keeps_the_finite_sums():

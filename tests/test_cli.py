@@ -163,6 +163,46 @@ def test_analyze_periodic_chain_above_dense_cliff_exits_three(capsys, tmp_path):
     assert code == 3 and out == "" and "period 2" in err
 
 
+@pytest.mark.parametrize("flag,spec", [
+    ("--chain", {"type": "dense", "matrix": {"a": 1}}),
+    ("--chain", {"type": "birth_death", "p": {"a": 1}, "q": [0.0, 0.5], "r": [0.5, 0.5]}),
+    ("--spec", {"family": "ehrenfest", "sizes": [4, 8], "delta": "0.5"}),
+    ("--spec", {"family": "ehrenfest", "sizes": [None]}),
+    ("--spec", {"family": "ehrenfest", "sizes": 5}),
+    ("--spec", {"family": "ehrenfest", "sizes": [4, 8], "eps_grid": 0.25}),
+    ("--spec", {"family": "ehrenfest", "sizes": [4.5, 8]}),
+])
+def test_spec_fields_of_the_wrong_type_exit_two(capsys, tmp_path, flag, spec):
+    path = write_json(tmp_path / "spec.json", spec)
+    verb = "spectrum" if flag == "--chain" else "family"
+    code, out, err = run_cli(capsys, verb, flag, path)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def _bench_workloads():
+    # the benchmark's inputs, verb arguments and goldens, read from bench/
+    bench = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    return workloads
+
+
+workloads = _bench_workloads()
+
+
+@pytest.mark.parametrize("pair", workloads.TWO_STATE, ids=str)
+@pytest.mark.parametrize("verb", ["spectrum", "analyze", "family", "verify"])
+def test_cli_output_equals_the_bench_goldens(capsys, tmp_path, pair, verb):
+    golden = workloads.load_goldens()["cli_cold"]["%s,%s" % pair][verb]
+    chain = write_json(tmp_path / "chain.json", workloads.two_state_spec(*pair))
+    family = write_json(tmp_path / "family.json", workloads.CLI_FAMILY)
+    code, out, _ = run_cli(capsys, *workloads.verb_args(chain, family)[verb])
+    assert code == 0 and out == golden
+
+
 def test_unknown_verb_exits_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["summon"])
