@@ -326,14 +326,13 @@ def family_scan(
         chain = generate(spec, n)
         rec = SizeRecord(n=n)
         _fill_spectrum(rec, chain)
-        lazy_ev = _Evaluator(chain, lazy, tol)
-        lazy_ev.search(targets)
-        continuous_ev = _Evaluator(chain, continuous, tol)
-        continuous_ev.search(targets)
-        for level in levels:
-            lo, hi = continuous_ev.found[("tv", level)]
-            rec.mixing_continuous[level] = float(0.5 * (lo + hi))
-            rec.mixing_lazy[level] = float(lazy_ev.found[("tv", level)][1])
+        for query, column in ((lazy, rec.mixing_lazy), (continuous, rec.mixing_continuous)):
+            ev = _Evaluator(chain, query, tol)
+            ev.search(targets)
+            for level in levels:
+                lo, hi = ev.found[("tv", level)]
+                # a lazy bracket is (m, m), so its midpoint is m exactly
+                column[level] = float(0.5 * (lo + hi))
         # worst-case tv at t = 0 is max_x (1 - pi(x)) >= 1/2, so T(1/4) > 0 on both clocks
         rec.ratio_c_over_lazy = rec.mixing_continuous[0.25] / rec.mixing_lazy[0.25]
         rec.window = abs(rec.mixing_continuous[lo_eps] - rec.mixing_continuous[hi_eps])
@@ -447,8 +446,9 @@ def verify_bounds(
 
     def mix(mode: str, metric: str, eps: float):
         """Bracket (lo, hi) on the mixing time, or None when the search could
-        not converge (periodicity).  Bound checks compare against the safe end
-        so an equality-tight inequality cannot fail by bracket width."""
+        not converge (periodicity), as for every smaller eps of its metric.
+        Bound checks compare against the safe end so an equality-tight
+        inequality cannot fail by bracket width."""
         bracket = clocks[mode].found.get((metric, eps))
         return None if bracket is None else (float(bracket[0]), float(bracket[1]))
 
@@ -494,10 +494,8 @@ def verify_bounds(
             )
 
     # Mixing-time orderings: T_tv(eps) <= T_sep(eps) <= 2 T_tv(eps/4).  Each
-    # clock searches every level at once; a level that cannot converge
-    # (periodicity) is missing from ``found``, and so is every smaller one of
-    # its metric.  The continuous levels also serve the spectral and
-    # birth-death brackets.
+    # clock searches all of its levels at once.  The continuous levels also
+    # serve the spectral and birth-death brackets.
     for mode in ("discrete", "continuous"):
         with suppress(NoConvergence):
             clocks[mode].search(

@@ -22,7 +22,6 @@ from cutofflab import (
     load_chain,
     sst_tail,
     step_distribution,
-    verify_bounds,
 )
 from cutofflab.chain import SEARCH_CAP, _LOG_SPACE_TIME, _uniformized
 
@@ -212,21 +211,15 @@ def test_continuous_distribution_validates_time_and_tol():
         continuous_distribution(chain, [1.0, 0.0], -0.5)
     with pytest.raises(BadShape):
         continuous_distribution(chain, [1.0, 0.0], math.inf)
+    # True would read as t = 1.0; the discrete clocks refuse it as well
+    with pytest.raises(BadShape):
+        continuous_distribution(chain, [1.0, 0.0], True)
+    with pytest.raises(BadShape):
+        distance(chain, DistanceQuery("continuous", "tv"), True)
     with pytest.raises(TolTooLoose):
         continuous_distribution(chain, [1.0, 0.0], 1.0, tol=1e-3)
     with pytest.raises(TolTooLoose):
         continuous_distribution(chain, [1.0, 0.0], 1.0, tol=0.0)
-
-
-def test_continuous_time_refuses_bools():
-    # True would read as t = 1.0; the discrete clocks refuse it as well
-    chain = two_state()
-    with pytest.raises(BadShape):
-        distance(chain, DistanceQuery("continuous", "tv"), True)
-    with pytest.raises(BadShape):
-        continuous_distribution(chain, [1.0, 0.0], True)
-    with pytest.raises(BadShape):
-        verify_bounds(chain, time_grid=(True, 2.0))
 
 
 def test_continuous_time_zero_returns_start():

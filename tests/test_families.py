@@ -232,7 +232,7 @@ def test_verify_bounds_random_chain_passes():
 
 def test_verify_bounds_refuses_bad_time_grid():
     chain = generate(FamilySpec("random_bd", (6,), seed=3), 6)
-    for bad in (math.inf, math.nan, -1.0, "1"):
+    for bad in (math.inf, math.nan, -1.0, "1", True):
         with pytest.raises(BadShape):
             verify_bounds(chain, time_grid=(1.0, bad))
 
