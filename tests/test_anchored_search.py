@@ -74,7 +74,7 @@ def _shared_search(chain, query, levels):
     return {eps: _search_discrete(ev, eps, query.metric) for eps in levels}, ev
 
 
-def _brackets(chain, query, levels):
+def _searched_brackets(chain, query, levels):
     # search the levels, listed in the given order, on one evaluator
     ev = _Evaluator(chain, query, 1e-10)
     ev.search([(query.metric, eps) for eps in levels])
@@ -100,7 +100,7 @@ def test_shared_levels_equal_fresh_searches_and_linear_scan(chain, mode, metric)
         assert fresh[eps] == m, eps
     for order in _orders(LEVELS):
         assert _shared_search(chain, query, order)[0] == fresh
-        assert _brackets(chain, query, order) == {eps: (m, m) for eps, m in fresh.items()}
+        assert _searched_brackets(chain, query, order) == {eps: (m, m) for eps, m in fresh.items()}
 
 
 @pytest.mark.parametrize("n", [150, 290, 310])
@@ -113,7 +113,7 @@ def test_lazy_ehrenfest_levels_across_the_dense_power_cliff(n):
     fresh = {eps: mixing_time(chain, eps, query) for eps in levels}
     for order in _orders(levels):
         assert _shared_search(chain, query, order)[0] == fresh
-    assert _brackets(chain, query, levels) == {eps: (m, m) for eps, m in fresh.items()}
+    assert _searched_brackets(chain, query, levels) == {eps: (m, m) for eps, m in fresh.items()}
 
 
 @pytest.mark.parametrize("chain,metric", [(chain, metric) for chain, _, metric in SMALL_CASES])
@@ -126,7 +126,7 @@ def test_shared_continuous_levels_equal_fresh_brackets(chain, metric):
         assert hi == 0.0 or oracles.metric_at(kernel, pi, lo, "continuous", metric) > eps - 1e-9
         assert oracles.metric_at(kernel, pi, hi, "continuous", metric) <= eps + 1e-9
     for order in _orders(LEVELS):
-        assert _brackets(chain, query, order) == fresh
+        assert _searched_brackets(chain, query, order) == fresh
 
 
 @pytest.mark.parametrize("n", [150, 290, 310])
@@ -136,7 +136,7 @@ def test_continuous_ehrenfest_levels_equal_fresh_brackets(n):
     levels = (0.5, 0.25, 0.05)
     fresh = {eps: mixing_bracket(chain, eps, query) for eps in levels}
     for order in _orders(levels):
-        assert _brackets(chain, query, order) == fresh
+        assert _searched_brackets(chain, query, order) == fresh
 
 
 def test_levels_below_the_first_failure_carry_the_found_brackets():
