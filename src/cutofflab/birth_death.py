@@ -16,14 +16,15 @@ product formula, switching to direct uniformization of the corner entry
 whenever the formula would be numerically untrustworthy (clustered rates or
 oversized intermediate terms).
 
-All rate-side sums use the prefix recurrences
-``S_{k+1} = S_k q_{k+1}/p_k + 1`` and ``R_k = R_{k+1} p_k/q_{k+1} + 1`` for
-``pi([0,k])/pi(k)`` and ``pi([k,n])/pi(k)``.  They never form pi itself, so
-pi may span hundreds of orders of magnitude; a ratio overflows only where
-the mass on one side of k outweighs pi(k) by more than the double range
-(S_n = 2**n on Ehrenfest n, past it from n = 1024).  An overflowed ratio
-reads inf: ``passage_time`` then refuses, and ``hitting_time_bound`` takes
-its minimum over the sums that stayed finite.
+All rate-side sums use the prefix recurrence
+``S_{k+1} = S_k q_{k+1}/p_k + 1`` for ``pi([0,k])/pi(k)``; run on the
+reversed rates it is ``R_k = R_{k+1} p_k/q_{k+1} + 1`` for
+``pi([k,n])/pi(k)``.  They never form pi itself, so pi may span hundreds
+of orders of magnitude; a ratio overflows only where the mass on one side
+of k outweighs pi(k) by more than the double range (S_n = 2**n on
+Ehrenfest n, past it from n = 1024).  An overflowed ratio reads inf:
+``passage_time`` then refuses, and ``hitting_time_bound`` takes its
+minimum over the sums that stayed finite.
 """
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ from .chain import (
     _check_tol,
     _uniformized,
 )
-from .errors import BadDelta, ChainError, NotBirthDeath
+from .errors import BadDelta, BadShape, ChainError, NotBirthDeath
 from .spectral import eigen_summary, tridiagonal_eigenvalues
 
 # Alternating formula is abandoned when consecutive rates are closer than
@@ -57,26 +58,15 @@ def _require_bd(chain: Chain) -> None:
         raise NotBirthDeath("operation requires the birth-death form")
 
 
-def _prefix_weight_ratios(chain: Chain) -> np.ndarray:
-    """S_k = pi([0,k]) / pi(k) for k = 0..n."""
-    p, q = chain.birth, chain.death
-    n1 = chain.num_states
-    s = np.empty(n1)
+def _prefix_weight_ratios(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """S_k = pi([0,k]) / pi(k) for k = 0..n, from birth rates p and death
+    rates q.  On the reversed rates (q[::-1], p[::-1]) it reads the chain
+    from n down to 0 and gives R_k = pi([k,n]) / pi(k) in reverse order."""
+    s = np.empty(p.shape[0])
     s[0] = 1.0
-    for k in range(n1 - 1):
+    for k in range(p.shape[0] - 1):
         s[k + 1] = s[k] * q[k + 1] / p[k] + 1.0
     return s
-
-
-def _suffix_weight_ratios(chain: Chain) -> np.ndarray:
-    """R_k = pi([k,n]) / pi(k) for k = 0..n."""
-    p, q = chain.birth, chain.death
-    n1 = chain.num_states
-    r = np.empty(n1)
-    r[-1] = 1.0
-    for k in range(n1 - 2, -1, -1):
-        r[k] = r[k + 1] * p[k] / q[k + 1] + 1.0
-    return r
 
 
 @dataclass(frozen=True)
@@ -109,7 +99,7 @@ def passage_time(chain: Chain) -> PassageReport:
     """
     _require_bd(chain)
     with np.errstate(over="ignore"):
-        terms = _prefix_weight_ratios(chain)[:-1] / chain.birth[:-1]
+        terms = _prefix_weight_ratios(chain.birth, chain.death)[:-1] / chain.birth[:-1]
         if not np.isfinite(terms.sum()):
             raise ChainError("the mean passage time overflows a double")
     by_rates = math.fsum(terms.tolist())
@@ -145,8 +135,8 @@ def hitting_time_bound(chain: Chain) -> tuple[float, int]:
     left = np.zeros(n1)
     right = np.zeros(n1)
     with np.errstate(over="ignore"):
-        s = _prefix_weight_ratios(chain)
-        r = _suffix_weight_ratios(chain)
+        s = _prefix_weight_ratios(chain.birth, chain.death)
+        r = _prefix_weight_ratios(chain.death[::-1], chain.birth[::-1])[::-1]
         left[1:] = np.cumsum(s[:-1] / chain.birth[:-1])
         right[:-1] = np.cumsum((r[1:] / chain.death[1:])[::-1])[::-1]
         values = left + right
@@ -224,7 +214,7 @@ def sst_tail(chain: Chain, time: float, tol: float = 1e-10, method: str = "auto"
     _require_bd(chain)
     time = _check_time(time)
     if method not in ("auto", "alternating", "uniformized"):
-        raise ValueError(f"unknown method {method!r}")
+        raise BadShape(f"unknown method {method!r}")
     if method == "uniformized":
         return corner_separation(chain, time, mode="continuous", tol=tol)
     summary = stationary_time_summary(chain)
@@ -271,7 +261,7 @@ def corner_separation(
         for _ in range(steps):
             row = lazy.apply(row)
     else:
-        raise ValueError(f"corner separation supports lazy or continuous, got {mode!r}")
+        raise BadShape(f"corner separation supports lazy or continuous, got {mode!r}")
     value = 1.0 - row[n] / chain.stationary[n]
     return min(max(float(value), 0.0), 1.0)
 

@@ -280,10 +280,6 @@ class Chain:
         # class c + 1 mod the period.
         return self._levels % self.period
 
-    def _cyclic_classes(self, states) -> set:
-        """The cyclic classes (0..period-1) that the given states lie in."""
-        return {int(c) for c in self._classes[list(states)]}
-
     # -- evolution ---------------------------------------------------------
 
     def apply(self, dist: np.ndarray) -> np.ndarray:

@@ -28,7 +28,6 @@ from .distances import DistanceQuery, distance, mixing_time
 from .errors import BadEpsilon, BadShape, ChainError, NoConvergence
 from .families import (
     DEFAULT_DELTA,
-    DEFAULT_EPS_GRID,
     VERIFY_EPS_GRID,
     FamilyReport,
     family_scan,
@@ -142,13 +141,7 @@ def _cmd_analyze(args) -> dict:
 
 def _cmd_family(args) -> dict:
     spec = load_family(args.spec)
-    delta = args.delta if args.delta is not None else (spec.delta or DEFAULT_DELTA)
-    grid = (
-        args.eps_grid
-        if args.eps_grid is not None
-        else (spec.eps_grid or DEFAULT_EPS_GRID)
-    )
-    report = family_scan(spec, delta=delta, eps_grid=grid, tol=args.tol)
+    report = family_scan(spec, delta=args.delta, eps_grid=args.eps_grid, tol=args.tol)
     if args.csv:
         export_csv(report, args.csv)
     return report.to_dict()

@@ -65,15 +65,19 @@ after every other target has been searched.
   reduces the same rows.
 
 Searches give up at 10**7 time units (NoConvergence).  In discrete time a
-periodic chain never mixes.  From point-mass starts its distance has an
-exact floor: 1 - 1/d for tv with period d, 1 for sep, and 1 for dbar when
-the starts meet two cyclic classes.  A start vector mu puts masses mu(C_i)
-on the cyclic classes, and those masses only rotate, so tv stays at or
-above 1/2 sum_i |mu(C_i) - 1/d| and sep at or above 1 - d min_i mu(C_i).
-An eps strictly below the floor raises NoConvergence at once.  At or above
-the tv floor the search decides "distance <= eps" exactly.  With m_C(t) the
-start mass rotated onto class C, tv = floor + excess, where each class adds
-sum_C (pi - P^t)^+ when m_C(t) >= 1/d and sum_C (P^t - pi)^+ otherwise.  The
+periodic chain never mixes.  Each start row mu of the start set (a given
+start vector, or one point mass per start state) puts masses mu(C_i) on the
+d cyclic classes, and those masses only rotate.  So tv stays at or above
+the largest 1/2 sum_i |mu(C_i) - 1/d| over the rows, sep at or above 1 - d
+min mu(C_i) over rows and classes, and dbar at or above the largest gap max
+mu(C_i) - min mu(C_i) across the rows on one class.  From point masses the
+floors are exact: 1 - 1/d, 1, and 1 once the starts meet two cyclic classes
+(0 otherwise).  The tv floor is that sum in floating point, so for d other
+than a power of 2 it can miss the rounded 1 - 1/d by a few ulps.  An eps
+strictly below the floor raises NoConvergence at once.  At or above the tv
+floor the search decides "distance <= eps" exactly.  With m_C(t) the start
+mass rotated onto class C, tv = floor + excess, where each class adds sum_C
+(pi - P^t)^+ when m_C(t) >= 1/d and sum_C (P^t - pi)^+ otherwise.  The
 search compares that excess, computed directly, with eps - floor.  So eps
 equal to the floor is met at the first time P^t >= pi on every heavy class
 and P^t <= pi on every light one, not at a rounding crossing of the float
@@ -100,7 +104,7 @@ from .chain import (
     _uniformized,
     as_probability_vector,
 )
-from .errors import BadShape, LengthMismatch, NoConvergence
+from .errors import BadDelta, BadShape, LengthMismatch, NoConvergence
 
 # Dense-power probing pays off for repeated large-m probes on small chains.
 _POW_MIN_STEPS = 256
@@ -134,15 +138,15 @@ class DistanceQuery:
 
     def __post_init__(self):
         if self.time_mode not in ("discrete", "lazy", "continuous"):
-            raise ValueError(f"unknown time mode {self.time_mode!r}")
+            raise BadShape(f"unknown time mode {self.time_mode!r}")
         if self.metric not in ("tv", "sep", "dbar"):
-            raise ValueError(f"unknown metric {self.metric!r}")
+            raise BadShape(f"unknown metric {self.metric!r}")
         if self.time_mode == "lazy":
             _check_delta(self.delta)
         elif self.delta is not None:
-            raise ValueError("delta only applies to lazy mode")
+            raise BadDelta("delta only applies to lazy mode")
         if self.start is not None and self.metric == "dbar":
-            raise ValueError("dbar is a pairwise metric; only worst_case applies")
+            raise BadShape("dbar is a pairwise metric; only worst_case applies")
 
 
 class _Evaluator:
@@ -150,12 +154,17 @@ class _Evaluator:
     time.
 
     The query fixes the clock, the laziness and the start set; its metric is
-    not read here, since every call names its metric.  Every evaluation goes
-    through ``evaluate``, which reduces every requested metric at several
-    times from one evolution (one uniformization pass on the continuous
-    clock, ascending steps on the others) and caches the values per (time,
-    metric).  ``search`` brackets mixing times at (metric, eps) targets from
-    those values and keeps the brackets in ``found``, keyed by target.
+    not read here, since every call names its metric.  The start set is one
+    frozen array, ``starts``, with one row per start distribution: the given
+    start vector, or one-hot rows for the endpoint pair or for every state.
+    Every route evolves those rows (uniformization, banded steps from
+    ``_kept``, which holds them at step 0, and ``starts @ K**m``), and the
+    period floors read their class masses.  Every evaluation goes through
+    ``evaluate``, which reduces every requested metric at several times from
+    one evolution (one uniformization pass on the continuous clock, ascending
+    steps on the others) and caches the values per (time, metric).  ``search``
+    brackets mixing times at (metric, eps) targets from those values and keeps
+    the brackets in ``found``, keyed by target.
 
     Discrete and lazy steps of at least 256 on chains of at most 300 states
     take a dense matrix power, and those rows are not kept.  Every other
@@ -181,16 +190,18 @@ class _Evaluator:
         else:
             self.eff = chain
         if query.start is not None:
-            self.start_rows = as_probability_vector(query.start, chain.num_states)[None, :]
-            self.start_idx = None
+            starts = as_probability_vector(query.start, chain.num_states)[None, :]
         else:
-            self.start_rows = None
             if chain.is_birth_death and not query.exhaustive:
-                self.start_idx = [0, chain.top_state]
+                states = [0, chain.top_state]
             else:
-                self.start_idx = list(range(chain.num_states))
+                states = range(chain.num_states)
+            starts = np.zeros((len(states), chain.num_states))
+            starts[np.arange(len(states)), states] = 1.0
+        starts.flags.writeable = False
+        self.starts = starts
         self._cache: dict[tuple[float, str], float] = {}
-        self._kept: dict[int, np.ndarray] = {}
+        self._kept: dict[int, np.ndarray] = {0: starts}
         self.found: dict[tuple[str, float], tuple] = {}
 
     def value(self, time, metric: str) -> float:
@@ -232,7 +243,7 @@ class _Evaluator:
         if not times:
             return
         if self.continuous:
-            evolved = _uniformized(self.base, self._initial_rows(), tuple(times), self.tol)
+            evolved = _uniformized(self.base, self.starts, tuple(times), self.tol)
         else:
             evolved = map(self._rows, times)  # each continues from the one before
         for time, rows in zip(times, evolved):
@@ -242,25 +253,14 @@ class _Evaluator:
     def _time(self, time):
         return _check_time(time) if self.continuous else _as_steps(time)
 
-    def _initial_rows(self) -> np.ndarray:
-        if self.start_rows is not None:
-            return self.start_rows.copy()
-        rows = np.zeros((len(self.start_idx), self.base.num_states))
-        rows[np.arange(len(self.start_idx)), self.start_idx] = 1.0
-        return rows
-
     def _rows(self, steps: int) -> np.ndarray:
         _check_cap(steps)
         if steps >= _POW_MIN_STEPS and self.eff.num_states <= _POW_MAX_STATES:
-            power = np.linalg.matrix_power(self.eff.dense_kernel, steps)
-            if self.start_rows is not None:
-                return self.start_rows @ power
-            return power[self.start_idx]
+            # a one-hot row times the power is that power's row, bit for bit
+            return self.starts @ np.linalg.matrix_power(self.eff.dense_kernel, steps)
         # every kept step at or below a banded step is banded itself
-        done = max((k for k in self._kept if k <= steps), default=0)
-        rows = self._kept.get(done)
-        if rows is None:
-            rows = self._initial_rows()
+        done = max(k for k in self._kept if k <= steps)
+        rows = self._kept[done]
         while done < steps:
             rows = self.eff.apply(rows)
             done += 1
@@ -271,21 +271,17 @@ class _Evaluator:
 
     def period_floor(self, metric: str) -> float:
         """Lower bound on every discrete-time distance of a periodic chain,
-        exact from point-mass starts; 0 where none applies."""
-        chain = self.base
-        period = chain.period
+        from the start set's class masses; 0 where none applies."""
+        period = self.base.period
         if self.query.time_mode != "discrete" or period == 1:
             return 0.0
-        if self.start_rows is not None:
-            mass = self.class_mass[0]
-            if metric == "tv":
-                return float(0.5 * np.abs(mass - 1.0 / period).sum())
-            return float(1.0 - period * mass.min())
+        mass = self.class_mass
         if metric == "tv":
-            return 1.0 - 1.0 / period
+            return float(0.5 * np.abs(mass - 1.0 / period).sum(axis=1).max())
         if metric == "sep":
-            return 1.0
-        return 1.0 if len(chain._cyclic_classes(self.start_idx)) > 1 else 0.0
+            return float(1.0 - period * mass.min())
+        # two starts differ in tv by at least their mass gap on one class
+        return float(np.ptp(mass, axis=0).max())
 
     @cached_property
     def class_mass(self) -> np.ndarray:
@@ -294,7 +290,7 @@ class _Evaluator:
         chain = self.base
         return np.stack([
             np.bincount(chain._classes, weights=row, minlength=chain.period)
-            for row in self._initial_rows()
+            for row in self.starts
         ])
 
     def _metric(self, rows: np.ndarray, metric: str, time=None) -> float:
@@ -423,7 +419,7 @@ def _continuous_brackets(ev: _Evaluator, targets) -> None:
     def advance(anchor, t: float, group):
         return point(t, _uniformized(ev.base, anchor[1], (t - anchor[0],), inc_tol)[0], group)
 
-    lo = point(0.0, ev._initial_rows(), targets)
+    lo = point(0.0, ev.starts, targets)
     ev.found.update((tg, (0.0, 0.0)) for tg in targets if lo[2][tg[0]] <= tg[1])
     waiting = [tg for tg in targets if lo[2][tg[0]] > tg[1]]
     while waiting:

@@ -54,8 +54,8 @@ class FamilySpec:
     """A family name plus the sizes to scan and optional parameters.
 
     ``rho`` applies to path_biased only; ``seed`` to random_bd only.
-    ``delta`` and ``eps_grid`` are optional scan defaults carried by family
-    spec files.
+    ``delta`` and ``eps_grid`` are optional scan defaults: ``family_scan``
+    uses them wherever its own arguments are left out.
     """
 
     family: str
@@ -68,11 +68,10 @@ class FamilySpec:
     def __post_init__(self):
         if self.family not in FAMILY_NAMES:
             raise BadFamily(f"unknown family {self.family!r}; choose from {FAMILY_NAMES}")
-        if not all(
-            isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in self.sizes
-        ):
-            raise BadFamily(f"sizes must be integers, got {list(self.sizes)!r}")
-        sizes = tuple(int(n) for n in self.sizes)
+        sizes = _as_tuple(self.sizes, "sizes")
+        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in sizes):
+            raise BadFamily(f"sizes must be integers, got {list(sizes)!r}")
+        sizes = tuple(int(n) for n in sizes)
         if len(sizes) == 0:
             raise BadFamily("sizes must be nonempty")
         if any(n < 2 for n in sizes):
@@ -93,9 +92,10 @@ class FamilySpec:
         elif self.seed is not None:
             raise BadFamily(f"seed only applies to random_bd, not {self.family}")
         if self.eps_grid is not None:
-            if any(not (isinstance(e, (int, float)) and 0.0 < e < 1.0) for e in self.eps_grid):
-                raise BadFamily(f"eps_grid entries must lie in (0,1), got {list(self.eps_grid)!r}")
-            object.__setattr__(self, "eps_grid", tuple(float(e) for e in self.eps_grid))
+            grid = _as_tuple(self.eps_grid, "eps_grid")
+            if any(not (isinstance(e, (int, float)) and 0.0 < e < 1.0) for e in grid):
+                raise BadFamily(f"eps_grid entries must lie in (0,1), got {list(grid)!r}")
+            object.__setattr__(self, "eps_grid", tuple(float(e) for e in grid))
         if self.delta is not None and not (
             isinstance(self.delta, (int, float)) and 0.0 < self.delta < 1.0
         ):
@@ -134,6 +134,13 @@ class FamilySpec:
             delta=obj.get("delta"),
             eps_grid=tuple(eps_grid) if eps_grid is not None else None,
         )
+
+
+def _as_tuple(values, name: str) -> tuple:
+    try:
+        return tuple(values)
+    except TypeError:
+        raise BadFamily(f"{name} must be a sequence, got {values!r}") from None
 
 
 def load_family(path) -> FamilySpec:
@@ -306,13 +313,20 @@ def criterion_scan(spec: FamilySpec) -> FamilyReport:
 
 def family_scan(
     spec: FamilySpec,
-    delta: float = DEFAULT_DELTA,
-    eps_grid: tuple[float, ...] = DEFAULT_EPS_GRID,
+    delta: float | None = None,
+    eps_grid: tuple[float, ...] | None = None,
     tol: float = 1e-10,
 ) -> FamilyReport:
     """Full scan: spectra + verdict, mixing times over the eps grid in both
     continuous and delta-lazy time, the c/lazy ratio at eps=1/4, and the
-    window between the grid's extreme eps values."""
+    window between the grid's extreme eps values.
+
+    ``delta`` and ``eps_grid`` default to the spec's, and where the spec has
+    none to ``DEFAULT_DELTA`` and ``DEFAULT_EPS_GRID``."""
+    if delta is None:
+        delta = DEFAULT_DELTA if spec.delta is None else spec.delta
+    if eps_grid is None:
+        eps_grid = DEFAULT_EPS_GRID if spec.eps_grid is None else spec.eps_grid
     eps_grid = tuple(_check_eps(e) for e in eps_grid)
     if not eps_grid:
         raise BadEpsilon("eps_grid must hold at least one eps")

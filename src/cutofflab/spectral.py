@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import Chain, _check_delta
-from .errors import NotReversible
+from .errors import BadShape, NotReversible
 
 DETAILED_BALANCE_TOL = 1e-10
 ZERO_SNAP_TOL = 1e-9
@@ -60,12 +60,10 @@ def tridiagonal_eigenvalues(diag, off_squared) -> np.ndarray:
     d = np.asarray(diag, dtype=float)
     e2 = np.asarray(off_squared, dtype=float)
     n = d.shape[0]
-    if n == 0:
-        return np.empty(0)
-    if n == 1:
+    if e2.shape != (max(n - 1, 0),):
+        raise BadShape("off_squared must have length len(diag) - 1")
+    if n <= 1:
         return d.copy()
-    if e2.shape[0] != n - 1:
-        raise ValueError("off_squared must have length len(diag) - 1")
 
     # Gershgorin bounds with a safety margin.
     e = np.sqrt(e2)

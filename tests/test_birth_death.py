@@ -200,7 +200,7 @@ def test_sst_tail_validates_inputs():
         sst_tail(chain, -1.0)
     with pytest.raises(BadShape):
         sst_tail(chain, math.nan)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadShape):
         sst_tail(chain, 1.0, method="laplace")
 
 
@@ -230,7 +230,7 @@ def test_corner_separation_validates_mode_and_delta():
         corner_separation(chain, 3, mode="lazy", delta=0.3)
     with pytest.raises(BadDelta):
         corner_separation(chain, 3, mode="lazy")
-    with pytest.raises(ValueError):
+    with pytest.raises(BadShape):
         corner_separation(chain, 3, mode="discrete")
     with pytest.raises(BadShape):
         corner_separation(chain, -1.0)

@@ -21,7 +21,7 @@ from cutofflab import (
     mixing_time,
     total_variation,
 )
-from cutofflab.distances import mixing_bracket
+from cutofflab.distances import _Evaluator, mixing_bracket
 
 from conftest import ehrenfest, flip, random_bd, rank_one, two_state
 import oracles
@@ -36,17 +36,17 @@ def test_total_variation_basics():
 
 
 def test_query_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadShape):
         DistanceQuery(time_mode="diffuse", metric="tv")
-    with pytest.raises(ValueError):
+    with pytest.raises(BadShape):
         DistanceQuery(time_mode="discrete", metric="hellinger")
     with pytest.raises(BadDelta):
         DistanceQuery(time_mode="lazy", metric="tv")
     with pytest.raises(BadDelta):
         DistanceQuery(time_mode="lazy", metric="tv", delta=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadDelta):
         DistanceQuery(time_mode="continuous", metric="tv", delta=0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadShape):
         DistanceQuery(time_mode="discrete", metric="dbar", start=[1.0, 0.0])
 
 
@@ -102,6 +102,26 @@ def test_periodic_floor_per_metric_and_start_set():
         mixing_time(flip(), 0.25, start)
     with pytest.raises(NoConvergence, match="through"):
         mixing_time(two_state(1e-9, 1e-9), 0.25, start)
+
+
+def test_point_mass_floors_on_periods_two_four_and_eight():
+    # one-hot start rows give tv floor 1 - 1/d, sep floor 1, and dbar floor
+    # 1 once the rows meet two cyclic classes, 0 while they share one
+    def cycle(d):
+        return Chain.from_dense(np.roll(np.eye(d), 1, axis=1))
+
+    cases = [(flip(), 2, 1.0), (ehrenfest(8), 2, 0.0), (ehrenfest(7), 2, 1.0)]
+    cases += [(cycle(d), d, 1.0) for d in (4, 8)]
+    for chain, period, dbar in cases:
+        assert chain.period == period
+        floors = {}
+        for metric in ("tv", "sep", "dbar"):
+            query = DistanceQuery(time_mode="discrete", metric=metric)
+            floors[metric] = _Evaluator(chain, query, 1e-10).period_floor(metric)
+        assert floors == {"tv": 1.0 - 1.0 / period, "sep": 1.0, "dbar": dbar}
+        with pytest.raises(NoConvergence, match=f"period {period}"):
+            mixing_time(chain, np.nextafter(1.0 - 1.0 / period, 0.0),
+                        DistanceQuery(time_mode="discrete", metric="tv"))
 
 
 def test_eps_at_the_floor_is_decided_exactly():

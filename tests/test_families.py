@@ -20,7 +20,7 @@ from cutofflab import (
     load_family,
     verify_bounds,
 )
-from cutofflab.families import _trend_verdict
+from cutofflab.families import DEFAULT_DELTA, DEFAULT_EPS_GRID, _trend_verdict
 
 from conftest import flip, rank_one
 
@@ -50,6 +50,11 @@ def test_family_spec_validation():
         FamilySpec("ehrenfest", (4, 8), eps_grid=(0.1, 1.0))
     with pytest.raises(BadFamily):
         FamilySpec("ehrenfest", (4, 8), delta=1.0)
+    # sizes and eps_grid built directly, not read from JSON lists
+    with pytest.raises(BadFamily, match="sizes must be a sequence"):
+        FamilySpec("ehrenfest", 5)
+    with pytest.raises(BadFamily, match="eps_grid must be a sequence"):
+        FamilySpec("ehrenfest", (4, 8), eps_grid=0.25)
 
 
 def test_family_spec_round_trip(tmp_path):
@@ -167,6 +172,24 @@ def test_family_scan_validates_eps_grid():
     for grid in ((), (0.0, 0.5), (0.5, 1.0), ("0.5",)):
         with pytest.raises(BadEpsilon):
             family_scan(spec, eps_grid=grid)
+
+
+def test_family_scan_uses_the_spec_scan_defaults():
+    spec = FamilySpec("ehrenfest", (4, 8), delta=0.25, eps_grid=(0.1, 0.5))
+    report = family_scan(spec)
+    assert (report.delta, report.eps_grid) == (0.25, (0.1, 0.5))
+    assert report.ratio_target == 0.75
+    assert set(report.records[0].mixing_lazy) == {0.1, 0.25, 0.5}
+    assert report.to_dict() == family_scan(spec, delta=0.25, eps_grid=(0.1, 0.5)).to_dict()
+    # given arguments override the spec; a spec without defaults takes the
+    # module's
+    assert family_scan(spec, delta=0.5).delta == 0.5
+    assert family_scan(spec, eps_grid=(0.3,)).eps_grid == (0.3,)
+    bare = family_scan(FamilySpec("ehrenfest", (4, 8)))
+    assert (bare.delta, bare.eps_grid) == (DEFAULT_DELTA, DEFAULT_EPS_GRID)
+    # an empty spec grid is refused like an empty argument
+    with pytest.raises(BadEpsilon):
+        family_scan(FamilySpec("ehrenfest", (4, 8), eps_grid=()))
 
 
 def test_window_scan_fields():

@@ -8,6 +8,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 from cutofflab import (
     BadDelta,
+    BadShape,
     Chain,
     NotReversible,
     beta_delta,
@@ -42,8 +43,9 @@ def test_sturm_bisection_exact_symmetric_spectrum():
 
 
 def test_sturm_bisection_validates_lengths():
-    with pytest.raises(ValueError):
-        tridiagonal_eigenvalues([1.0, 1.0, 1.0], [0.1])
+    for diag, off2 in (([1.0, 1.0, 1.0], [0.1]), ([1.0], [0.1]), ([], [0.1])):
+        with pytest.raises(BadShape):
+            tridiagonal_eigenvalues(diag, off2)
 
 
 def test_ehrenfest_spectrum_is_arithmetic():
