@@ -36,6 +36,7 @@ from .errors import (
     NotIrreducible,
     NotReversible,
     NotStochastic,
+    NumericalFailure,
     TolTooLoose,
 )
 from .spectral import (
@@ -94,6 +95,7 @@ __all__ = [
     "NotIrreducible",
     "NotReversible",
     "NotStochastic",
+    "NumericalFailure",
     "TolTooLoose",
     "SpectralSummary",
     "beta_delta",

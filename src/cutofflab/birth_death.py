@@ -43,7 +43,7 @@ from .chain import (
     _check_tol,
     _uniformized,
 )
-from .errors import BadDelta, BadShape, ChainError, NotBirthDeath
+from .errors import BadDelta, BadShape, ChainError, NotBirthDeath, NumericalFailure
 from .spectral import eigen_summary, tridiagonal_eigenvalues
 
 # Alternating formula is abandoned when consecutive rates are closer than
@@ -167,7 +167,7 @@ def stationary_time_summary(chain: Chain) -> StationaryTimeSummary:
     mean = math.fsum((1.0 / rates).tolist())
     variance = math.fsum((1.0 / rates**2).tolist())
     if variance > mean * mean * (1.0 + 1e-12):
-        raise ArithmeticError("variance exceeded squared mean; spectrum corrupt")
+        raise NumericalFailure("variance exceeded squared mean; spectrum corrupt")
     spacing = float(np.diff(rates).min()) if rates.shape[0] > 1 else math.inf
     return StationaryTimeSummary(
         rates=rates, mean=mean, variance=variance, min_spacing=spacing
@@ -176,7 +176,7 @@ def stationary_time_summary(chain: Chain) -> StationaryTimeSummary:
 
 def _alternating_tail(rates: np.ndarray, time: float) -> float:
     """P(sum of independent exponentials > time) by the alternating product
-    formula; raises ArithmeticError when the evaluation cannot be trusted.
+    formula; raises NumericalFailure when the evaluation cannot be trusted.
 
     Rates ascending; with distinct rates the tail is
     sum_j [prod_{k != j} rate_k/(rate_k - rate_j)] exp(-rate_j t).
@@ -194,10 +194,10 @@ def _alternating_tail(rates: np.ndarray, time: float) -> float:
         log_mag = log_rates.sum() - log_rates - np.log(diffs).sum(axis=0)
     exponents = log_mag - rates * time
     if exponents.max() > 700.0:
-        raise ArithmeticError("alternating terms overflow")
+        raise NumericalFailure("alternating terms overflow")
     terms = np.exp(exponents)
     if terms.sum() > STABILITY_CAP:
-        raise ArithmeticError("alternating terms too large for 1e-8 accuracy")
+        raise NumericalFailure("alternating terms too large for 1e-8 accuracy")
     signs = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
     value = math.fsum((signs * terms).tolist())
     return min(max(value, 0.0), 1.0)
@@ -220,7 +220,7 @@ def sst_tail(chain: Chain, time: float, tol: float = 1e-10, method: str = "auto"
     summary = stationary_time_summary(chain)
     if method == "alternating":
         if summary.min_spacing < SPACING_FLOOR * summary.rates[0]:
-            raise ArithmeticError("rates too clustered for the alternating formula")
+            raise NumericalFailure("rates too clustered for the alternating formula")
         return _alternating_tail(summary.rates, time)
     if summary.min_spacing < SPACING_FLOOR * summary.rates[0]:
         return corner_separation(chain, time, mode="continuous", tol=tol)

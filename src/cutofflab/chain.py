@@ -39,6 +39,7 @@ from .errors import (
     NonIntegerTime,
     NotIrreducible,
     NotStochastic,
+    NumericalFailure,
     TolTooLoose,
 )
 
@@ -80,7 +81,7 @@ def _clean_distribution(vec: np.ndarray) -> np.ndarray:
     # Remove float dust produced by long evolutions; magnitudes beyond dust
     # would indicate a bug upstream.
     if vec.min() < -1e-9:
-        raise ArithmeticError(f"distribution drifted negative: {vec.min()}")
+        raise NumericalFailure(f"distribution drifted negative: {vec.min()}")
     vec = np.clip(vec, 0.0, None)
     return vec / vec.sum(axis=-1, keepdims=True) if vec.ndim > 1 else vec / vec.sum()
 
@@ -340,7 +341,7 @@ def _dense_stationary(mat: np.ndarray) -> np.ndarray:
 def _check_stationary(chain: Chain) -> None:
     residual = np.abs(chain.apply(chain.stationary.copy()) - chain.stationary).max()
     if residual > STATIONARY_RESIDUAL_TOL:
-        raise ArithmeticError(
+        raise NumericalFailure(
             f"stationary residual {residual:.3e} exceeds {STATIONARY_RESIDUAL_TOL}"
         )
 

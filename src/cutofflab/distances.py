@@ -34,9 +34,13 @@ use the semigroup property:
   (lo+1, lo+2, lo+4, ...); then it bisects.  Wherever the float distance is
   nonincreasing at eps, every probe order finds the same minimal step.
   Probes evolve rows with ``Chain.apply`` from kept rows, which performs
-  the same float operations as evolving from time 0.  Probes of at least
-  256 steps on chains of at most 300 states take a dense matrix power
-  instead, which depends only on the step and the chain.
+  the same float operations as evolving from time 0.  A probe of m >= 256
+  steps on a chain of n <= 300 states takes a dense matrix power instead
+  when evolving its r start rows from step 0 takes more row steps, m * r,
+  than the power's products take rows, n times its squarings plus
+  multiplies.  So every state's rows take the power there, and the two
+  endpoint rows only at steps of order n log m; the route depends on the
+  step, the chain and the start set alone.
 
 One evaluator per clock serves every metric, level and fixed time, and no
 rows are evolved twice on it.  Its ``search`` takes (metric, eps) targets
@@ -71,14 +75,15 @@ d cyclic classes, and those masses only rotate.  So tv stays at or above
 the largest 1/2 sum_i |mu(C_i) - 1/d| over the rows, sep at or above 1 - d
 min mu(C_i) over rows and classes, and dbar at or above the largest gap max
 mu(C_i) - min mu(C_i) across the rows on one class.  From point masses the
-floors are exact: 1 - 1/d, 1, and 1 once the starts meet two cyclic classes
-(0 otherwise).  The tv floor is that sum in floating point, so for d other
-than a power of 2 it can miss the rounded 1 - 1/d by a few ulps.  An eps
-strictly below the floor raises NoConvergence at once.  At or above the tv
-floor the search decides "distance <= eps" exactly.  With m_C(t) the start
-mass rotated onto class C, tv = floor + excess, where each class adds sum_C
-(pi - P^t)^+ when m_C(t) >= 1/d and sum_C (P^t - pi)^+ otherwise.  The
-search compares that excess, computed directly, with eps - floor.  So eps
+floors are 1 - 1/d, 1, and 1 once the starts meet two cyclic classes (0
+otherwise).  The floors are computed in exact arithmetic, from each row's
+entries summed per class as Fractions, and an eps strictly below its floor
+raises NoConvergence at once; so every double next to 1 - 1/d is decided
+on the right side.  At or above the tv floor the search decides "distance
+<= eps" exactly.  With m_C(t) the start mass rotated onto class C, tv =
+floor + excess, where each class adds sum_C (pi - P^t)^+ when m_C(t) >= 1/d
+and sum_C (P^t - pi)^+ otherwise.  The search compares that excess,
+computed directly, with eps - floor rounded once to a double.  So eps
 equal to the floor is met at the first time P^t >= pi on every heavy class
 and P^t <= pi on every light one, not at a rounding crossing of the float
 distance.  From a point mass this is the first time P^t >= pi on the
@@ -87,6 +92,7 @@ occupied class.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -104,7 +110,7 @@ from .chain import (
     _uniformized,
     as_probability_vector,
 )
-from .errors import BadDelta, BadShape, LengthMismatch, NoConvergence
+from .errors import BadDelta, BadShape, LengthMismatch, NoConvergence, NumericalFailure
 
 # Dense-power probing pays off for repeated large-m probes on small chains.
 _POW_MIN_STEPS = 256
@@ -158,18 +164,24 @@ class _Evaluator:
     frozen array, ``starts``, with one row per start distribution: the given
     start vector, or one-hot rows for the endpoint pair or for every state.
     Every route evolves those rows (uniformization, banded steps from
-    ``_kept``, which holds them at step 0, and ``starts @ K**m``), and the
-    period floors read their class masses.  Every evaluation goes through
+    ``_kept``, which holds them at step 0, and ``starts @ K**m``, or
+    ``K**m`` itself when the rows are every state), and the period floors
+    read their exact class masses.  Every evaluation goes through
     ``evaluate``, which reduces every requested metric at several times from
     one evolution (one uniformization pass on the continuous clock, ascending
     steps on the others) and caches the values per (time, metric).  ``search``
     brackets mixing times at (metric, eps) targets from those values and keeps
     the brackets in ``found``, keyed by target.
 
-    Discrete and lazy steps of at least 256 on chains of at most 300 states
-    take a dense matrix power, and those rows are not kept.  Every other
-    step is banded, and banded rows at step t are the same bits however they
-    were reached.  So one store, ``_kept``, maps steps to banded rows: the
+    A discrete or lazy step m >= 256 on a chain of n <= 300 states takes a
+    dense matrix power when m * r > n * p: r start rows, and p = squarings
+    plus multiplies in ``np.linalg.matrix_power``.  So exhaustive starts take
+    the power there, and the endpoint pair only at steps of order n log m
+    (a slow-mixing chain's).  The rule reads the step, the chain and the start
+    set, never ``_kept``, so a step's route and its bits do not depend on
+    what was evaluated before; power rows are not kept.  Every other step is
+    banded, and banded rows at step t are the same bits however they were
+    reached.  So one store, ``_kept``, maps steps to banded rows: the
     rows of every banded step evaluated, and the rows at every step an
     evolution passes that is a multiple of 2**(floor(log2 t) - 2), four per
     octave (1..8, 10, 12, 14, 16, 20, ...).  A banded request reads its step
@@ -255,10 +267,16 @@ class _Evaluator:
 
     def _rows(self, steps: int) -> np.ndarray:
         _check_cap(steps)
-        if steps >= _POW_MIN_STEPS and self.eff.num_states <= _POW_MAX_STATES:
-            # a one-hot row times the power is that power's row, bit for bit
-            return self.starts @ np.linalg.matrix_power(self.eff.dense_kernel, steps)
-        # every kept step at or below a banded step is banded itself
+        n, count = self.eff.num_states, self.starts.shape[0]
+        # matrix_power's products (squarings plus multiplies) at n rows each,
+        # against the row steps of evolving the start set from step 0
+        products = steps.bit_length() + steps.bit_count() - 2
+        if steps >= _POW_MIN_STEPS and n <= _POW_MAX_STATES and steps * count > n * products:
+            power = np.linalg.matrix_power(self.eff.dense_kernel, steps)
+            # n one-hot rows are the identity; any one-hot row times the
+            # power is that power's row, bit for bit
+            return power if count == n else self.starts @ power
+        # only banded rows are kept
         done = max(k for k in self._kept if k <= steps)
         rows = self._kept[done]
         while done < steps:
@@ -269,29 +287,36 @@ class _Evaluator:
         self._kept[steps] = rows
         return rows
 
-    def period_floor(self, metric: str) -> float:
-        """Lower bound on every discrete-time distance of a periodic chain,
-        from the start set's class masses; 0 where none applies."""
+    def period_floor(self, metric: str) -> Fraction:
+        """Exact lower bound on every discrete-time distance of a periodic
+        chain, from the start set's class masses; 0 where none applies."""
         period = self.base.period
         if self.query.time_mode != "discrete" or period == 1:
-            return 0.0
+            return Fraction(0)
         mass = self.class_mass
         if metric == "tv":
-            return float(0.5 * np.abs(mass - 1.0 / period).sum(axis=1).max())
+            return max(sum(abs(m - Fraction(1, period)) for m in row) for row in mass) / 2
         if metric == "sep":
-            return float(1.0 - period * mass.min())
+            return 1 - period * min(map(min, mass))
         # two starts differ in tv by at least their mass gap on one class
-        return float(np.ptp(mass, axis=0).max())
+        return max(max(col) - min(col) for col in zip(*mass))
 
     @cached_property
-    def class_mass(self) -> np.ndarray:
-        """Each start row's mass on each cyclic class.  The masses rotate
-        with t, class c's to class c + t mod d, and never even out."""
+    def class_mass(self) -> list[list[Fraction]]:
+        """Each start row's exact mass on each cyclic class, its float
+        entries summed as Fractions.  The masses rotate with t, class c's to
+        class c + t mod d, and never even out."""
         chain = self.base
-        return np.stack([
-            np.bincount(chain._classes, weights=row, minlength=chain.period)
-            for row in self.starts
-        ])
+        mass = [[Fraction(0)] * chain.period for _ in self.starts]
+        for row, state in zip(*np.nonzero(self.starts)):
+            mass[row][chain._classes[state]] += Fraction(self.starts[row, state])
+        return mass
+
+    @cached_property
+    def _heavy(self) -> np.ndarray:
+        """Whether each start row's mass on each cyclic class is >= 1/d."""
+        share = Fraction(1, self.base.period)
+        return np.array([[m >= share for m in row] for row in self.class_mass])
 
     def _metric(self, rows: np.ndarray, metric: str, time=None) -> float:
         if metric == "tv":
@@ -303,8 +328,7 @@ class _Evaluator:
             # tv minus its period floor: a cyclic class C whose rotated start
             # mass is >= 1/d adds sum_C (pi - P^t)^+, any other adds
             # sum_C (P^t - pi)^+
-            period = self.base.period
-            heavy = self.class_mass[:, (self.base._classes - time) % period] >= 1.0 / period
+            heavy = self._heavy[:, (self.base._classes - time) % self.base.period]
             excess = np.where(
                 heavy, np.clip(self.pi - rows, 0.0, None), np.clip(rows - self.pi, 0.0, None)
             )
@@ -356,15 +380,15 @@ def mixing_bracket(
 
 def _search_discrete(ev: _Evaluator, eps: float, metric: str) -> int:
     floor = ev.period_floor(metric)
-    if eps < floor:
+    if eps < floor:  # a float against a Fraction compares exactly
         raise NoConvergence(
             f"the chain has period {ev.base.period}; its {metric} "
-            f"distance stays at or above {floor:g} > {eps}"
+            f"distance stays at or above {float(floor):g} > {eps}"
         )
     if floor and metric == "tv":
         # tv = floor + excess exactly, and the excess carries no cancellation
         # against the floor, so eps == floor is decided by its sign
-        probe_metric, threshold = "excess", eps - floor
+        probe_metric, threshold = "excess", float(Fraction(eps) - floor)
     else:
         probe_metric, threshold = metric, eps
 
@@ -472,7 +496,7 @@ def distance_curve(chain: Chain, query: DistanceQuery, times, tol: float = 1e-10
     values = tuple(ev.value(t, query.metric) for t in times)
     for (t0, v0), (t1, v1) in zip(zip(times, values), zip(times[1:], values[1:])):
         if v1 > v0 + 1e-9:
-            raise ArithmeticError(
+            raise NumericalFailure(
                 f"distance increased from {v0} at {t0} to {v1} at {t1}"
             )
     return DistanceCurve(query=query, times=times, values=values)

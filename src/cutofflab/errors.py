@@ -60,3 +60,8 @@ class LengthMismatch(ChainError):
 
 class BadFamily(ChainError):
     """Unknown family name or invalid family parameters."""
+
+
+class NumericalFailure(ChainError, ArithmeticError):
+    """A computed quantity failed its own consistency check, or floating
+    point cannot evaluate it to the stated accuracy."""

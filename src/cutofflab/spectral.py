@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import Chain, _check_delta
-from .errors import BadShape, NotReversible
+from .errors import BadShape, NotReversible, NumericalFailure
 
 DETAILED_BALANCE_TOL = 1e-10
 ZERO_SNAP_TOL = 1e-9
@@ -138,7 +138,7 @@ def _solve_summary(chain: Chain) -> SpectralSummary:
 
     zero_pos = int(np.argmin(np.abs(lam)))
     if abs(lam[zero_pos]) > ZERO_SNAP_TOL:
-        raise ArithmeticError(
+        raise NumericalFailure(
             f"no eigenvalue of I-K within {ZERO_SNAP_TOL} of 0 (closest {lam[zero_pos]:.3e})"
         )
     lam[zero_pos] = 0.0

@@ -289,11 +289,15 @@ def test_a_banded_request_continues_from_the_largest_kept_step(work_count):
 
 @pytest.mark.parametrize("mode", ["discrete", "lazy", "continuous"])
 def test_distance_curve_equals_per_time_distance(mode):
-    chain = random_bd(7, 15)
-    query = _query(mode, "tv")
-    grid = [0, 1, 1, 2, 5, 9, 30, 255, 256, 400]
-    curve = distance_curve(chain, query, grid)
-    assert list(curve.values) == [distance(chain, query, t) for t in grid]
+    cases = [(random_bd(7, 15), _query(mode, "tv"), [0, 1, 1, 2, 5, 9, 30, 255, 256, 400])]
+    if mode != "continuous":
+        # two endpoint rows on 257 states: banded through step 1500, a dense
+        # power at 2048 and 4000, whatever step the curve continues from
+        grid = [255, 256, 1500, 2048, 4000]
+        cases.append((ehrenfest(256), _query(mode, "tv", exhaustive=False), grid))
+    for chain, query, grid in cases:
+        curve = distance_curve(chain, query, grid)
+        assert list(curve.values) == [distance(chain, query, t) for t in grid]
 
 
 def test_distance_curve_continues_each_sample(work_count):
@@ -333,6 +337,51 @@ def test_family_scan_lazy_column_work(work_count):
     # bisection per level, 13,972 with one probe tree for all levels
     base = sum(c for chain, c in work_count.apply_by_chain.items() if chain.hold[0] == 0)
     assert 0 < base <= 14_000
+
+
+def test_family_scan_ehrenfest_256_evolves_its_endpoints_banded(work_count):
+    # two endpoint rows on 257 states: evolving them from step 0 takes fewer
+    # row steps than a dense power takes rows below about 1,600 steps; the
+    # parent route took 70 powers here
+    report = family_scan(FamilySpec("ehrenfest", (256,)))
+    assert report.records[0].mixing_lazy == {
+        0.05: 1240.0, 0.1: 1062.0, 0.25: 825.0, 0.5: 634.0, 0.75: 500.0,
+    }
+    assert work_count.matrix_powers == 0
+
+
+def _rates_path(p, q) -> Chain:
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    return Chain.from_rates(p, q, 1.0 - p - q)
+
+
+def _bottleneck(n: int = 20, rate: float = 1e-5) -> Chain:
+    # path_symmetric n with its middle edge at the given rate both ways
+    p, q = np.full(n + 1, 0.5), np.full(n + 1, 0.5)
+    p[n], q[0] = 0.0, 0.0
+    p[n // 2] = q[n // 2 + 1] = rate
+    return _rates_path(p, q)
+
+
+@pytest.mark.parametrize("chain,expected", [
+    (_rates_path([1e-6, 1e-6, 0.0], [0.0, 1e-6, 1e-6]), 763_097),
+    (_bottleneck(), 387_525),
+])
+def test_slow_mixing_endpoint_searches_take_dense_powers(chain, expected, work_count):
+    # hundreds of thousands of steps from two endpoint rows: banded evolution
+    # alone took 12.8 s and 6 s for these two searches
+    work_count.apply_by_chain.clear()
+    assert mixing_time(chain, 0.25, _query("discrete", "tv", exhaustive=False)) == expected
+    assert work_count.matrix_powers > 0
+    assert work_count.applies == 128
+
+
+@pytest.mark.parametrize("steps", [256, 300, 1024, 4000])
+def test_every_state_takes_the_power_itself(steps):
+    chain = random_bd(5, 40)
+    ev = _Evaluator(chain, _query("discrete", "tv"), 1e-10)
+    power = np.linalg.matrix_power(chain.dense_kernel, steps)
+    assert ev._rows(steps).tobytes() == power.tobytes()
 
 
 def test_period_refusal_does_no_work(work_count):

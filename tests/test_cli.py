@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import cutofflab
-from cutofflab import FamilyReport, FamilySpec, SizeRecord, family_scan
+from cutofflab import FamilyReport, FamilySpec, NumericalFailure, SizeRecord, cli, family_scan
 from cutofflab.cli import export_csv, main
 
 
@@ -294,6 +294,17 @@ def test_verify_verb(capsys, two_state_file):
 def test_verify_bad_delta_exits_two(capsys, two_state_file):
     code, out, err = run_cli(capsys, "verify", "--chain", two_state_file, "--delta", "1.0")
     assert code == 2 and out == "" and "delta" in err
+
+
+def test_numerical_failure_exits_two(capsys, two_state_file, monkeypatch):
+    # a failed consistency check is a typed refusal with a message, not a
+    # traceback
+    def corrupt(chain):
+        raise NumericalFailure("no eigenvalue of I-K within 1e-09 of 0")
+
+    monkeypatch.setattr(cli, "eigen_summary", corrupt)
+    code, out, err = run_cli(capsys, "spectrum", "--chain", two_state_file)
+    assert code == 2 and out == "" and err.startswith("error: no eigenvalue")
 
 
 def test_analyze_separation_with_underflowed_pi_exits_two(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Distance-to-stationarity queries and mixing time searches."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -122,6 +123,22 @@ def test_point_mass_floors_on_periods_two_four_and_eight():
         with pytest.raises(NoConvergence, match=f"period {period}"):
             mixing_time(chain, np.nextafter(1.0 - 1.0 / period, 0.0),
                         DistanceQuery(time_mode="discrete", metric="tv"))
+
+
+def test_tv_floor_decides_the_doubles_next_to_it_on_every_period():
+    # from a point mass the pure d-cycle sits at tv = (d-1)/d at every time;
+    # a floor summed in floats put the double just below or at (d-1)/d on the
+    # wrong side for d = 6, 7, 10, 13, 14 and 19..23
+    query = DistanceQuery(time_mode="discrete", metric="tv")
+    for d in range(3, 25):
+        chain = Chain.from_dense(np.roll(np.eye(d), 1, axis=1))
+        exact = Fraction(d - 1, d)
+        at_or_above = float(exact)
+        if Fraction(at_or_above) < exact:
+            at_or_above = math.nextafter(at_or_above, 1.0)
+        with pytest.raises(NoConvergence, match=f"period {d}"):
+            mixing_time(chain, math.nextafter(at_or_above, 0.0), query)
+        assert mixing_time(chain, at_or_above, query) == 0, d
 
 
 def test_eps_at_the_floor_is_decided_exactly():
