@@ -340,9 +340,9 @@ def test_family_scan_lazy_column_work(work_count):
 
 
 def test_family_scan_ehrenfest_256_evolves_its_endpoints_banded(work_count):
-    # two endpoint rows on 257 states: evolving them from step 0 takes fewer
-    # row steps than a dense power takes rows below about 1,600 steps; the
-    # parent route took 70 powers here
+    # two endpoint rows on 257 states: at every step this scan probes,
+    # evolving them from step 0 takes fewer row steps than a dense power
+    # takes rows; gating on the step and the size alone took 70 powers here
     report = family_scan(FamilySpec("ehrenfest", (256,)))
     assert report.records[0].mixing_lazy == {
         0.05: 1240.0, 0.1: 1062.0, 0.25: 825.0, 0.5: 634.0, 0.75: 500.0,
@@ -368,8 +368,9 @@ def _bottleneck(n: int = 20, rate: float = 1e-5) -> Chain:
     (_bottleneck(), 387_525),
 ])
 def test_slow_mixing_endpoint_searches_take_dense_powers(chain, expected, work_count):
-    # hundreds of thousands of steps from two endpoint rows: banded evolution
-    # alone took 12.8 s and 6 s for these two searches
+    # hundreds of thousands of steps from two endpoint rows: dense powers
+    # keep the search to a few banded steps, where banded evolution alone
+    # would apply the kernel at every one of them
     work_count.apply_by_chain.clear()
     assert mixing_time(chain, 0.25, _query("discrete", "tv", exhaustive=False)) == expected
     assert work_count.matrix_powers > 0
