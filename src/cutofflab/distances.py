@@ -87,7 +87,9 @@ computed directly, with eps - floor rounded once to a double.  So eps
 equal to the floor is met at the first time P^t >= pi on every heavy class
 and P^t <= pi on every light one, not at a rounding crossing of the float
 distance.  From a point mass this is the first time P^t >= pi on the
-occupied class.
+occupied class.  Sep has no such exact test, and it approaches a positive
+floor only in the limit, so an eps equal to a positive sep floor raises
+NoConvergence at once too.
 """
 from __future__ import annotations
 
@@ -356,7 +358,7 @@ def mixing_time(chain: Chain, eps: float, query: DistanceQuery, tol: float = 1e-
     bisects to a bracket of width <= max(1e-6, 1e-4 * t) and returns the
     bracket midpoint.  Raises NoConvergence if the distance is still above
     eps at 10**7, or at once when a periodic chain's distance floor lies
-    above eps.
+    above eps (or equals it, for a positive sep floor).
     """
     ev = _Evaluator(chain, query, tol)
     ev.search([(query.metric, eps)])
@@ -384,6 +386,13 @@ def _search_discrete(ev: _Evaluator, eps: float, metric: str) -> int:
         raise NoConvergence(
             f"the chain has period {ev.base.period}; its {metric} "
             f"distance stays at or above {float(floor):g} > {eps}"
+        )
+    if floor and metric == "sep" and eps == floor:
+        # sep reaches 1 - d min m at best in the limit; rounded values
+        # cannot decide whether a finite step attains it
+        raise NoConvergence(
+            f"the chain has period {ev.base.period}; its sep distance "
+            f"approaches its floor {eps} only in the limit"
         )
     if floor and metric == "tv":
         # tv = floor + excess exactly, and the excess carries no cancellation

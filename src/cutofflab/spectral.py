@@ -9,8 +9,14 @@ Two eigensolvers back the summary:
 
 * birth-death form: the symmetrized I - K is tridiagonal; eigenvalues come
   from bisection on Sturm-sequence negative-pivot counts, vectorized across
-  all eigenvalue indices.  Bisection gives guaranteed containment and is run
-  well past 1e-12 interval width (to ~1 ulp of each eigenvalue).
+  eigenvalue indices.  Bisection gives guaranteed containment and is run
+  well past 1e-12 interval width (to ~1 ulp of each eigenvalue).  Each sweep
+  counts only the unfinished indices, and a midpoint shared by several of
+  them once.  The pivots of all shifts are formed 64 rows at a time, two
+  ufuncs per row, and their signs counted once per block.  The pivmin clamp
+  that guards exact hits is deferred: only the shifts that meet a pivot below
+  pivmin are recounted row by row with the clamp.  Every count, and so every
+  eigenvalue bit, is that of the plain clamped loop over all indices.
 * dense form: LAPACK's symmetric eigensolver on the symmetrized kernel.
 """
 from __future__ import annotations
@@ -54,14 +60,29 @@ def tridiagonal_eigenvalues(diag, off_squared) -> np.ndarray:
 
     ``off_squared`` holds the squared off-diagonal entries, which is all the
     Sturm count needs; signs of the off-diagonal never affect the spectrum.
-    Bisection maintains one bracket per eigenvalue index, halving every
-    bracket simultaneously until each is below ~1 ulp of its midpoint.
+    Raises BadShape for mismatched lengths, a non-finite entry or a negative
+    ``off_squared``.
+
+    Bisection keeps one bracket per eigenvalue index, from the padded
+    Gershgorin interval, and halves it at ``0.5 * (lo + hi)`` until its width
+    is at most max(1e-15, 4e-16 |mid|) (~1 ulp), for at most 120 sweeps.  A
+    sweep counts only the unfinished indices, and each distinct midpoint among
+    them once: a shift's count never depends on which other shifts share its
+    sweep, so every bracket, and every eigenvalue bit, is the same as when
+    all indices are counted every sweep.  The counts come from pivots formed
+    64 rows at a time for all shifts, two ufuncs per row, with the pivmin
+    clamp deferred to the few shifts that meet a pivot below it: those are
+    recounted by the clamped row-by-row recurrence, the only one that clamps.
     """
     d = np.asarray(diag, dtype=float)
     e2 = np.asarray(off_squared, dtype=float)
     n = d.shape[0]
     if e2.shape != (max(n - 1, 0),):
         raise BadShape("off_squared must have length len(diag) - 1")
+    if not (np.isfinite(d).all() and np.isfinite(e2).all()):
+        raise BadShape("diag and off_squared must be finite")
+    if (e2 < 0.0).any():
+        raise BadShape("off_squared must be nonnegative")
     if n <= 1:
         return d.copy()
 
@@ -75,19 +96,67 @@ def tridiagonal_eigenvalues(diag, off_squared) -> np.ndarray:
     pad = 1e-10 * max(1.0, abs(lo0), abs(hi0))
     lo = np.full(n, lo0 - pad)
     hi = np.full(n, hi0 + pad)
-    idx = np.arange(n)
 
     for _ in range(120):
         width = hi - lo
         mid = 0.5 * (lo + hi)
         done = width <= np.maximum(1e-15, 4e-16 * np.abs(mid))
-        if done.all():
+        active = np.flatnonzero(~done)
+        if active.size == 0:
             break
-        counts = _sturm_counts(d, e2, mid)
-        above = counts > idx  # eigenvalue idx lies below mid
-        hi = np.where(above & ~done, mid, hi)
-        lo = np.where(~above & ~done, mid, lo)
+        shifts, slot = np.unique(mid[active], return_inverse=True)
+        above = _negative_pivots(d, e2, shifts)[slot] > active  # eigenvalue below mid
+        shrink, lift = active[above], active[~above]
+        hi[shrink] = mid[shrink]
+        lo[lift] = mid[lift]
     return 0.5 * (lo + hi)
+
+
+_PIVMIN = 1e-290
+_BLOCK_ROWS = 64
+
+
+def _negative_pivots(d: np.ndarray, e2: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    # The counts of _sturm_counts, with two ufuncs per pivot row.  Pivots are
+    # formed a block of rows at a time, unclamped, and their signs counted
+    # once per block.  Up to its first pivot below pivmin in magnitude a
+    # shift's unclamped sequence runs the same IEEE operations as the clamped
+    # one, so only the shifts that meet such a pivot (a zero pivot gives inf
+    # or nan after it) are recounted by _sturm_counts.  A column holds such a
+    # pivot exactly when its counts of q < pivmin and of q <= -pivmin differ;
+    # otherwise either count is its count of q < 0.  row[0] carries the
+    # previous block's last pivots; memory stays O(_BLOCK_ROWS * len(xs)).
+    n, m = d.shape[0], xs.shape[0]
+    block = np.empty((min(_BLOCK_ROWS, n) + 1, m))
+    row = list(block)
+    quotient = np.empty(m)
+    sign = np.empty((block.shape[0] - 1, m), dtype=bool)
+    counts = np.zeros(m, dtype=np.int64)
+    tiny = np.zeros(m, dtype=bool)
+    off = e2.tolist()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i0 in range(0, n, _BLOCK_ROWS):
+            i1 = min(i0 + _BLOCK_ROWS, n)
+            if i0:
+                row[0][...] = row[_BLOCK_ROWS]
+            pivots = block[1 : i1 - i0 + 1]
+            np.subtract.outer(d[i0:i1], xs, out=pivots)
+            for i in range(max(i0, 1), i1):
+                k = i - i0 + 1
+                np.divide(off[i - 1], row[k - 1], out=quotient)
+                np.subtract(row[k], quotient, out=row[k])
+            # per-column sums of at most _BLOCK_ROWS flags fit in uint8
+            flags = sign[: i1 - i0]
+            np.less(pivots, _PIVMIN, out=flags)
+            below = flags.view(np.uint8).sum(axis=0, dtype=np.uint8)
+            np.less_equal(pivots, -_PIVMIN, out=flags)
+            negative = flags.view(np.uint8).sum(axis=0, dtype=np.uint8)
+            counts += negative
+            tiny |= below != negative
+    flagged = np.flatnonzero(tiny)
+    if flagged.size:
+        counts[flagged] = _sturm_counts(d, e2, xs[flagged])
+    return counts
 
 
 def _sturm_counts(d: np.ndarray, e2: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -96,7 +165,7 @@ def _sturm_counts(d: np.ndarray, e2: np.ndarray, xs: np.ndarray) -> np.ndarray:
     # A vanishing pivot is flipped to -pivmin BEFORE counting (and before it
     # divides the next pivot); counting first misclassifies exact hits, which
     # bisection midpoints do produce on symmetric spectra.
-    pivmin = 1e-290
+    pivmin = _PIVMIN
     q = d[0] - xs
     q = np.where(np.abs(q) < pivmin, -pivmin, q)
     counts = (q < 0.0).astype(np.int64)

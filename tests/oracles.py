@@ -101,3 +101,56 @@ def random_reversible_dense(rng: np.random.Generator, n: int) -> np.ndarray:
     w = rng.uniform(0.2, 1.0, (n, n))
     w = w + w.T
     return w / w.sum(axis=1, keepdims=True)
+
+
+def sturm_bisection(diag, off_squared) -> np.ndarray:
+    """All eigenvalues (ascending) of a symmetric tridiagonal matrix, by the
+    package's original bisection: every index's bracket halved in every
+    sweep, each shift counted by a clamped row-by-row Sturm recurrence.  The
+    package's faster solver must reproduce these bits exactly."""
+    d = np.asarray(diag, dtype=float)
+    e2 = np.asarray(off_squared, dtype=float)
+    n = d.shape[0]
+    if n <= 1:
+        return d.copy()
+
+    # Gershgorin bounds with a safety margin.
+    e = np.sqrt(e2)
+    radius = np.zeros(n)
+    radius[:-1] += e
+    radius[1:] += e
+    lo0 = float((d - radius).min())
+    hi0 = float((d + radius).max())
+    pad = 1e-10 * max(1.0, abs(lo0), abs(hi0))
+    lo = np.full(n, lo0 - pad)
+    hi = np.full(n, hi0 + pad)
+    idx = np.arange(n)
+
+    for _ in range(120):
+        width = hi - lo
+        mid = 0.5 * (lo + hi)
+        done = width <= np.maximum(1e-15, 4e-16 * np.abs(mid))
+        if done.all():
+            break
+        counts = _sturm_counts(d, e2, mid)
+        above = counts > idx  # eigenvalue idx lies below mid
+        hi = np.where(above & ~done, mid, hi)
+        lo = np.where(~above & ~done, mid, lo)
+    return 0.5 * (lo + hi)
+
+
+def _sturm_counts(d: np.ndarray, e2: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    # Number of eigenvalues strictly below each shift in xs = number of
+    # negative pivots in the LDL^T factorization of T - x I.
+    # A vanishing pivot is flipped to -pivmin BEFORE counting (and before it
+    # divides the next pivot); counting first misclassifies exact hits, which
+    # bisection midpoints do produce on symmetric spectra.
+    pivmin = 1e-290
+    q = d[0] - xs
+    q = np.where(np.abs(q) < pivmin, -pivmin, q)
+    counts = (q < 0.0).astype(np.int64)
+    for i in range(1, d.shape[0]):
+        q = (d[i] - xs) - e2[i - 1] / q
+        q = np.where(np.abs(q) < pivmin, -pivmin, q)
+        counts += q < 0.0
+    return counts

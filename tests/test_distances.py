@@ -203,6 +203,22 @@ def test_start_vector_floor_refuses_without_work(work_count):
         assert distance(chain, query, m) <= eps < distance(chain, query, m - 1)
 
 
+def test_sep_at_a_spread_start_floor_is_refused_without_work(work_count):
+    # mass 0.7 on state 0 and 0.3 on state 1: the sep floor 1 - 2 * 0.3 is
+    # exactly the double 0.4, which sep approaches only in the limit
+    for n in (7, 8):
+        chain = ehrenfest(n)
+        start = np.zeros(n + 1)
+        start[0], start[1] = 0.7, 0.3
+        query = DistanceQuery(time_mode="discrete", metric="sep", start=start)
+        work_count.apply_by_chain.clear()
+        with pytest.raises(NoConvergence, match="only in the limit"):
+            mixing_time(chain, 0.4, query)
+        assert work_count.applies == 0 and work_count.matrix_powers == 0
+        m = mixing_time(chain, 0.41, query)
+        assert distance(chain, query, m) <= 0.41 < distance(chain, query, m - 1)
+
+
 def test_endpoint_shortcut_undershoots_on_random_bd():
     # random_bd is a built-in family, and the endpoint shortcut is not exact
     # on it: the exhaustive values agree with brute force, the shortcut's

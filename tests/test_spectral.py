@@ -1,6 +1,7 @@
 """Eigenvalue machinery: Sturm bisection, summaries, lazy contraction factor."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,13 +11,17 @@ from cutofflab import (
     BadDelta,
     BadShape,
     Chain,
+    FamilySpec,
     NotReversible,
     beta_delta,
     detailed_balance_residual,
     eigen_summary,
+    generate,
+    spectral,
     tridiagonal_eigenvalues,
 )
 
+import oracles
 from conftest import ehrenfest, flip, random_bd, two_state
 
 
@@ -46,6 +51,120 @@ def test_sturm_bisection_validates_lengths():
     for diag, off2 in (([1.0, 1.0, 1.0], [0.1]), ([1.0], [0.1]), ([], [0.1])):
         with pytest.raises(BadShape):
             tridiagonal_eigenvalues(diag, off2)
+
+
+def test_sturm_bisection_refuses_malformed_entries():
+    nan, inf = float("nan"), float("inf")
+    for diag, off2 in (
+        ([1.0, nan, 2.0], [0.5, 0.5]),
+        ([1.0, 1.0, 2.0], [0.5, nan]),
+        ([1.0, inf, 2.0], [0.5, 0.5]),
+        ([1.0, 1.0, -inf], [0.5, 0.5]),
+        ([1.0, 1.0, 2.0], [inf, 0.5]),
+        ([1.0, 1.0, 2.0], [0.5, -0.25]),
+        ([nan], []),
+    ):
+        with pytest.raises(BadShape):
+            tridiagonal_eigenvalues(diag, off2)
+
+
+def _bd_tridiagonals(chain):
+    # the symmetrized I - K of a birth-death chain, and its restriction to
+    # {0..n-1} that passage_time solves
+    diag = 1.0 - chain.hold
+    off2 = chain.birth[:-1] * chain.death[1:]
+    return [(diag, off2), (diag[:-1], off2[:-1])]
+
+
+def _bisection_cases():
+    cases = []
+    families = [(FamilySpec("ehrenfest", (2,)), range(2, 70))]
+    families.append(
+        (FamilySpec("path_symmetric", (2,)), (2, 3, 4, 7, 16, 31, 64, 100, 128, 255, 256, 512, 1024))
+    )
+    families += [(FamilySpec("path_biased", (2,), rho=rho), (5, 40, 200)) for rho in (0.3, 0.7)]
+    families += [(FamilySpec("random_bd", (2,), seed=s), (3 + 17 * s,)) for s in range(10)]
+    for spec, sizes in families:
+        for n in sizes:
+            cases += _bd_tridiagonals(generate(spec, n))
+    cases += [(np.zeros(n), np.zeros(n - 1)) for n in (2, 7)]
+    cases += [(np.ones(n), np.ones(n - 1)) for n in (2, 7)]
+    rng = np.random.default_rng(5)
+    for _ in range(36):  # small integers: exact hits, and exact zeros in off_squared
+        n = int(rng.integers(2, 40))
+        diag = rng.integers(-3, 4, n).astype(float)
+        off2 = rng.integers(0, 3, n - 1).astype(float) ** 2
+        cases.append((diag, off2))
+    return cases
+
+
+def test_sturm_bisection_keeps_the_original_bits():
+    cases = _bisection_cases()
+    assert len(cases) == 234
+    assert any(not off2.all() for _, off2 in cases)
+    for diag, off2 in cases:
+        expect = oracles.sturm_bisection(diag, off2)
+        assert tridiagonal_eigenvalues(diag, off2).tobytes() == expect.tobytes(), len(diag)
+
+
+def _record_counts(monkeypatch):
+    # every shift passed to the block count, and to the clamped recount
+    swept, clamped = [], []
+    block, recount = spectral._negative_pivots, spectral._sturm_counts
+
+    def counted_block(d, e2, xs):
+        swept.append(xs.copy())
+        return block(d, e2, xs)
+
+    def counted_recount(d, e2, xs):
+        clamped.append(xs.copy())
+        return recount(d, e2, xs)
+
+    monkeypatch.setattr(spectral, "_negative_pivots", counted_block)
+    monkeypatch.setattr(spectral, "_sturm_counts", counted_recount)
+    return swept, clamped
+
+
+def _meets_a_tiny_pivot(d, e2, x) -> bool:
+    # the unclamped recurrence, one shift at a time
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        q = d[0] - x
+        tiny = abs(q) < 1e-290
+        for i in range(1, len(d)):
+            q = (d[i] - x) - e2[i - 1] / q
+            tiny = tiny or abs(q) < 1e-290
+    return tiny
+
+
+def test_clamped_recount_runs_on_the_flagged_shifts_only(monkeypatch):
+    # Ehrenfest 4's spectrum is symmetric about 1, and its bisection
+    # midpoints hit eigenvalues exactly
+    (diag, off2), _ = _bd_tridiagonals(ehrenfest(4))
+    swept, clamped = _record_counts(monkeypatch)
+    vals = tridiagonal_eigenvalues(diag, off2)
+    assert vals.tobytes() == oracles.sturm_bisection(diag, off2).tobytes()
+    flagged = [
+        np.array([x for x in xs if _meets_a_tiny_pivot(diag, off2, x)]) for xs in swept
+    ]
+    assert sum(f.size for f in flagged) == 3
+    assert [xs.tobytes() for xs in clamped] == [f.tobytes() for f in flagged if f.size]
+
+
+def test_ehrenfest_1024_solve_counts_each_distinct_unfinished_shift_once(monkeypatch):
+    # the plain loop counts all 1,025 indices in each of its 52 sweeps: 53,300 shifts
+    (diag, off2), _ = _bd_tridiagonals(ehrenfest(1024))
+    swept, clamped = _record_counts(monkeypatch)
+    tracemalloc.start()
+    try:
+        vals = tridiagonal_eigenvalues(diag, off2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(swept) == 52
+    assert sum(xs.size for xs in swept) == 43_051
+    assert sum(xs.size for xs in clamped) == 14
+    assert peak < 1025 * 1025 * 8 / 4  # no n x n table
+    assert np.max(np.abs(vals - 2.0 * np.arange(1025) / 1024)) <= 1e-12
 
 
 def test_ehrenfest_spectrum_is_arithmetic():
