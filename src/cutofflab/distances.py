@@ -87,9 +87,11 @@ computed directly, with eps - floor rounded once to a double.  So eps
 equal to the floor is met at the first time P^t >= pi on every heavy class
 and P^t <= pi on every light one, not at a rounding crossing of the float
 distance.  From a point mass this is the first time P^t >= pi on the
-occupied class.  Sep has no such exact test, and it approaches a positive
-floor only in the limit, so an eps equal to a positive sep floor raises
-NoConvergence at once too.
+occupied class.  Sep has no such exact test.  It meets a positive floor
+only where each least-mass packet is spread exactly as pi, which happens
+by step n if ever; an eps equal to that floor raises NoConvergence when a
+packet still visibly moves at step n (``_sep_floor_unmet``), and is
+otherwise decided from the rounded values.
 """
 from __future__ import annotations
 
@@ -358,7 +360,7 @@ def mixing_time(chain: Chain, eps: float, query: DistanceQuery, tol: float = 1e-
     bisects to a bracket of width <= max(1e-6, 1e-4 * t) and returns the
     bracket midpoint.  Raises NoConvergence if the distance is still above
     eps at 10**7, or at once when a periodic chain's distance floor lies
-    above eps (or equals it, for a positive sep floor).
+    above eps (or equals a positive sep floor that no step meets).
     """
     ev = _Evaluator(chain, query, tol)
     ev.search([(query.metric, eps)])
@@ -387,12 +389,10 @@ def _search_discrete(ev: _Evaluator, eps: float, metric: str) -> int:
             f"the chain has period {ev.base.period}; its {metric} "
             f"distance stays at or above {float(floor):g} > {eps}"
         )
-    if floor and metric == "sep" and eps == floor:
-        # sep reaches 1 - d min m at best in the limit; rounded values
-        # cannot decide whether a finite step attains it
+    if floor and metric == "sep" and eps == floor and _sep_floor_unmet(ev):
         raise NoConvergence(
             f"the chain has period {ev.base.period}; its sep distance "
-            f"approaches its floor {eps} only in the limit"
+            f"stays above its floor {eps} at every step"
         )
     if floor and metric == "tv":
         # tv = floor + excess exactly, and the excess carries no cancellation
@@ -431,6 +431,30 @@ def _search_discrete(ev: _Evaluator, eps: float, metric: str) -> int:
         else:
             lo = mid
     return hi
+
+
+def _sep_floor_unmet(ev: _Evaluator) -> bool:
+    """Whether sep provably never meets its positive class-mass floor.
+
+    A packet, one start row's mass on one cyclic class, moves one class per
+    step, and sep equals 1 - d min m only at a step where every least-mass
+    packet is spread exactly as pi over its class.  A packet's deviation
+    from that shape evolves by P, and a vector that some P^t sends to 0 is
+    sent to 0 by P^n (n states), so a packet that P^d still moves at step n
+    never settles.  A move above 1e-6 of the packet's mass is far beyond the
+    rounding of n + d steps; a smaller one proves nothing, and the search
+    then decides eps == floor from the rounded values.
+    """
+    chain, mass = ev.base, ev.class_mass
+    n, d = chain.num_states, chain.period
+    least = min(map(min, mass))
+    now, later = ev._rows(n), ev._rows(n + d)
+    for row, masses in enumerate(mass):
+        for c, m in enumerate(masses):
+            on = chain._classes == (c + n) % d
+            if m == least and np.abs(later[row, on] - now[row, on]).sum() > 1e-6 * m:
+                return True
+    return False
 
 
 def _continuous_brackets(ev: _Evaluator, targets) -> None:

@@ -10,13 +10,7 @@ Two eigensolvers back the summary:
 * birth-death form: the symmetrized I - K is tridiagonal; eigenvalues come
   from bisection on Sturm-sequence negative-pivot counts, vectorized across
   eigenvalue indices.  Bisection gives guaranteed containment and is run
-  well past 1e-12 interval width (to ~1 ulp of each eigenvalue).  Each sweep
-  counts only the unfinished indices, and a midpoint shared by several of
-  them once.  The pivots of all shifts are formed 64 rows at a time, two
-  ufuncs per row, and their signs counted once per block.  The pivmin clamp
-  that guards exact hits is deferred: only the shifts that meet a pivot below
-  pivmin are recounted row by row with the clamp.  Every count, and so every
-  eigenvalue bit, is that of the plain clamped loop over all indices.
+  well past 1e-12 interval width (to ~1 ulp of each eigenvalue).
 * dense form: LAPACK's symmetric eigensolver on the symmetrized kernel.
 """
 from __future__ import annotations
@@ -65,14 +59,9 @@ def tridiagonal_eigenvalues(diag, off_squared) -> np.ndarray:
 
     Bisection keeps one bracket per eigenvalue index, from the padded
     Gershgorin interval, and halves it at ``0.5 * (lo + hi)`` until its width
-    is at most max(1e-15, 4e-16 |mid|) (~1 ulp), for at most 120 sweeps.  A
-    sweep counts only the unfinished indices, and each distinct midpoint among
-    them once: a shift's count never depends on which other shifts share its
-    sweep, so every bracket, and every eigenvalue bit, is the same as when
-    all indices are counted every sweep.  The counts come from pivots formed
-    64 rows at a time for all shifts, two ufuncs per row, with the pivmin
-    clamp deferred to the few shifts that meet a pivot below it: those are
-    recounted by the clamped row-by-row recurrence, the only one that clamps.
+    is at most max(1e-15, 4e-16 |mid|) (~1 ulp), for at most 120 sweeps.
+    Every eigenvalue has the bits of the plain loop that counts every index
+    each sweep with the pivmin-clamped Sturm recurrence.
     """
     d = np.asarray(diag, dtype=float)
     e2 = np.asarray(off_squared, dtype=float)
@@ -104,6 +93,8 @@ def tridiagonal_eigenvalues(diag, off_squared) -> np.ndarray:
         active = np.flatnonzero(~done)
         if active.size == 0:
             break
+        # a shift's count does not depend on the shifts beside it, so each
+        # distinct midpoint of the unfinished indices is counted once
         shifts, slot = np.unique(mid[active], return_inverse=True)
         above = _negative_pivots(d, e2, shifts)[slot] > active  # eigenvalue below mid
         shrink, lift = active[above], active[~above]

@@ -203,20 +203,34 @@ def test_start_vector_floor_refuses_without_work(work_count):
         assert distance(chain, query, m) <= eps < distance(chain, query, m - 1)
 
 
-def test_sep_at_a_spread_start_floor_is_refused_without_work(work_count):
+def test_sep_floor_no_step_meets_is_refused_at_step_n(work_count):
     # mass 0.7 on state 0 and 0.3 on state 1: the sep floor 1 - 2 * 0.3 is
-    # exactly the double 0.4, which sep approaches only in the limit
-    for n in (7, 8):
+    # exactly the double 0.4, and the 0.3 packet never spreads exactly as pi
+    for n in (7, 8, 400):
         chain = ehrenfest(n)
         start = np.zeros(n + 1)
         start[0], start[1] = 0.7, 0.3
         query = DistanceQuery(time_mode="discrete", metric="sep", start=start)
         work_count.apply_by_chain.clear()
-        with pytest.raises(NoConvergence, match="only in the limit"):
+        with pytest.raises(NoConvergence, match="stays above its floor 0.4"):
             mixing_time(chain, 0.4, query)
-        assert work_count.applies == 0 and work_count.matrix_powers == 0
+        assert work_count.applies == chain.num_states + 2 and work_count.matrix_powers == 0
         m = mixing_time(chain, 0.41, query)
         assert distance(chain, query, m) <= 0.41 < distance(chain, query, m - 1)
+
+
+def test_sep_floor_met_at_a_finite_step_is_answered():
+    # the least-mass packet sits on one state, or spreads as pi after one
+    # step (Ehrenfest 2: 0.3 on the middle state moves to 0.15 / 0.15)
+    cycle = Chain.from_dense(np.roll(np.eye(4), 1, axis=1))
+    cases = [(flip(), [0.7, 0.3], 0.4, 0), (ehrenfest(2), [0.7, 0.3, 0.0], 0.4, 1),
+             (cycle, [0.4, 0.2, 0.2, 0.2], 1 - 4 * 0.2, 0)]
+    for chain, start, eps, answer in cases:
+        query = DistanceQuery(time_mode="discrete", metric="sep", start=start)
+        floor = _Evaluator(chain, query, 1e-10).period_floor("sep")
+        assert eps == floor
+        assert mixing_time(chain, eps, query) == answer
+        assert distance(chain, query, answer) == eps
 
 
 def test_endpoint_shortcut_undershoots_on_random_bd():
