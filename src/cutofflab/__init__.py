@@ -8,19 +8,15 @@ of reversible kernels, birth-death identities (passage times, strong
 stationary times, corner separation), family scans for cutoff trends, and a
 verification suite for the inequalities that relate all of these.
 """
-from .chain import (
-    Chain,
-    as_probability_vector,
-    continuous_distribution,
-    load_chain,
-    step_distribution,
-)
+from .chain import Chain, as_probability_vector, load_chain
 from .distances import (
     DistanceCurve,
     DistanceQuery,
+    continuous_distribution,
     distance,
     distance_curve,
     mixing_time,
+    step_distribution,
     total_variation,
 )
 from .errors import (

@@ -33,16 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import (
-    Chain,
-    _as_steps,
-    _check_cap,
-    _check_eps,
-    _check_separation,
-    _check_time,
-    _check_tol,
-    _uniformized,
-)
+from .chain import Chain, _check_eps, _check_separation, _check_time
+from .distances import DistanceQuery, _Evaluator
 from .errors import BadDelta, BadShape, ChainError, NotBirthDeath, NumericalFailure
 from .spectral import eigen_summary, tridiagonal_eigenvalues
 
@@ -246,22 +238,18 @@ def corner_separation(
     _require_bd(chain)
     n = chain.top_state
     _check_separation(chain.stationary[n])
-    start = np.zeros(chain.num_states)
-    start[0] = 1.0
+    corner = np.zeros(chain.num_states)
+    corner[0] = 1.0
     if mode == "continuous":
-        _check_tol(tol)
-        row = _uniformized(chain, start, (_check_time(time),), tol)[0]
+        query = DistanceQuery(mode, "sep", start=corner)
     elif mode == "lazy":
         if not (isinstance(delta, (int, float)) and 0.5 <= delta < 1.0):
             raise BadDelta(f"lazy corner identity needs delta in [1/2, 1), got {delta!r}")
-        steps = _as_steps(time)
-        _check_cap(steps)
-        lazy = chain.lazy(float(delta))
-        row = start
-        for _ in range(steps):
-            row = lazy.apply(row)
+        # tol bounds only the continuous clock's truncation
+        query, tol = DistanceQuery(mode, "sep", delta=delta, start=corner), 1e-10
     else:
         raise BadShape(f"corner separation supports lazy or continuous, got {mode!r}")
+    row = _Evaluator(chain, query, tol).evolve([time])[0][0]
     value = 1.0 - row[n] / chain.stationary[n]
     return min(max(float(value), 0.0), 1.0)
 

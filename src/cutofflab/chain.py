@@ -2,19 +2,21 @@
 
 A chain is stored either as a dense row-stochastic kernel or as birth-death
 rates (birth p, death q, hold r) on the path 0..n.  Both forms carry their
-stationary distribution, computed once at construction.  Three evolutions are
-exposed:
+stationary distribution, computed once at construction.  This module holds
+the building blocks of evolution:
 
-* ``step_distribution``   -- discrete time, ``start @ K**m``
-* ``Chain.lazy``          -- the delta-lazy kernel ``delta*I + (1-delta)*K``
-* ``continuous_distribution`` -- the semigroup ``exp(-t(I-K))`` applied by
-  uniformization (Poisson mixture of kernel powers).
+* ``Chain.apply``   -- one kernel application ``rows @ K``
+* ``Chain.lazy``    -- the delta-lazy kernel ``delta*I + (1-delta)*K``
+* ``_uniformized``  -- the semigroup ``exp(-t(I-K))`` applied to stacked rows
+  by uniformization (Poisson mixture of kernel powers).
+
+``distances`` decides which of them evolves a start set, on every clock.
 
 Uniformization accumulates terms until the Poisson mass reaches ``1 - tol``
 and renormalizes, so the truncation error in total variation is at most
 ``tol``.  Above t = 700 the Poisson weights are tracked in log space to avoid
 underflow of the leading terms.  One pass serves several times: the kernel
-powers ``start @ K**i`` are the same for every time, and each time keeps its
+powers ``rows @ K**i`` are the same for every time, and each time keeps its
 own weights, mass and stopping test, so each result is bit for bit the one a
 pass of its own gives.
 
@@ -75,15 +77,6 @@ def as_probability_vector(values, size: int | None = None) -> np.ndarray:
         raise NotStochastic(f"probabilities sum to {total!r}, not 1")
     vec = np.clip(vec, 0.0, None)
     return vec / vec.sum()
-
-
-def _clean_distribution(vec: np.ndarray) -> np.ndarray:
-    # Remove float dust produced by long evolutions; magnitudes beyond dust
-    # would indicate a bug upstream.
-    if vec.min() < -1e-9:
-        raise NumericalFailure(f"distribution drifted negative: {vec.min()}")
-    vec = np.clip(vec, 0.0, None)
-    return vec / vec.sum(axis=-1, keepdims=True) if vec.ndim > 1 else vec / vec.sum()
 
 
 def _levels_from_zero(adj: np.ndarray) -> np.ndarray:
@@ -362,30 +355,6 @@ def load_chain(path) -> Chain:
     return Chain.from_spec(obj)
 
 
-def step_distribution(chain: Chain, start, steps: int) -> np.ndarray:
-    """Distribution after ``steps`` kernel applications from ``start``."""
-    steps = _as_steps(steps)
-    _check_cap(steps)
-    vec = as_probability_vector(start, chain.num_states)
-    for _ in range(steps):
-        vec = chain.apply(vec)
-    return _clean_distribution(vec)
-
-
-def continuous_distribution(chain: Chain, start, time: float, tol: float = 1e-10) -> np.ndarray:
-    """Distribution ``start @ exp(-time (I - K))`` by uniformization.
-
-    Accumulates Poisson(time)-weighted kernel powers until the collected
-    mass reaches ``1 - tol`` and renormalizes, keeping the truncation error
-    in total variation below ``tol``.
-    """
-    _check_tol(tol)
-    time = _check_time(time)
-    vec = as_probability_vector(start, chain.num_states)
-    out = _uniformized(chain, vec, (time,), tol)[0]
-    return _clean_distribution(out)
-
-
 # The one check per kind of input; every module validates through these.
 
 
@@ -480,22 +449,19 @@ class _PoissonSum:
 
 
 def _uniformized(chain: Chain, rows: np.ndarray, times: tuple, tol: float) -> list:
-    """Uniformization core: ``rows @ exp(-t (I - K))`` at each of the
-    ascending ``times``, from one power sequence ``rows @ K**i``.
+    """Uniformization core: ``rows @ exp(-t (I - K))`` for stacked ``rows``
+    at each of the ascending ``times``, from one power sequence
+    ``rows @ K**i``.
 
-    ``rows`` may be a vector or stacked rows.  Each time keeps its own Poisson
-    weights, mass, stopping test and accumulated rows, so its result equals a
-    pass of its own bit for bit; the pass runs to the largest time's last
-    term and holds one accumulator per time.
+    Each time keeps its own Poisson weights, mass, stopping test and
+    accumulated rows, so its result equals a pass of its own bit for bit; the
+    pass runs to the largest time's last term and holds one accumulator per
+    time.
     """
     _check_cap(times[-1])
     # One matmul per term beats the banded update when many rows evolve at
     # once; the banded update wins for a few rows on a large chain.
-    if (
-        rows.ndim == 2
-        and 4 * rows.shape[0] >= chain.num_states
-        and chain.num_states <= 600
-    ):
+    if 4 * rows.shape[0] >= chain.num_states and chain.num_states <= 600:
         kernel = chain.dense_kernel
         step = kernel.__rmatmul__
     else:

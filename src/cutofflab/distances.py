@@ -33,14 +33,6 @@ use the semigroup property:
   above it.  With no upper end held, the search gallops from the lower end
   (lo+1, lo+2, lo+4, ...); then it bisects.  Wherever the float distance is
   nonincreasing at eps, every probe order finds the same minimal step.
-  Probes evolve rows with ``Chain.apply`` from kept rows, which performs
-  the same float operations as evolving from time 0.  A probe of m >= 256
-  steps on a chain of n <= 300 states takes a dense matrix power instead
-  when evolving its r start rows from step 0 takes more row steps, m * r,
-  than the power's products take rows, n times its squarings plus
-  multiplies.  So every state's rows take the power there, and the two
-  endpoint rows only at steps of order n log m; the route depends on the
-  step, the chain and the start set alone.
 
 One evaluator per clock serves every metric, level and fixed time, and no
 rows are evolved twice on it.  Its ``search`` takes (metric, eps) targets
@@ -59,14 +51,17 @@ after every other target has been searched.
   bracket is bit-identical to a fresh one.
 * Discrete targets run one metric at a time, each metric's levels in
   descending eps.  Each level is bracketed by whatever earlier levels, other
-  metrics and fixed times left on the evaluator.  Its banded probes continue
-  from the evaluator's one store of banded rows, keyed by step: every banded
-  step evaluated and a ladder of O(log T) steps (see ``_Evaluator``).
-  Matrix-power rows are not kept.
-* Fixed times reduce one evolution: the continuous clock uniformizes all of
-  them in one pass over one power sequence (``chain._uniformized``), the
-  others step through them in ascending order.  Every metric at one time
-  reduces the same rows.
+  metrics and fixed times left on the evaluator.  A probe's rows, banded
+  from the evaluator's kept rows or a dense matrix power, depend on the
+  step, the chain and the start set alone (see ``_Evaluator``).
+* Fixed times reduce one evolution, ``_Evaluator.evolve``: the continuous
+  clock uniformizes all of them in one pass over one power sequence
+  (``chain._uniformized``), the others step through them in ascending
+  order.  Every metric at one time reduces the same rows.
+
+``step_distribution``, ``continuous_distribution`` and
+``birth_death.corner_separation`` read those rows from an evaluator whose
+start set is one start vector.
 
 Searches give up at 10**7 time units (NoConvergence).  In discrete time a
 periodic chain never mixes.  Each start row mu of the start set (a given
@@ -172,10 +167,9 @@ class _Evaluator:
     ``K**m`` itself when the rows are every state), and the period floors
     read their exact class masses.  Every evaluation goes through
     ``evaluate``, which reduces every requested metric at several times from
-    one evolution (one uniformization pass on the continuous clock, ascending
-    steps on the others) and caches the values per (time, metric).  ``search``
-    brackets mixing times at (metric, eps) targets from those values and keeps
-    the brackets in ``found``, keyed by target.
+    one evolution, ``evolve``, and caches the values per (time, metric).
+    ``search`` brackets mixing times at (metric, eps) targets from those
+    values and keeps the brackets in ``found``, keyed by target.
 
     A discrete or lazy step m >= 256 on a chain of n <= 300 states takes a
     dense matrix power when m * r > n * p: r start rows, and p = squarings
@@ -250,21 +244,25 @@ class _Evaluator:
             raise error
 
     def evaluate(self, times, metrics) -> None:
-        """Reduce every metric at every time, evolving the start set once:
-        one multi-time uniformization pass, or ascending banded steps."""
+        """Reduce every metric at every time, evolving the start set once."""
         if "sep" in metrics:
             _check_separation(self.pi)
         times = sorted({self._time(t) for t in times})
         times = [t for t in times if any((float(t), m) not in self._cache for m in metrics)]
         if not times:
             return
-        if self.continuous:
-            evolved = _uniformized(self.base, self.starts, tuple(times), self.tol)
-        else:
-            evolved = map(self._rows, times)  # each continues from the one before
-        for time, rows in zip(times, evolved):
+        for time, rows in zip(times, self.evolve(times)):
             for metric in metrics:
                 self._cache[(float(time), metric)] = self._metric(rows, metric, time)
+
+    def evolve(self, times) -> list:
+        """The start set's rows at each of the ascending ``times``: one
+        multi-time uniformization pass on the continuous clock, ``_rows`` at
+        each step in turn on the others."""
+        times = [self._time(t) for t in times]
+        if self.continuous:
+            return _uniformized(self.base, self.starts, tuple(times), self.tol)
+        return [self._rows(t) for t in times]
 
     def _time(self, time):
         return _check_time(time) if self.continuous else _as_steps(time)
@@ -272,15 +270,12 @@ class _Evaluator:
     def _rows(self, steps: int) -> np.ndarray:
         _check_cap(steps)
         n, count = self.eff.num_states, self.starts.shape[0]
-        # matrix_power's products (squarings plus multiplies) at n rows each,
-        # against the row steps of evolving the start set from step 0
         products = steps.bit_length() + steps.bit_count() - 2
         if steps >= _POW_MIN_STEPS and n <= _POW_MAX_STATES and steps * count > n * products:
             power = np.linalg.matrix_power(self.eff.dense_kernel, steps)
             # n one-hot rows are the identity; any one-hot row times the
             # power is that power's row, bit for bit
             return power if count == n else self.starts @ power
-        # only banded rows are kept
         done = max(k for k in self._kept if k <= steps)
         rows = self._kept[done]
         while done < steps:
@@ -342,6 +337,38 @@ class _Evaluator:
             gap = 0.5 * np.abs(rows[i + 1 :] - rows[i]).sum(axis=1).max()
             best = max(best, float(gap))
         return min(best, 1.0)
+
+
+def _clean_distribution(vec: np.ndarray) -> np.ndarray:
+    # Remove float dust produced by long evolutions; magnitudes beyond dust
+    # would indicate a bug upstream.
+    if vec.min() < -1e-9:
+        raise NumericalFailure(f"distribution drifted negative: {vec.min()}")
+    vec = np.clip(vec, 0.0, None)
+    return vec / vec.sum()
+
+
+def _distribution_at(chain: Chain, mode: str, start, time, tol: float) -> np.ndarray:
+    # None would read as the worst-case start set
+    if start is None:
+        raise BadShape("a start distribution is required")
+    ev = _Evaluator(chain, DistanceQuery(mode, "tv", start=start), tol)
+    return _clean_distribution(ev.evolve([time])[0][0])
+
+
+def step_distribution(chain: Chain, start, steps: int) -> np.ndarray:
+    """Distribution after ``steps`` kernel applications from ``start``."""
+    return _distribution_at(chain, "discrete", start, steps, 1e-10)
+
+
+def continuous_distribution(chain: Chain, start, time: float, tol: float = 1e-10) -> np.ndarray:
+    """Distribution ``start @ exp(-time (I - K))`` by uniformization.
+
+    Accumulates Poisson(time)-weighted kernel powers until the collected
+    mass reaches ``1 - tol`` and renormalizes, keeping the truncation error
+    in total variation below ``tol``.
+    """
+    return _distribution_at(chain, "continuous", start, time, tol)
 
 
 def distance(chain: Chain, query: DistanceQuery, time, tol: float = 1e-10) -> float:

@@ -673,8 +673,6 @@ def verify_bounds(
                 entries.append(BoundEntry("chebyshev-upper", point, t_sep[0], upper))
                 entries.append(BoundEntry("mean-bracket-lower", point, lower_mean, t_sep[1]))
                 entries.append(BoundEntry("mean-bracket-upper", point, t_sep[0], upper_mean))
-    elif chain.is_birth_death:
-        raise AssertionError("birth-death chains are always reversible")
 
     if not chain.is_birth_death:
         skipped.append(

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from cutofflab import Chain, FamilySpec, generate
-from cutofflab import birth_death as birth_death_module
 from cutofflab import chain as chain_module
 from cutofflab import distances as distances_module
 
@@ -83,6 +82,6 @@ def work_count(monkeypatch):
 
     monkeypatch.setattr(Chain, "apply", apply)
     monkeypatch.setattr(np.linalg, "matrix_power", matrix_power)
-    for module in (chain_module, distances_module, birth_death_module):
+    for module in (chain_module, distances_module):
         monkeypatch.setattr(module, "_uniformized", uniformized)
     return work

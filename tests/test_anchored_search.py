@@ -25,10 +25,12 @@ from cutofflab import (
     DistanceQuery,
     FamilySpec,
     NoConvergence,
+    corner_separation,
     distance,
     family_scan,
     generate,
     mixing_time,
+    step_distribution,
     verify_bounds,
 )
 from cutofflab import chain as chain_module
@@ -37,7 +39,7 @@ from cutofflab import families
 from cutofflab.chain import Chain
 from cutofflab.distances import _Evaluator, _search_discrete, distance_curve, mixing_bracket
 
-from conftest import ehrenfest, flip, random_bd
+from conftest import ehrenfest, flip, random_bd, two_state
 import oracles
 
 LEVELS = (0.75, 0.5, 0.3, 0.25, 0.1, 0.05, 0.01)
@@ -375,6 +377,23 @@ def test_slow_mixing_endpoint_searches_take_dense_powers(chain, expected, work_c
     assert mixing_time(chain, 0.25, _query("discrete", "tv", exhaustive=False)) == expected
     assert work_count.matrix_powers > 0
     assert work_count.applies == 128
+
+
+def test_public_evolutions_take_the_evaluator_route(work_count):
+    # step_distribution and corner_separation read an evaluator's rows, so a
+    # long run on a small chain takes its dense power; each used to apply
+    # the kernel once per step (10**6 and 10**5 applications)
+    two, path = two_state(0.3, 0.6), _bottleneck()
+    work_count.apply_by_chain.clear()  # construction checks pi with one application
+    row = step_distribution(two, [1.0, 0.0], 10**6)
+    assert work_count.applies <= 24 and work_count.matrix_powers >= 1
+    assert np.abs(row - two.stationary).max() <= 1e-12
+    work_count.apply_by_chain.clear()
+    powers = work_count.matrix_powers
+    sep = corner_separation(path, 10**5, mode="lazy", delta=0.5)
+    assert work_count.applies <= 24 and work_count.matrix_powers > powers
+    expect = oracles.metric_at(path.dense_kernel, path.stationary, 10**5, "lazy", "sep", 0.5)
+    assert sep == pytest.approx(expect, abs=1e-10)
 
 
 @pytest.mark.parametrize("steps", [256, 300, 1024, 4000])

@@ -311,10 +311,10 @@ def _endpoint_rows(n):
 
 @pytest.mark.parametrize("chain,rows", [
     (random_bd(3, 12), np.eye(13)),                 # stacked rows, dense matmul per term
-    (random_bd(3, 12), np.eye(13)[4]),              # one vector, banded Chain.apply
+    (random_bd(3, 12), np.eye(13)[4:5]),            # one row, banded Chain.apply
     (ehrenfest(700), _endpoint_rows(700)),          # stacked rows, banded Chain.apply
     (Chain.from_dense(oracles.random_reversible_dense(np.random.default_rng(5), 6)),
-     np.full(6, 1.0 / 6.0)),                        # one vector, dense kernel
+     np.full((1, 6), 1.0 / 6.0)),                   # one row, Chain.apply on the dense kernel
 ])
 def test_multi_time_pass_equals_single_time_passes(chain, rows):
     times = (0.0, 0.25, 3.0, 699.5, 700.5, 760.0)  # both sides of _LOG_SPACE_TIME
