@@ -174,8 +174,8 @@ class _Evaluator:
     A discrete or lazy step m >= 256 on a chain of n <= 300 states takes a
     dense matrix power when m * r > n * p: r start rows, and p = squarings
     plus multiplies in ``np.linalg.matrix_power``.  So exhaustive starts take
-    the power there, and the endpoint pair only at steps of order n log m
-    (a slow-mixing chain's).  The rule reads the step, the chain and the start
+    the power there, and the endpoint pair or one start vector only at steps
+    of order n log m (a slow-mixing chain's, or a long fixed run).  The rule reads the step, the chain and the start
     set, never ``_kept``, so a step's route and its bits do not depend on
     what was evaluated before; power rows are not kept.  Every other step is
     banded, and banded rows at step t are the same bits however they were
