@@ -11,10 +11,13 @@ cross-checks:
 
 Separation from the corner in continuous time equals the tail P(S > t) of a
 sum S of independent exponentials whose rates are the nonzero eigenvalues of
-I - K.  ``sst_tail`` evaluates that tail by the classical alternating
-product formula, switching to direct uniformization of the corner entry
-whenever the formula would be numerically untrustworthy (clustered rates or
-oversized intermediate terms).
+I - K (Diaconis-Fill strong stationary duality).  S is the absorption time
+of the dual pure-birth chain 0 -> 1 -> ... -> m with those rates, and
+``sst_tail`` uniformizes that chain at its largest rate L: the tail is a
+Poisson mixture of the mass still transient after each jump, a sum of
+nonnegative terms in which neither pi nor any cancellation enters.  ``tol``
+bounds the error one-sided (the value is low by at most tol), and L * t past
+``SEARCH_CAP`` is refused as for every other evolution.
 
 All rate-side sums use the prefix recurrence
 ``S_{k+1} = S_k q_{k+1}/p_k + 1`` for ``pi([0,k])/pi(k)``; run on the
@@ -33,16 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import Chain, _check_eps, _check_separation, _check_time
+from .chain import Chain, _check_eps, _check_separation, _check_time, _pure_birth_tail
 from .distances import DistanceQuery, _Evaluator
 from .errors import BadDelta, BadShape, ChainError, NotBirthDeath, NumericalFailure
 from .spectral import eigen_summary, tridiagonal_eigenvalues
-
-# Alternating formula is abandoned when consecutive rates are closer than
-# this fraction of the gap, or when the summed term magnitudes would leave
-# fewer than ~8 trustworthy digits.
-SPACING_FLOOR = 1e-6
-STABILITY_CAP = 2e4
 
 
 def _require_bd(chain: Chain) -> None:
@@ -143,14 +140,13 @@ class StationaryTimeSummary:
     """Exponential-rate view of the fastest strong stationary time.
 
     ``rates`` are the nonzero eigenvalues of I - K (ascending);
-    ``mean = sum 1/rate`` equals the spectral sum, ``variance = sum 1/rate^2``,
-    and ``min_spacing`` is the smallest consecutive rate gap.
+    ``mean = sum 1/rate`` equals the spectral sum and
+    ``variance = sum 1/rate^2``.
     """
 
     rates: np.ndarray
     mean: float
     variance: float
-    min_spacing: float
 
 
 def stationary_time_summary(chain: Chain) -> StationaryTimeSummary:
@@ -160,66 +156,22 @@ def stationary_time_summary(chain: Chain) -> StationaryTimeSummary:
     variance = math.fsum((1.0 / rates**2).tolist())
     if variance > mean * mean * (1.0 + 1e-12):
         raise NumericalFailure("variance exceeded squared mean; spectrum corrupt")
-    spacing = float(np.diff(rates).min()) if rates.shape[0] > 1 else math.inf
-    return StationaryTimeSummary(
-        rates=rates, mean=mean, variance=variance, min_spacing=spacing
-    )
+    return StationaryTimeSummary(rates=rates, mean=mean, variance=variance)
 
 
-def _alternating_tail(rates: np.ndarray, time: float) -> float:
-    """P(sum of independent exponentials > time) by the alternating product
-    formula; raises NumericalFailure when the evaluation cannot be trusted.
-
-    Rates ascending; with distinct rates the tail is
-    sum_j [prod_{k != j} rate_k/(rate_k - rate_j)] exp(-rate_j t).
-    Products are accumulated as log magnitudes (the sign of term j is
-    (-1)^j for sorted rates) and the signed terms are added with exact
-    compensated summation.
-    """
-    m = rates.shape[0]
-    if m == 1:
-        return math.exp(-rates[0] * time)
-    log_rates = np.log(rates)
-    diffs = np.abs(rates[:, None] - rates[None, :])
-    np.fill_diagonal(diffs, 1.0)
-    with np.errstate(divide="ignore"):
-        log_mag = log_rates.sum() - log_rates - np.log(diffs).sum(axis=0)
-    exponents = log_mag - rates * time
-    if exponents.max() > 700.0:
-        raise NumericalFailure("alternating terms overflow")
-    terms = np.exp(exponents)
-    if terms.sum() > STABILITY_CAP:
-        raise NumericalFailure("alternating terms too large for 1e-8 accuracy")
-    signs = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
-    value = math.fsum((signs * terms).tolist())
-    return min(max(value, 0.0), 1.0)
-
-
-def sst_tail(chain: Chain, time: float, tol: float = 1e-10, method: str = "auto") -> float:
+def sst_tail(chain: Chain, time: float, tol: float = 1e-10) -> float:
     """Tail P(S > time) of the strong stationary time from the corner.
 
-    ``method="alternating"`` forces the product formula (erroring when it is
-    unstable), ``"uniformized"`` forces the corner-entry evolution
-    ``1 - H_t(0,n)/pi(n)``, and ``"auto"`` uses the formula whenever the
-    rate spacing and term magnitudes allow, falling back otherwise.
+    S is the absorption time of the pure-birth chain whose rates are
+    ``stationary_time_summary(chain).rates``; the tail is the mass that chain
+    still holds on its transient states, uniformized at the largest rate L.
+    The value is low by at most ``tol`` and never high, beyond rounding.
+    Raises TolTooLoose unless 0 < tol <= 1e-6, and BadShape when L * time
+    exceeds ``SEARCH_CAP``.
     """
     _require_bd(chain)
     time = _check_time(time)
-    if method not in ("auto", "alternating", "uniformized"):
-        raise BadShape(f"unknown method {method!r}")
-    if method == "uniformized":
-        return corner_separation(chain, time, mode="continuous", tol=tol)
-    summary = stationary_time_summary(chain)
-    if method == "alternating":
-        if summary.min_spacing < SPACING_FLOOR * summary.rates[0]:
-            raise NumericalFailure("rates too clustered for the alternating formula")
-        return _alternating_tail(summary.rates, time)
-    if summary.min_spacing < SPACING_FLOOR * summary.rates[0]:
-        return corner_separation(chain, time, mode="continuous", tol=tol)
-    try:
-        return _alternating_tail(summary.rates, time)
-    except ArithmeticError:
-        return corner_separation(chain, time, mode="continuous", tol=tol)
+    return _pure_birth_tail(stationary_time_summary(chain).rates, time, tol)
 
 
 def corner_separation(
@@ -233,7 +185,8 @@ def corner_separation(
 
     In continuous time this equals full worst-case separation for every
     birth-death chain.  In lazy mode the identity needs laziness >= 1/2, so
-    smaller deltas are refused.
+    smaller deltas are refused.  ``tol`` bounds the continuous clock's
+    truncation; both clocks check it.
     """
     _require_bd(chain)
     n = chain.top_state
@@ -245,8 +198,7 @@ def corner_separation(
     elif mode == "lazy":
         if not (isinstance(delta, (int, float)) and 0.5 <= delta < 1.0):
             raise BadDelta(f"lazy corner identity needs delta in [1/2, 1), got {delta!r}")
-        # tol bounds only the continuous clock's truncation
-        query, tol = DistanceQuery(mode, "sep", delta=delta, start=corner), 1e-10
+        query = DistanceQuery(mode, "sep", delta=delta, start=corner)
     else:
         raise BadShape(f"corner separation supports lazy or continuous, got {mode!r}")
     row = _Evaluator(chain, query, tol).evolve([time])[0][0]

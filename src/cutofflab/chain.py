@@ -9,6 +9,8 @@ the building blocks of evolution:
 * ``Chain.lazy``    -- the delta-lazy kernel ``delta*I + (1-delta)*K``
 * ``_uniformized``  -- the semigroup ``exp(-t(I-K))`` applied to stacked rows
   by uniformization (Poisson mixture of kernel powers).
+* ``_pure_birth_tail`` -- the same Poisson mixture on a pure-birth chain
+  given by its rates: the tail of a sum of independent exponentials.
 
 ``distances`` decides which of them evolves a start set, on every clock.
 
@@ -474,3 +476,34 @@ def _uniformized(chain: Chain, rows: np.ndarray, times: tuple, tol: float) -> li
         rows = step(rows)
         active = [s for s in active if s.add(i, rows)]
     return [s.acc / s.mass for s in sums]
+
+
+def _pure_birth_tail(rates: np.ndarray, time: float, tol: float) -> float:
+    """P(S > time) for S the absorption time of the pure-birth chain
+    0 -> 1 -> ... -> m whose stage rates are ``rates``, that is a sum of
+    independent exponentials at those rates.
+
+    The chain is uniformized at the largest rate L, and the mass still on
+    stages 0..m-1 after i jumps is summed with the Poisson(L * time) weights.
+    Every term is nonnegative, so nothing cancels.  The sum is not divided by
+    the collected Poisson mass: it falls short of the tail by at most the
+    mass left out, which is below ``tol``.  L * time past ``SEARCH_CAP``
+    is refused.
+    """
+    _check_tol(tol)
+    rate = float(rates.max())
+    horizon = rate * time
+    _check_cap(horizon)
+    move = rates / rate
+    mass = np.zeros(rates.shape[0])
+    mass[0] = 1.0
+    poisson = _PoissonSum(horizon, mass, tol)
+    more = poisson.wants(0)
+    i = 0
+    while more:
+        i += 1
+        moved = mass * move
+        mass = mass - moved
+        mass[1:] += moved[:-1]
+        more = poisson.add(i, mass)
+    return float(poisson.acc.sum())

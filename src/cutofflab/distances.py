@@ -132,7 +132,7 @@ class DistanceQuery:
 
     ``start=None`` means worst case.  ``delta`` is required (in (0,1)) for
     lazy mode and must be omitted otherwise.  ``exhaustive`` forces full
-    start maximization on birth-death chains.
+    start maximization on birth-death chains, so it refuses a given start.
     """
 
     time_mode: str
@@ -152,6 +152,8 @@ class DistanceQuery:
             raise BadDelta("delta only applies to lazy mode")
         if self.start is not None and self.metric == "dbar":
             raise BadShape("dbar is a pairwise metric; only worst_case applies")
+        if self.start is not None and self.exhaustive:
+            raise BadShape("exhaustive maximizes over starts; a fixed start excludes it")
 
 
 class _Evaluator:

@@ -4,6 +4,8 @@ Everything here is deliberately naive: dense matrices, library eigensolvers,
 and the matrix exponential.  Nothing is shared with the package internals,
 so agreement is meaningful.
 """
+import math
+
 import numpy as np
 from scipy.linalg import expm
 
@@ -83,6 +85,14 @@ def hypoexp_tail(rates, t: float) -> float:
     gen[np.arange(n), np.arange(n)] = -rates
     gen[np.arange(n - 1), np.arange(1, n)] = rates[:-1]
     return float(expm(gen * float(t))[0].sum())
+
+
+def ehrenfest_sst_tail(n: int, t: float) -> float:
+    """P(S > t) for Ehrenfest n, whose rates are 2j/n for j = 1..n, in
+    closed form.  By Renyi's representation the sum of independent Exp(2j/n)
+    has the law of (n/2) times the maximum of n iid Exp(1), so
+    P(S > t) = 1 - (1 - exp(-2t/n))**n."""
+    return -math.expm1(n * math.log1p(-math.exp(-2.0 * t / n)))
 
 
 def mean_hitting_time(kernel: np.ndarray, target: int) -> float:

@@ -73,7 +73,7 @@ def test_criterion_3_sst_corner_identity():
         sigma = math.sqrt(summary.variance)
         for u in np.linspace(-1.2, 3.0, 10):
             t = max(0.0, summary.mean + u * sigma)
-            tail = sst_tail(chain, t, method="alternating")
+            tail = sst_tail(chain, t)
             corner = corner_separation(chain, t, tol=1e-12)
             worst = max(worst, abs(tail - corner))
     _report(3, "stopping-time tail equals corner separation", worst <= 1e-8,

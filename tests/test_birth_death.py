@@ -16,6 +16,7 @@ from cutofflab import (
     FamilySpec,
     NonIntegerTime,
     NotBirthDeath,
+    TolTooLoose,
     corner_separation,
     distance,
     generate,
@@ -135,7 +136,6 @@ def test_stationary_time_summary_fields():
     assert summary.mean == pytest.approx(np.sum(1.0 / summary.rates), rel=1e-12)
     assert summary.variance == pytest.approx(np.sum(1.0 / summary.rates**2), rel=1e-12)
     assert summary.variance <= summary.mean**2 * (1 + 1e-12)
-    assert summary.min_spacing == pytest.approx(float(np.diff(summary.rates).min()), rel=1e-12)
 
 
 def test_sst_tail_two_state_is_exponential():
@@ -157,20 +157,18 @@ def test_sst_tail_matches_hypoexponential_oracle():
         mean = float(np.sum(1.0 / rates))
         for t in np.linspace(0.2 * mean, 2.5 * mean, 6):
             expect = oracles.hypoexp_tail(rates, float(t))
-            assert sst_tail(chain, float(t), method="alternating") == pytest.approx(
-                expect, abs=1e-10
-            )
+            assert sst_tail(chain, float(t)) == pytest.approx(expect, abs=1e-10)
 
 
-def test_sst_tail_methods_agree():
-    chain = random_bd(2, 10)
-    mean = stationary_time_summary(chain).mean
-    for t in (0.3 * mean, mean, 2.0 * mean):
-        alt = sst_tail(chain, t, method="alternating")
-        uni = sst_tail(chain, t, method="uniformized")
-        auto = sst_tail(chain, t, method="auto")
-        assert alt == pytest.approx(uni, abs=1e-8)
-        assert auto == pytest.approx(uni, abs=1e-8)
+def test_sst_tail_matches_ehrenfest_closed_form():
+    # pi(n) = 2**-n underflows from n = 1075 on, where no corner entry answers
+    for n in (40, 1100, 2048):
+        chain = ehrenfest(n)
+        mean = stationary_time_summary(chain).mean
+        for u in (0.05, 0.5, 1.0, 2.0, 3.0):
+            t = u * mean
+            expect = oracles.ehrenfest_sst_tail(n, t)
+            assert sst_tail(chain, t) == pytest.approx(expect, abs=1e-10), (n, u)
 
 
 def test_sst_tail_is_a_survival_function():
@@ -183,14 +181,11 @@ def test_sst_tail_is_a_survival_function():
 
 
 def test_sst_tail_auto_survives_unstable_spectra():
-    # lightly damped alternating terms blow past the stability cap at small t
+    # the alternating product formula cancels terms that sum to 5e8 here
     chain = ehrenfest(40)
     early = 0.1 * stationary_time_summary(chain).mean
-    with pytest.raises(ArithmeticError):
-        sst_tail(chain, early, method="alternating")
-    val = sst_tail(chain, early, method="auto")
-    ref = sst_tail(chain, early, method="uniformized")
-    assert val == pytest.approx(ref, abs=1e-10)
+    val = sst_tail(chain, early)
+    assert val == pytest.approx(corner_separation(chain, early, tol=1e-12), abs=1e-10)
     assert 0.0 <= val <= 1.0
 
 
@@ -200,8 +195,8 @@ def test_sst_tail_validates_inputs():
         sst_tail(chain, -1.0)
     with pytest.raises(BadShape):
         sst_tail(chain, math.nan)
-    with pytest.raises(BadShape):
-        sst_tail(chain, 1.0, method="laplace")
+    with pytest.raises(TolTooLoose):
+        sst_tail(chain, 1.0, tol=1e-3)
 
 
 def test_corner_identity_equals_full_separation_continuous():
@@ -238,6 +233,8 @@ def test_corner_separation_validates_mode_and_delta():
         corner_separation(chain, "3", mode="lazy", delta=0.5)
     with pytest.raises(BadShape):
         corner_separation(chain, -1, mode="lazy", delta=0.5)
+    with pytest.raises(TolTooLoose):
+        corner_separation(chain, 3, mode="lazy", delta=0.5, tol=5.0)
 
 
 def test_corner_identity_matches_sst_tail():
@@ -245,7 +242,7 @@ def test_corner_identity_matches_sst_tail():
     mean = stationary_time_summary(chain).mean
     for t in (0.5 * mean, mean, 2.0 * mean):
         assert corner_separation(chain, t, tol=1e-12) == pytest.approx(
-            sst_tail(chain, t, method="alternating"), abs=1e-8
+            sst_tail(chain, t), abs=1e-8
         )
 
 

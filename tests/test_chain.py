@@ -347,6 +347,6 @@ def test_evolutions_past_the_cap_are_refused_before_any_step(work_count):
         corner_separation(small, float(past), mode="continuous")
     with pytest.raises(BadShape, match="cap"):
         corner_separation(small, past, mode="lazy", delta=0.5)
+    with pytest.raises(BadShape, match="cap"):
+        sst_tail(small, 1e9)
     assert work_count.applies == 0 and work_count.matrix_powers == 0
-    # closed forms stay unbounded
-    assert sst_tail(small, 1e9, method="alternating") == 0.0

@@ -49,6 +49,8 @@ def test_query_validation():
         DistanceQuery(time_mode="continuous", metric="tv", delta=0.5)
     with pytest.raises(BadShape):
         DistanceQuery(time_mode="discrete", metric="dbar", start=[1.0, 0.0])
+    with pytest.raises(BadShape):
+        DistanceQuery(time_mode="discrete", metric="tv", start=[1.0, 0.0], exhaustive=True)
 
 
 def test_rank_one_chain_mixes_in_one_step():
