@@ -13,6 +13,10 @@ the building blocks of evolution:
   given by its rates: the tail of a sum of independent exponentials.
 
 ``distances`` decides which of them evolves a start set, on every clock.
+Continuous search probes with many start rows on a small chain use none of
+them: they multiply by dense powers E(h) = exp(-h(I-K)) that ``distances``
+builds from the dense kernel, so there uniformization serves the fixed
+times alone.
 
 Uniformization accumulates terms until the Poisson mass reaches ``1 - tol``
 and renormalizes, so the truncation error in total variation is at most

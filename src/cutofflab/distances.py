@@ -24,8 +24,11 @@ is valid because all three metrics are nonincreasing in time.  The searches
 use the semigroup property:
 
 * Continuous searches gallop (1, 2, 4, ...) and then bisect.  Every probe
-  advances from the last time whose distance was still above eps, at an
-  increment tolerance of tol/128.
+  advances from the last time whose distance was still above eps by an
+  increment h.  Many start rows on a small chain multiply by a dense power
+  E(h) = exp(-h (I - K)) that the evaluator builds once per h (see
+  ``_Evaluator``); other start sets are uniformized over h at a tolerance
+  of tol/128.
 * Discrete and lazy searches take their bracket from the values the
   evaluator already holds.  A discrete value depends on the step alone, so
   the lower end is the largest held step whose distance is above eps (step
@@ -90,6 +93,7 @@ otherwise decided from the rounded values.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -164,28 +168,50 @@ class _Evaluator:
     not read here, since every call names its metric.  The start set is one
     frozen array, ``starts``, with one row per start distribution: the given
     start vector, or one-hot rows for the endpoint pair or for every state.
-    Every route evolves those rows (uniformization, banded steps from
-    ``_kept``, which holds them at step 0, and ``starts @ K**m``, or
-    ``K**m`` itself when the rows are every state), and the period floors
-    read their exact class masses.  Every evaluation goes through
-    ``evaluate``, which reduces every requested metric at several times from
-    one evolution, ``evolve``, and caches the values per (time, metric).
-    ``search`` brackets mixing times at (metric, eps) targets from those
-    values and keeps the brackets in ``found``, keyed by target.
+    Every route evolves those rows (uniformization, products with the dense
+    semigroup powers E(h), banded steps from ``_kept``, which holds them at
+    step 0, and ``starts @ K**m``, or ``K**m`` itself when the rows are every
+    state), and the period floors read their exact class masses.  Every
+    evaluation goes through ``evaluate``, which reduces every requested
+    metric at several times from one evolution, ``evolve``, and caches the
+    values per (time, metric).  ``search`` brackets mixing times at (metric,
+    eps) targets from those values and keeps the brackets in ``found``,
+    keyed by target.
 
-    A discrete or lazy step m >= 256 on a chain of n <= 300 states takes a
-    dense matrix power when m * r > n * p: r start rows, and p = squarings
-    plus multiplies in ``np.linalg.matrix_power``.  So exhaustive starts take
-    the power there, and the endpoint pair or one start vector only at steps
-    of order n log m (a slow-mixing chain's, or a long fixed run).  The rule reads the step, the chain and the start
-    set, never ``_kept``, so a step's route and its bits do not depend on
-    what was evaluated before; power rows are not kept.  Every other step is
+    On the continuous clock, fixed times take one multi-time uniformization
+    pass, and a search probe advances its anchor's rows by an increment h.
+    Where ``dense_probes`` holds (n <= 300 states and 4 r >= n for r start
+    rows, the sizes at which uniformization takes one dense product per
+    term) the probe is one product with E(h) = exp(-h (I - K)), kept in
+    ``_semigroup`` and built once per h:
+
+    * h <= 1: the Poisson(h) sum of kernel powers, to the rounding floor;
+    * h = 2**k > 1: the square of E(h / 2);
+    * any other h: E at its top binary digit times E at the rest.
+
+    Gallop and bisection increments are powers of two; the last rung,
+    10**7 - 2**23, and its halvings are composed from them.  Each E(h) is
+    scaled to unit row sums, which keeps every squaring from doubling the
+    rows' mass error (unscaled, a 7-state chain's row sums at h = 2**23 were
+    off by 1.1e-9).  E(h) depends on the chain and h alone, so a probe's
+    rows do not depend on what was searched before.  Other start sets
+    uniformize each increment, with banded steps for a few rows on a large
+    chain.
+
+    On the discrete and lazy clocks, a step m >= 256 on a chain of n <= 300
+    states takes a dense matrix power when m * r > n * p: r start rows, and
+    p = squarings plus multiplies in ``np.linalg.matrix_power``.  So
+    exhaustive starts take the power there, and the endpoint pair or one
+    start vector only at steps of order n log m (a slow-mixing chain's, or a
+    long fixed run).  The rule reads the step, the chain and the start set,
+    never ``_kept``, so a step's route and its bits do not depend on what
+    was evaluated before; power rows are not kept.  Every other step is
     banded, and banded rows at step t are the same bits however they were
-    reached.  So one store, ``_kept``, maps steps to banded rows: the
-    rows of every banded step evaluated, and the rows at every step an
-    evolution passes that is a multiple of 2**(floor(log2 t) - 2), four per
-    octave (1..8, 10, 12, 14, 16, 20, ...).  A banded request reads its step
-    there or continues ``Chain.apply`` from the largest kept step below it;
+    reached.  So one store, ``_kept``, maps steps to banded rows: the rows
+    of every banded step evaluated, and the rows at every step an evolution
+    passes that is a multiple of 2**(floor(log2 t) - 2), four per octave
+    (1..8, 10, 12, 14, 16, 20, ...).  A banded request reads its step there
+    or continues ``Chain.apply`` from the largest kept step below it;
     once an evolution has passed the request, that re-evolves less than a
     quarter of its steps.
     """
@@ -214,7 +240,10 @@ class _Evaluator:
         self.starts = starts
         self._cache: dict[tuple[float, str], float] = {}
         self._kept: dict[int, np.ndarray] = {0: starts}
+        self._semigroup: dict[float, np.ndarray] = {}
         self.found: dict[tuple[str, float], tuple] = {}
+        n = chain.num_states
+        self.dense_probes = self.continuous and n <= _POW_MAX_STATES and 4 * len(starts) >= n
 
     def value(self, time, metric: str) -> float:
         time = self._time(time)
@@ -265,6 +294,25 @@ class _Evaluator:
         if self.continuous:
             return _uniformized(self.base, self.starts, tuple(times), self.tol)
         return [self._rows(t) for t in times]
+
+    def semigroup(self, h: float) -> np.ndarray:
+        """E(h) = exp(-h (I - K)) as a dense matrix with unit row sums,
+        built once per h."""
+        power = self._semigroup.get(h)
+        if power is None:
+            power = self._build_semigroup(h)
+            power /= power.sum(axis=1, keepdims=True)
+            self._semigroup[h] = power
+        return power
+
+    def _build_semigroup(self, h: float) -> np.ndarray:
+        if h <= 1.0:
+            return _poisson_power(self.base.dense_kernel, h)
+        top = 2.0 ** (math.frexp(h)[1] - 1)  # the largest power of two <= h
+        if top == h:
+            half = self.semigroup(0.5 * h)
+            return half @ half
+        return self.semigroup(top) @ self.semigroup(h - top)
 
     def _time(self, time):
         return _check_time(time) if self.continuous else _as_steps(time)
@@ -486,11 +534,28 @@ def _sep_floor_unmet(ev: _Evaluator) -> bool:
     return False
 
 
+def _poisson_power(kernel: np.ndarray, h: float) -> np.ndarray:
+    # sum_i Poi(h)(i) K**i for h <= 1: the weights fall at least as fast as
+    # 1/i!, and the sum stops once a weight is below 1e-20 of the mass
+    # collected, far under the rounding of the terms before it
+    weight = math.exp(-h)
+    acc = np.diag(np.full(kernel.shape[0], weight))
+    mass, power, i = weight, None, 0
+    while weight >= 1e-20 * mass:
+        i += 1
+        power = kernel if power is None else power @ kernel
+        weight *= h / i
+        acc += weight * power
+        mass += weight
+    return acc
+
+
 def _continuous_brackets(ev: _Evaluator, targets) -> None:
     # The semigroup property lets every probe advance from the last time at
     # which the distance was still above eps, instead of integrating from 0.
-    # Increments run at tol/128, so the composed truncation error over the
-    # whole search stays below tol (well under 128 committed increments).
+    # Uniformized increments run at tol/128, so the composed truncation
+    # error over the whole search stays below tol (well under 128 committed
+    # increments); E(h) is summed to the rounding floor.
     # Points are (time, rows, {metric: value}).  One gallop (0, 1, 2, 4, ...)
     # serves every target; a target's interval is bounded by the first rung
     # at or below its eps.  Its bisection tree depends only on that interval,
@@ -503,7 +568,10 @@ def _continuous_brackets(ev: _Evaluator, targets) -> None:
         return t, rows, {m: ev._metric(rows, m) for m in {m for m, _ in group}}
 
     def advance(anchor, t: float, group):
-        return point(t, _uniformized(ev.base, anchor[1], (t - anchor[0],), inc_tol)[0], group)
+        h = t - anchor[0]
+        if ev.dense_probes:
+            return point(t, anchor[1] @ ev.semigroup(h), group)
+        return point(t, _uniformized(ev.base, anchor[1], (h,), inc_tol)[0], group)
 
     lo = point(0.0, ev.starts, targets)
     ev.found.update((tg, (0.0, 0.0)) for tg in targets if lo[2][tg[0]] <= tg[1])

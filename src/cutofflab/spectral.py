@@ -113,10 +113,12 @@ def _negative_pivots(d: np.ndarray, e2: np.ndarray, xs: np.ndarray) -> np.ndarra
     # once per block.  Up to its first pivot below pivmin in magnitude a
     # shift's unclamped sequence runs the same IEEE operations as the clamped
     # one, so only the shifts that meet such a pivot (a zero pivot gives inf
-    # or nan after it) are recounted by _sturm_counts.  A column holds such a
-    # pivot exactly when its counts of q < pivmin and of q <= -pivmin differ;
-    # otherwise either count is its count of q < 0.  row[0] carries the
-    # previous block's last pivots; memory stays O(_BLOCK_ROWS * len(xs)).
+    # or nan after it) are recounted by _sturm_counts, from the first block
+    # that holds one: its carried pivots and the counts before it are exact.
+    # A column holds such a pivot exactly when its counts of q < pivmin and
+    # of q <= -pivmin differ; otherwise either count is its count of q < 0.
+    # row[0] carries the previous block's last pivots; memory stays
+    # O(_BLOCK_ROWS * len(xs)).
     n, m = d.shape[0], xs.shape[0]
     block = np.empty((min(_BLOCK_ROWS, n) + 1, m))
     row = list(block)
@@ -124,6 +126,7 @@ def _negative_pivots(d: np.ndarray, e2: np.ndarray, xs: np.ndarray) -> np.ndarra
     sign = np.empty((block.shape[0] - 1, m), dtype=bool)
     counts = np.zeros(m, dtype=np.int64)
     tiny = np.zeros(m, dtype=bool)
+    restart = None  # (first row, carried pivots, counts before it)
     off = e2.tolist()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i0 in range(0, n, _BLOCK_ROWS):
@@ -142,22 +145,34 @@ def _negative_pivots(d: np.ndarray, e2: np.ndarray, xs: np.ndarray) -> np.ndarra
             below = flags.view(np.uint8).sum(axis=0, dtype=np.uint8)
             np.less_equal(pivots, -_PIVMIN, out=flags)
             negative = flags.view(np.uint8).sum(axis=0, dtype=np.uint8)
-            counts += negative
             tiny |= below != negative
-    flagged = np.flatnonzero(tiny)
-    if flagged.size:
-        counts[flagged] = _sturm_counts(d, e2, xs[flagged])
+            if restart is None and tiny.any():
+                restart = (i0, row[0].copy() if i0 else None, counts.copy())
+            counts += negative
+    if restart is not None:
+        i0, carried, before = restart
+        cols = np.flatnonzero(tiny)
+        if carried is None:
+            counts[cols] = _sturm_counts(d, e2, xs[cols])
+        else:
+            counts[cols] = before[cols] + _sturm_counts(d[i0:], e2[i0 - 1 :], xs[cols], carried[cols])
     return counts
 
 
-def _sturm_counts(d: np.ndarray, e2: np.ndarray, xs: np.ndarray) -> np.ndarray:
+def _sturm_counts(d: np.ndarray, e2: np.ndarray, xs: np.ndarray, carried=None) -> np.ndarray:
     # Number of eigenvalues strictly below each shift in xs = number of
     # negative pivots in the LDL^T factorization of T - x I.
     # A vanishing pivot is flipped to -pivmin BEFORE counting (and before it
     # divides the next pivot); counting first misclassifies exact hits, which
-    # bisection midpoints do produce on symmetric spectra.
+    # bisection midpoints do produce on symmetric spectra.  With ``carried``,
+    # d holds the trailing rows of a longer matrix and the count covers those
+    # rows alone: carried is each shift's pivot of the row before them, and
+    # e2 is one entry longer, leading with that row's coupling.
     pivmin = _PIVMIN
     q = d[0] - xs
+    if carried is not None:
+        q = q - e2[0] / carried
+        e2 = e2[1:]
     q = np.where(np.abs(q) < pivmin, -pivmin, q)
     counts = (q < 0.0).astype(np.int64)
     for i in range(1, d.shape[0]):

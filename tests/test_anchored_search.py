@@ -12,7 +12,9 @@ one a fresh evaluation gives, so the answers must equal a fresh search per
 level and, on small chains, a linear scan.  ``verify_bounds`` keeps one
 evaluator per clock for every metric, level and fixed time; its reports must
 equal those built from public calls, and it must uniformize no (start rows,
-time, tol) twice.
+time, tol) twice.  Continuous probes with many rows on a small chain multiply
+by cached powers E(h) = exp(-h (I - K)), each built once per evaluator and
+checked against the matrix exponential.
 """
 
 import json
@@ -214,28 +216,140 @@ def test_verify_bounds_ehrenfest_64_uniformized_work(work_count):
     # 4,166 time units with a fresh search per (clock, metric, eps) and a
     # fresh evolution per (clock, metric, t); 2,346 with one search per
     # (clock, metric), of which 735 repeated earlier probes and 1,002 were
-    # fixed-time evaluations from t = 0 whose largest time is 364
+    # fixed-time evaluations from t = 0 whose largest time is 364.  The
+    # search probes multiply by cached powers E(h), which leaves the one
+    # fixed-time pass
+    assert work_count.uniformized_calls == 1
     assert 0 < work_count.uniformized_time <= 1_000
+
+
+def _record_evolutions(monkeypatch):
+    # every (start rows, time, tol) uniformized, and every (evaluator, h)
+    # whose E(h) is built
+    uniformized, built = [], []
+    real_uniformized, real_build = chain_module._uniformized, _Evaluator._build_semigroup
+
+    def counted_uniformized(c, rows, times, tol):
+        uniformized.extend((rows.tobytes(), rows.shape, t, tol) for t in times)
+        return real_uniformized(c, rows, times, tol)
+
+    def counted_build(ev, h):
+        built.append((ev, h))
+        return real_build(ev, h)
+
+    for module in (chain_module, distances_module):
+        monkeypatch.setattr(module, "_uniformized", counted_uniformized)
+    monkeypatch.setattr(_Evaluator, "_build_semigroup", counted_build)
+    return uniformized, built
 
 
 @pytest.mark.parametrize("chain", [
     random_bd(2003, 6), random_bd(2031, 34), ehrenfest(16), _dense_reversible(), _nonreversible(),
 ])
 def test_verify_bounds_repeats_no_uniformization(chain, monkeypatch):
-    # every (start rows, time, tol) is uniformized once: the fixed times in
-    # one pass, the searches' probes once for every metric and level
-    seen = []
-    real = chain_module._uniformized
-
-    def uniformized(c, rows, times, tol):
-        seen.extend((rows.tobytes(), rows.shape, t, tol) for t in times)
-        return real(c, rows, times, tol)
-
-    for module in (chain_module, distances_module):
-        monkeypatch.setattr(module, "_uniformized", uniformized)
+    # the fixed times are uniformized once, in one pass; every search probe
+    # of the exhaustive continuous clock multiplies its anchor's rows by
+    # E(h), and each E(h) is built once on the evaluator for every metric
+    # and level
+    uniformized, built = _record_evolutions(monkeypatch)
     verify_bounds(chain)
-    assert len(seen) > 50
-    assert len(set(seen)) == len(seen)
+    assert len(uniformized) > 0
+    assert len(set(uniformized)) == len(uniformized)
+    assert len(built) > 10
+    assert len(set(built)) == len(built)
+
+
+def test_few_row_probes_repeat_no_uniformization(monkeypatch):
+    # two endpoint rows on 65 states keep banded uniformization: every
+    # (start rows, time, tol) of one evaluator's search and fixed times is
+    # uniformized once, and no E(h) is built
+    uniformized, built = _record_evolutions(monkeypatch)
+    ev = _Evaluator(ehrenfest(64), _query("continuous", "tv", exhaustive=False), 1e-10)
+    assert not ev.dense_probes
+    ev.search([(metric, eps) for metric in ("tv", "sep") for eps in LEVELS])
+    ev.evaluate([0.5, 3.0, 20.0], ("tv", "sep"))
+    assert len(uniformized) > 50
+    assert len(set(uniformized)) == len(uniformized)
+    assert built == []
+
+
+def _random_dense(seed: int, n: int) -> Chain:
+    # positive entries, so irreducible; not reversible in general
+    mat = np.random.default_rng(seed).random((n, n))
+    return Chain.from_dense(mat / mat.sum(axis=1, keepdims=True))
+
+
+ORACLE_CHAINS = [
+    random_bd(6, 6), random_bd(13, 13), random_bd(34, 34), _dense_reversible(),
+    _nonreversible(), _random_dense(5, 9),
+]
+
+
+@pytest.mark.parametrize("chain", ORACLE_CHAINS)
+def test_semigroup_powers_equal_the_matrix_exponential(chain):
+    ev = _Evaluator(chain, _query("continuous", "tv"), 1e-10)
+    assert ev.dense_probes
+    # powers of two, and sums of them such as the cap rung's bisection
+    # takes: (10**7 - 2**23) / 2**11
+    times = [2.0 ** k for k in range(-10, 9)] + [0.3, 3.75, 786.8125]
+    for h in times:
+        expect = oracles.rows_at(chain.dense_kernel, h, "continuous")
+        assert np.abs(ev.semigroup(h) - expect).sum(axis=1).max() / 2 <= 1e-13, h
+
+
+def test_semigroup_squarings_keep_their_accuracy_to_the_cap():
+    # the 3-state path with rates r: I - K has eigenvalues 0, r, 3r with
+    # eigenvectors (1, 1, 1), (1, 0, -1), (1, -2, 1).  Unscaled, the
+    # squarings doubled the rows' mass error up to 4.4e-10 in tv at 2**23
+    r = 1e-6
+    chain = _rates_path([r, r, 0.0], [0.0, r, r])
+    vectors = [np.array(v) / np.linalg.norm(v) for v in ([1, 1, 1], [1, 0, -1], [1, -2, 1])]
+    ev = _Evaluator(chain, _query("continuous", "tv"), 1e-10)
+    for k in range(24):
+        h = 2.0 ** k
+        expect = sum(np.exp(-rate * h) * np.outer(v, v) for rate, v in zip((0, r, 3 * r), vectors))
+        assert np.abs(ev.semigroup(h) - expect).sum(axis=1).max() / 2 <= 1e-14, h
+
+
+@pytest.mark.parametrize("chain", ORACLE_CHAINS)
+def test_dense_probe_brackets_enclose_the_matrix_exponential_crossing(chain):
+    ev = _Evaluator(chain, _query("continuous", "tv"), 1e-10)
+    targets = [(metric, eps) for metric in ("tv", "sep", "dbar") for eps in LEVELS]
+    ev.search(targets)
+    assert set(ev.found) == set(targets)
+    kernel, pi = chain.dense_kernel, chain.stationary
+    for (metric, eps), (lo, hi) in ev.found.items():
+        # values within 1e-12 of eps are left to rounding
+        above = oracles.metric_at(kernel, pi, hi, "continuous", metric)
+        assert above <= eps or abs(above - eps) <= 1e-12, (metric, eps, hi)
+        if hi == 0.0:  # from a point mass x, tv at t = 0 is 1 - pi(x)
+            continue
+        below = oracles.metric_at(kernel, pi, lo, "continuous", metric)
+        assert below > eps or abs(below - eps) <= 1e-12, (metric, eps, lo)
+
+
+def test_slow_path_continuous_search_takes_cached_powers(work_count, monkeypatch):
+    # the 3-state path at rate 1e-6 mixes near t = 763,100: the gallop
+    # squares E(1) up to E(2**19), and every later probe is one product.
+    # Uniformizing the increments summed about 1.5 million Poisson terms
+    _, built = _record_evolutions(monkeypatch)
+    chain = _rates_path([1e-6, 1e-6, 0.0], [0.0, 1e-6, 1e-6])
+    assert mixing_bracket(chain, 0.25, _query("continuous", "tv")) == (763_072.0, 763_136.0)
+    assert work_count.uniformized_calls == 0
+    assert sorted(h for _, h in built) == [2.0 ** k for k in range(20)]
+
+
+def test_continuous_search_refuses_at_the_cap_without_uniformizing(work_count, monkeypatch):
+    # at rate 1e-9 the distance stays above 1/4 through t = 10**7; the last
+    # rung, 10**7 - 2**23, is composed from the powers of its binary digits
+    _, built = _record_evolutions(monkeypatch)
+    chain = _rates_path([1e-9, 1e-9, 0.0], [0.0, 1e-9, 1e-9])
+    with pytest.raises(NoConvergence, match="through t = 10000000"):
+        mixing_bracket(chain, 0.25, _query("continuous", "tv"))
+    assert work_count.uniformized_calls == 0
+    squares = [2.0 ** k for k in range(23)]
+    assert sorted(h for _, h in built if h in squares) == squares
+    assert len(built) == len(squares) + (10**7 - 2**23).bit_count() - 1
 
 
 @pytest.mark.parametrize("chain,mode,metric", SMALL_CASES + [(ehrenfest(310), "lazy", "tv")])

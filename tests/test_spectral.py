@@ -108,21 +108,23 @@ def test_sturm_bisection_keeps_the_original_bits():
 
 
 def _record_counts(monkeypatch):
-    # every shift passed to the block count, and to the clamped recount
-    swept, clamped = [], []
+    # every shift passed to the block count, and to the clamped recount with
+    # the number of rows it runs
+    swept, clamped, rows = [], [], []
     block, recount = spectral._negative_pivots, spectral._sturm_counts
 
     def counted_block(d, e2, xs):
         swept.append(xs.copy())
         return block(d, e2, xs)
 
-    def counted_recount(d, e2, xs):
+    def counted_recount(d, e2, xs, *carried):
         clamped.append(xs.copy())
-        return recount(d, e2, xs)
+        rows.append(d.shape[0])
+        return recount(d, e2, xs, *carried)
 
     monkeypatch.setattr(spectral, "_negative_pivots", counted_block)
     monkeypatch.setattr(spectral, "_sturm_counts", counted_recount)
-    return swept, clamped
+    return swept, clamped, rows
 
 
 def _meets_a_tiny_pivot(d, e2, x) -> bool:
@@ -140,7 +142,7 @@ def test_clamped_recount_runs_on_the_flagged_shifts_only(monkeypatch):
     # Ehrenfest 4's spectrum is symmetric about 1, and its bisection
     # midpoints hit eigenvalues exactly
     (diag, off2), _ = _bd_tridiagonals(ehrenfest(4))
-    swept, clamped = _record_counts(monkeypatch)
+    swept, clamped, _ = _record_counts(monkeypatch)
     vals = tridiagonal_eigenvalues(diag, off2)
     assert vals.tobytes() == oracles.sturm_bisection(diag, off2).tobytes()
     flagged = [
@@ -153,7 +155,7 @@ def test_clamped_recount_runs_on_the_flagged_shifts_only(monkeypatch):
 def test_ehrenfest_1024_solve_counts_each_distinct_unfinished_shift_once(monkeypatch):
     # the plain loop counts all 1,025 indices in each of its 52 sweeps: 53,300 shifts
     (diag, off2), _ = _bd_tridiagonals(ehrenfest(1024))
-    swept, clamped = _record_counts(monkeypatch)
+    swept, clamped, rows = _record_counts(monkeypatch)
     tracemalloc.start()
     try:
         vals = tridiagonal_eigenvalues(diag, off2)
@@ -163,6 +165,9 @@ def test_ehrenfest_1024_solve_counts_each_distinct_unfinished_shift_once(monkeyp
     assert len(swept) == 52
     assert sum(xs.size for xs in swept) == 43_051
     assert sum(xs.size for xs in clamped) == 14
+    # each recount starts at the first block of 64 rows that holds a pivot
+    # below pivmin; from row 0, its 4 calls ran 4,100 rows
+    assert len(rows) == 4 and sum(rows) == 2_756
     assert peak < 1025 * 1025 * 8 / 4  # no n x n table
     assert np.max(np.abs(vals - 2.0 * np.arange(1025) / 1024)) <= 1e-12
 
