@@ -21,10 +21,13 @@ times alone.
 Uniformization accumulates terms until the Poisson mass reaches ``1 - tol``
 and renormalizes, so the truncation error in total variation is at most
 ``tol``.  Above t = 700 the Poisson weights are tracked in log space to avoid
-underflow of the leading terms.  One pass serves several times: the kernel
-powers ``rows @ K**i`` are the same for every time, and each time keeps its
-own weights, mass and stopping test, so each result is bit for bit the one a
-pass of its own gives.
+underflow of the leading terms; there the sum also ends once a bound on the
+mass of the remaining terms falls below ``tol / 2`` (see ``_PoissonSum``).
+One pass serves several times: the kernel powers ``rows @ K**i`` are the
+same for every time, and each time keeps its own weights, mass and stopping
+test, so each result is bit for bit the one a pass of its own gives.  A pass
+can stop early, once a caller has read enough of its times in ascending
+order.
 
 No evolution runs past ``SEARCH_CAP`` (10**7) steps or time units: a larger
 time raises BadShape before the first kernel application.  Above the mixing
@@ -286,14 +289,35 @@ class Chain:
         """One kernel application ``dist @ K``.
 
         Accepts stacked rows (shape ``(..., num_states)``); birth-death form
-        costs O(num_states) per row.
+        costs O(num_states) per row.  It steps the rows as one contiguous
+        run against rates tiled once per row count: a term that would cross
+        from one row into the next is multiplied by p_n = 0 or q_0 = 0, so
+        each entry gets the sums of a row-by-row step, bit for bit.
         """
         if self.form == "birth_death":
-            out = dist * self.hold
-            out[..., 1:] += dist[..., :-1] * self.birth[:-1]
-            out[..., :-1] += dist[..., 1:] * self.death[1:]
-            return out
+            flat = dist.reshape(-1)
+            hold, birth, death = self._tiles.get(flat.size) or self._tile_rates(flat.size)
+            out = flat * hold
+            out[1:] += flat[:-1] * birth
+            out[:-1] += flat[1:] * death
+            return out.reshape(dist.shape)
         return dist @ self.kernel
+
+    @cached_property
+    def _tiles(self) -> dict:
+        return {}
+
+    def _tile_rates(self, size: int) -> tuple:
+        # hold, birth and death repeated over size / n rows, trimmed to the
+        # entries that one contiguous step reads
+        rows = size // self.num_states
+        tiles = (
+            np.tile(self.hold, rows),
+            np.tile(self.birth, rows)[:-1],
+            np.tile(self.death, rows)[1:],
+        )
+        self._tiles[size] = tiles
+        return tiles
 
     def lazy(self, delta: float) -> "Chain":
         """The delta-lazy chain ``delta*I + (1-delta)*K``.
@@ -433,16 +457,29 @@ class _PoissonSum:
             self.weight = math.exp(-time)
         self.acc = self.weight * rows
         self.mass = self.weight
+        self.tol = tol
         self.stop = 1.0 - tol
         self.cap = int(time + 40.0 * math.sqrt(time + 1.0) + 120.0)
+        self.more = self.wants(0)
 
     def wants(self, i: int) -> bool:
-        """Whether term i + 1 is still needed after terms 0..i."""
-        return self.mass < self.stop and i < self.cap
+        """Whether term i + 1 is still needed after terms 0..i.
+
+        In log space the summed weights can stay about 1e-12 short of 1, so
+        there a tail bound also ends the sum: past the mode (i + 1 > t) each
+        weight is at most t / (i + 1) times the one before, so the terms
+        after i sum to below w_i t / (i + 1 - t).  The sum ends once that is
+        below tol / 2, which leaves the other half of tol to the rounding of
+        the log-space weights (up to about 1e-11 over 8,000 terms).
+        """
+        if self.mass >= self.stop or i >= self.cap:
+            return False
+        past_mode = self.log_space and i + 1 > self.time
+        return not (past_mode and 2.0 * self.weight * self.time < self.tol * (i + 1 - self.time))
 
     def add(self, i: int, rows: np.ndarray) -> bool:
         """Collect term i, the rows after i kernel applications, and say
-        whether term i + 1 is needed."""
+        whether term i + 1 is needed (also kept as ``more``)."""
         if self.log_space:
             self.log_w += math.log(self.time) - math.log(i)
             self.weight = math.exp(self.log_w) if self.log_w > -745.0 else 0.0
@@ -451,18 +488,23 @@ class _PoissonSum:
         if self.weight != 0.0:
             self.acc += self.weight * rows
             self.mass += self.weight
-        return self.wants(i)
+        self.more = self.wants(i)
+        return self.more
 
 
-def _uniformized(chain: Chain, rows: np.ndarray, times: tuple, tol: float) -> list:
+def _uniformized(chain: Chain, rows: np.ndarray, times: tuple, tol: float, until=None) -> list:
     """Uniformization core: ``rows @ exp(-t (I - K))`` for stacked ``rows``
     at each of the ascending ``times``, from one power sequence
     ``rows @ K**i``.
 
     Each time keeps its own Poisson weights, mass, stopping test and
     accumulated rows, so its result equals a pass of its own bit for bit; the
-    pass runs to the largest time's last term and holds one accumulator per
-    time.
+    pass holds one accumulator per time.  The times' rows are finished in
+    ascending order, each as soon as its sum completes.  ``until``, if
+    given, is called with each finished time's rows in turn, and the pass
+    stops once it returns True; the list then holds the rows of the times
+    finished so far.  Otherwise the pass runs to the largest time's last
+    term.
     """
     _check_cap(times[-1])
     # One matmul per term beats the banded update when many rows evolve at
@@ -473,13 +515,18 @@ def _uniformized(chain: Chain, rows: np.ndarray, times: tuple, tol: float) -> li
     else:
         step = chain.apply
     sums = [_PoissonSum(time, rows, tol) for time in times]
-    active = [s for s in sums if s.wants(0)]
+    active = [s for s in sums if s.more]
+    finished = []
     i = 0
-    while active:
-        i += 1
-        rows = step(rows)
-        active = [s for s in active if s.add(i, rows)]
-    return [s.acc / s.mass for s in sums]
+    for poisson in sums:
+        while poisson.more:
+            i += 1
+            rows = step(rows)
+            active = [s for s in active if s.add(i, rows)]
+        finished.append(poisson.acc / poisson.mass)
+        if until is not None and until(finished[-1]):
+            break
+    return finished
 
 
 def _pure_birth_tail(rates: np.ndarray, time: float, tol: float) -> float:
@@ -502,12 +549,11 @@ def _pure_birth_tail(rates: np.ndarray, time: float, tol: float) -> float:
     mass = np.zeros(rates.shape[0])
     mass[0] = 1.0
     poisson = _PoissonSum(horizon, mass, tol)
-    more = poisson.wants(0)
     i = 0
-    while more:
+    while poisson.more:
         i += 1
         moved = mass * move
         mass = mass - moved
         mass[1:] += moved[:-1]
-        more = poisson.add(i, mass)
+        poisson.add(i, mass)
     return float(poisson.acc.sum())

@@ -24,11 +24,17 @@ is valid because all three metrics are nonincreasing in time.  The searches
 use the semigroup property:
 
 * Continuous searches gallop (1, 2, 4, ...) and then bisect.  Every probe
-  advances from the last time whose distance was still above eps by an
-  increment h.  Many start rows on a small chain multiply by a dense power
-  E(h) = exp(-h (I - K)) that the evaluator builds once per h (see
-  ``_Evaluator``); other start sets are uniformized over h at a tolerance
-  of tol/128.
+  advances from an anchor, the last time whose distance was still above
+  eps, by an increment h.  Many start rows on a small chain multiply by a
+  dense power E(h) = exp(-h (I - K)) that the evaluator builds once per h
+  (see ``_Evaluator``), one probe at a time from the top of a bisection
+  down.  Other start sets take one uniformization pass per anchor at a
+  tolerance of tol/128.  From anchor a with upper end b the pass carries
+  the points a bisection probes from a while each comes out below eps:
+  m1 = (a + b) / 2, m2 = (a + m1) / 2, ..., down to the first within the
+  bracket width of a, and b itself on a gallop rung.  It finishes them in
+  ascending order and stops once every target is below; larger times are
+  below too, since the distance is nonincreasing.
 * Discrete and lazy searches take their bracket from the values the
   evaluator already holds.  A discrete value depends on the step alone, so
   the lower end is the largest held step whose distance is above eps (step
@@ -49,9 +55,13 @@ after every other target has been searched.
   depend on the target, and a target's bisection depends only on the two
   rungs around its crossing.  So all targets walk one gallop, and the
   targets between the same two rungs walk one bisection tree depth first,
-  each node probed once and reduced to every metric its targets need.
-  Every probe keeps the anchor and increment of a fresh search, so every
-  bracket is bit-identical to a fresh one.
+  each point probed once and reduced to every metric its targets need.
+  Every probe keeps the anchor and increment of a fresh search, and a
+  multi-time pass gives each time the bits of a pass of its own.  A target
+  goes on from the last probed point at which it is above eps, up to the
+  next point.  So wherever the float distance is nonincreasing at eps,
+  every bracket is bit-identical to a fresh one and to one probe per
+  uniformization, top down.
 * Discrete targets run one metric at a time, each metric's levels in
   descending eps.  Each level is bracketed by whatever earlier levels, other
   metrics and fixed times left on the evaluator.  A probe's rows, banded
@@ -182,7 +192,7 @@ class _Evaluator:
     pass, and a search probe advances its anchor's rows by an increment h.
     Where ``dense_probes`` holds (n <= 300 states and 4 r >= n for r start
     rows, the sizes at which uniformization takes one dense product per
-    term) the probe is one product with E(h) = exp(-h (I - K)), kept in
+    term) each probe is one product with E(h) = exp(-h (I - K)), kept in
     ``_semigroup`` and built once per h:
 
     * h <= 1: the Poisson(h) sum of kernel powers, to the rounding floor;
@@ -194,9 +204,11 @@ class _Evaluator:
     scaled to unit row sums, which keeps every squaring from doubling the
     rows' mass error (unscaled, a 7-state chain's row sums at h = 2**23 were
     off by 1.1e-9).  E(h) depends on the chain and h alone, so a probe's
-    rows do not depend on what was searched before.  Other start sets
-    uniformize each increment, with banded steps for a few rows on a large
-    chain.
+    rows do not depend on what was searched before.  Other start sets, such
+    as the endpoint pair of a large birth-death chain, take one pass from
+    each anchor that carries every increment its probes need and stops
+    once each target is below eps, with banded steps for a few rows on a
+    large chain.  Every probed point is the anchor of at most one pass.
 
     On the discrete and lazy clocks, a step m >= 256 on a chain of n <= 300
     states takes a dense matrix power when m * r > n * p: r start rows, and
@@ -256,9 +268,11 @@ class _Evaluator:
 
         A target that cannot converge raises NoConvergence, and so would
         every smaller eps of its metric; the first such error is raised
-        after every other target has been searched.
+        after every other target has been searched.  Targets already in
+        ``found`` are not searched again.
         """
         targets = list(dict.fromkeys((metric, _check_eps(eps)) for metric, eps in targets))
+        targets = [tg for tg in targets if tg not in self.found]
         if any(metric == "sep" for metric, _ in targets):
             _check_separation(self.pi)
         if self.continuous:
@@ -550,53 +564,89 @@ def _poisson_power(kernel: np.ndarray, h: float) -> np.ndarray:
     return acc
 
 
+def _below_chain(a: float, b: float) -> list:
+    """The points a bisection of (a, b) probes from a while each comes out
+    below eps, ascending: (a + b) / 2, its midpoint with a, and so on down
+    to the first within max(1e-6, 1e-4 t) of a."""
+    chain = []
+    while b - a > max(1e-6, 1e-4 * b):
+        b = 0.5 * (a + b)
+        chain.append(b)
+    return chain[::-1]
+
+
 def _continuous_brackets(ev: _Evaluator, targets) -> None:
     # The semigroup property lets every probe advance from the last time at
     # which the distance was still above eps, instead of integrating from 0.
     # Uniformized increments run at tol/128, so the composed truncation
     # error over the whole search stays below tol (well under 128 committed
     # increments); E(h) is summed to the rounding floor.
-    # Points are (time, rows, {metric: value}).  One gallop (0, 1, 2, 4, ...)
-    # serves every target; a target's interval is bounded by the first rung
-    # at or below its eps.  Its bisection tree depends only on that interval,
-    # so the targets of one interval walk one tree depth first, each node
-    # probed once for all of them; the walk holds the current rung and one
-    # anchor per level of depth.
+    # One gallop (0, 1, 2, 4, ...) serves every target.  From an anchor a
+    # with upper end b, the targets between them are probed once for all at
+    # the points (a, *_below_chain(a, b), b), b only on a gallop rung, where
+    # it is not yet known to be below.  A target's next interval runs from
+    # the last of those points at which it is above eps to the point after
+    # it; a target above at the rung waits for the next rung from there.
     inc_tol = ev.tol / 128.0
 
-    def point(t: float, rows, group):
-        return t, rows, {m: ev._metric(rows, m) for m in {m for m, _ in group}}
+    def above(rows, group) -> set:
+        values = {m: ev._metric(rows, m) for m in {m for m, _ in group}}
+        return {tg for tg in group if values[tg[0]] > tg[1]}
 
-    def advance(anchor, t: float, group):
-        h = t - anchor[0]
+    def probe(rows, points, group, probe_top: bool):
+        # rows at every probed index k of points (0 is the anchor), and each
+        # target's last index at which it is above eps
+        a, times = points[0], points[1:] if probe_top else points[1:-1]
+        probed, last = {0: rows}, dict.fromkeys(group, 0)
         if ev.dense_probes:
-            return point(t, anchor[1] @ ev.semigroup(h), group)
-        return point(t, _uniformized(ev.base, anchor[1], (h,), inc_tol)[0], group)
+            # top down, one product per point, while some target has been
+            # below at every point so far
+            falling = group
+            for k in range(len(times), 0, -1):
+                probed[k] = rows @ ev.semigroup(times[k - 1] - a)
+                up = above(probed[k], falling)
+                last.update(dict.fromkeys(up, k))
+                falling = [tg for tg in falling if tg not in up]
+                if not falling:
+                    break
+            return probed, last
 
-    lo = point(0.0, ev.starts, targets)
-    ev.found.update((tg, (0.0, 0.0)) for tg in targets if lo[2][tg[0]] <= tg[1])
-    waiting = [tg for tg in targets if lo[2][tg[0]] > tg[1]]
+        def finished(rows_k) -> bool:
+            # bottom up in one pass, which stops once every target is below;
+            # by monotonicity each stays below at the later points
+            k = len(probed)
+            probed[k] = rows_k
+            up = above(rows_k, group)
+            last.update(dict.fromkeys(up, k))
+            return not up
+
+        _uniformized(ev.base, rows, tuple(t - a for t in times), inc_tol, until=finished)
+        return probed, last
+
+    rows = ev.starts
+    up = above(rows, targets)
+    ev.found.update((tg, (0.0, 0.0)) for tg in targets if tg not in up)
+    waiting, lo = [tg for tg in targets if tg in up], 0.0
     while waiting:
-        if lo[0] == SEARCH_CAP:
+        if lo == SEARCH_CAP:
             eps = max(e for _, e in waiting)
             raise NoConvergence(f"distance stays above {eps} through t = {SEARCH_CAP}")
-        hi = advance(lo, min(2.0 * lo[0], float(SEARCH_CAP)) if lo[0] else 1.0, waiting)
-        crossed = [tg for tg in waiting if hi[2][tg[0]] <= tg[1]]
-        waiting = [tg for tg in waiting if hi[2][tg[0]] > tg[1]]
-        stack = [(lo, hi[0], crossed)] if crossed else []
+        hi = min(2.0 * lo, float(SEARCH_CAP)) if lo else 1.0
+        stack = [(rows, [lo, *_below_chain(lo, hi), hi], waiting, True)]
+        waiting = []
         while stack:
-            anchor, hi_t, group = stack.pop()
-            if hi_t - anchor[0] <= max(1e-6, 1e-4 * hi_t):
-                ev.found.update((tg, (anchor[0], hi_t)) for tg in group)
+            rows_a, points, group, probe_top = stack.pop()
+            if len(points) == 2 and not probe_top:
+                ev.found.update((tg, tuple(points)) for tg in group)
                 continue
-            probe = advance(anchor, 0.5 * (anchor[0] + hi_t), group)
-            above = [tg for tg in group if probe[2][tg[0]] > tg[1]]
-            below = [tg for tg in group if probe[2][tg[0]] <= tg[1]]
-            if above:
-                stack.append((probe, hi_t, above))
-            if below:
-                stack.append((anchor, probe[0], below))
-        lo = hi
+            probed, last = probe(rows_a, points, group, probe_top)
+            for k in sorted(set(last.values())):
+                group_k = [tg for tg in group if last[tg] == k]
+                if k + 1 == len(points):
+                    waiting, lo, rows = group_k, points[k], probed[k]
+                else:
+                    a, b = points[k], points[k + 1]
+                    stack.append((probed[k], [a, *_below_chain(a, b), b], group_k, False))
 
 
 @dataclass(frozen=True, eq=False)

@@ -75,10 +75,10 @@ def work_count(monkeypatch):
         work.matrix_powers += 1
         return real_power(a, n)
 
-    def uniformized(chain, rows, times, tol):
+    def uniformized(chain, rows, times, tol, until=None):
         work.uniformized_calls += 1
         work.uniformized_time += times[-1]
-        return real_uniformized(chain, rows, times, tol)
+        return real_uniformized(chain, rows, times, tol, until)
 
     monkeypatch.setattr(Chain, "apply", apply)
     monkeypatch.setattr(np.linalg, "matrix_power", matrix_power)

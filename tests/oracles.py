@@ -2,12 +2,18 @@
 
 Everything here is deliberately naive: dense matrices, library eigensolvers,
 and the matrix exponential.  Nothing is shared with the package internals,
-so agreement is meaningful.
+so agreement is meaningful.  Two entries keep an algorithm the package
+replaced, to pin its successor to the old results: ``sturm_bisection``, and
+``per_probe_brackets``, which walks the old search order over the package's
+own evolution.
 """
 import math
 
 import numpy as np
 from scipy.linalg import expm
+
+from cutofflab import NoConvergence
+from cutofflab.chain import SEARCH_CAP, _uniformized
 
 
 def bd_kernel(p, q, r) -> np.ndarray:
@@ -164,3 +170,51 @@ def _sturm_counts(d: np.ndarray, e2: np.ndarray, xs: np.ndarray) -> np.ndarray:
         q = np.where(np.abs(q) < pivmin, -pivmin, q)
         counts += q < 0.0
     return counts
+
+
+def per_probe_brackets(ev, targets, found=None, cap=SEARCH_CAP) -> dict:
+    """Continuous mixing brackets {(metric, eps): (lo, hi)}, written to
+    ``found`` and returned, by the package's original search walk on the
+    evaluator ``ev``'s start rows: one probe per point, each advanced from
+    its anchor by its own uniformization (or one product with E(h) where
+    ``ev.dense_probes`` holds), top down along every bisection.  Raises
+    NoConvergence as the package does when a target is still above its eps
+    at ``cap``.  The package's one pass per anchor must give the same
+    brackets."""
+    inc_tol = ev.tol / 128.0
+    found = {} if found is None else found
+
+    def point(t, rows, group):
+        return t, rows, {m: ev._metric(rows, m) for m in {m for m, _ in group}}
+
+    def advance(anchor, t, group):
+        h = t - anchor[0]
+        if ev.dense_probes:
+            return point(t, anchor[1] @ ev.semigroup(h), group)
+        return point(t, _uniformized(ev.base, anchor[1], (h,), inc_tol)[0], group)
+
+    lo = point(0.0, ev.starts, targets)
+    found.update((tg, (0.0, 0.0)) for tg in targets if lo[2][tg[0]] <= tg[1])
+    waiting = [tg for tg in targets if lo[2][tg[0]] > tg[1]]
+    while waiting:
+        if lo[0] == cap:
+            eps = max(e for _, e in waiting)
+            raise NoConvergence(f"distance stays above {eps} through t = {cap}")
+        hi = advance(lo, min(2.0 * lo[0], float(cap)) if lo[0] else 1.0, waiting)
+        crossed = [tg for tg in waiting if hi[2][tg[0]] <= tg[1]]
+        waiting = [tg for tg in waiting if hi[2][tg[0]] > tg[1]]
+        stack = [(lo, hi[0], crossed)] if crossed else []
+        while stack:
+            anchor, hi_t, group = stack.pop()
+            if hi_t - anchor[0] <= max(1e-6, 1e-4 * hi_t):
+                found.update((tg, (anchor[0], hi_t)) for tg in group)
+                continue
+            probe = advance(anchor, 0.5 * (anchor[0] + hi_t), group)
+            above = [tg for tg in group if probe[2][tg[0]] > tg[1]]
+            below = [tg for tg in group if probe[2][tg[0]] <= tg[1]]
+            if above:
+                stack.append((probe, hi_t, above))
+            if below:
+                stack.append((anchor, probe[0], below))
+        lo = hi
+    return found

@@ -38,7 +38,7 @@ from cutofflab import (
 from cutofflab import chain as chain_module
 from cutofflab import distances as distances_module
 from cutofflab import families
-from cutofflab.chain import Chain
+from cutofflab.chain import SEARCH_CAP, Chain
 from cutofflab.distances import _Evaluator, _search_discrete, distance_curve, mixing_bracket
 
 from conftest import ehrenfest, flip, random_bd, two_state
@@ -224,14 +224,14 @@ def test_verify_bounds_ehrenfest_64_uniformized_work(work_count):
 
 
 def _record_evolutions(monkeypatch):
-    # every (start rows, time, tol) uniformized, and every (evaluator, h)
-    # whose E(h) is built
+    # every (start rows, time, tol) that a uniformization pass carries, and
+    # every (evaluator, h) whose E(h) is built
     uniformized, built = [], []
     real_uniformized, real_build = chain_module._uniformized, _Evaluator._build_semigroup
 
-    def counted_uniformized(c, rows, times, tol):
+    def counted_uniformized(c, rows, times, tol, until=None):
         uniformized.extend((rows.tobytes(), rows.shape, t, tol) for t in times)
-        return real_uniformized(c, rows, times, tol)
+        return real_uniformized(c, rows, times, tol, until)
 
     def counted_build(ev, h):
         built.append((ev, h))
@@ -260,9 +260,10 @@ def test_verify_bounds_repeats_no_uniformization(chain, monkeypatch):
 
 
 def test_few_row_probes_repeat_no_uniformization(monkeypatch):
-    # two endpoint rows on 65 states keep banded uniformization: every
-    # (start rows, time, tol) of one evaluator's search and fixed times is
-    # uniformized once, and no E(h) is built
+    # two endpoint rows on 65 states keep banded uniformization: one pass
+    # per anchor carries the anchor's probes, so every (anchor rows,
+    # increment, tol) of one evaluator's search and fixed times is carried
+    # by one pass only, and no E(h) is built
     uniformized, built = _record_evolutions(monkeypatch)
     ev = _Evaluator(ehrenfest(64), _query("continuous", "tv", exhaustive=False), 1e-10)
     assert not ev.dense_probes
@@ -527,3 +528,80 @@ def test_period_refusal_does_no_work(work_count):
         with pytest.raises(NoConvergence):
             mixing_time(chain, 0.25, _query("discrete", metric, exhaustive=False))
     assert work_count.applies == 0 and work_count.matrix_powers == 0
+
+
+FAMILY_LEVELS = (0.75, 0.5, 0.25, 0.1, 0.05)
+# verify_bounds searches eps and eps / 4 on the grid (0.1, 0.2, 0.4)
+VERIFY_LEVELS = (0.4, 0.2, 0.1, 0.05, 0.025)
+WALK_CHAINS = [
+    ehrenfest(8), ehrenfest(64), ehrenfest(256), ehrenfest(1024),
+    generate(FamilySpec("path_biased", (40,), rho=0.3), 40), random_bd(3, 40), random_bd(54, 29),
+]
+
+
+@pytest.mark.parametrize("chain", WALK_CHAINS)
+def test_one_pass_per_anchor_keeps_the_per_probe_brackets(chain):
+    # endpoint rows on 9..1025 states take the banded route: one pass per
+    # anchor stops once every target is below, and must bracket every
+    # target as one uniformization per probe did
+    query = _query("continuous", "tv", exhaustive=False)
+    targets = [(m, eps) for m in ("tv", "sep") for eps in {*FAMILY_LEVELS, *VERIFY_LEVELS, 0.9}]
+    ev = _Evaluator(chain, query, 1e-10)
+    assert not ev.dense_probes
+    ev.search(targets)
+    assert ev.found == oracles.per_probe_brackets(_Evaluator(chain, query, 1e-10), targets)
+    if chain.num_states == 9:  # tv from the endpoints falls below 0.9 at t = 0.45
+        assert 0.0 < ev.found[("tv", 0.9)][1] <= 1.0
+
+
+@pytest.mark.parametrize("chain", ORACLE_CHAINS[:3] + [_nonreversible()])
+def test_dense_probes_keep_the_per_probe_brackets(chain):
+    query = _query("continuous", "tv")
+    targets = [(m, eps) for m in ("tv", "sep", "dbar") for eps in LEVELS]
+    ev = _Evaluator(chain, query, 1e-10)
+    assert ev.dense_probes
+    ev.search(targets)
+    assert ev.found == oracles.per_probe_brackets(_Evaluator(chain, query, 1e-10), targets)
+
+
+@pytest.mark.parametrize("chain,exhaustive,cap", [
+    # a cap of 300 on Ehrenfest 256's endpoint rows (banded): tv 0.75 crosses
+    # at 248.8, below the rung 256; the others are above at the last rung, 300
+    (ehrenfest(256), False, 300),
+    # the 3-state path at rate 1e-9, exhaustive (dense), at the true cap
+    (_rates_path([1e-9, 1e-9, 0.0], [0.0, 1e-9, 1e-9]), True, SEARCH_CAP),
+])
+def test_one_pass_walk_refuses_at_the_cap_as_the_per_probe_walk(chain, exhaustive, cap, monkeypatch):
+    monkeypatch.setattr(distances_module, "SEARCH_CAP", cap)
+    query = _query("continuous", "tv", exhaustive=exhaustive)
+    targets = [("tv", 0.75), ("tv", 0.7), ("tv", 0.5), ("sep", 0.5)]
+    ev, found = _Evaluator(chain, query, 1e-10), {}
+    with pytest.raises(NoConvergence) as new:
+        ev.search(targets)
+    with pytest.raises(NoConvergence) as old:
+        oracles.per_probe_brackets(_Evaluator(chain, query, 1e-10), targets, found, cap)
+    assert str(new.value) == str(old.value)
+    assert ev.found == found and len(found) == 2
+
+
+def test_ehrenfest_1024_endpoint_search_applies(work_count):
+    chain = ehrenfest(1024)
+    ev = _Evaluator(chain, _query("continuous", "tv", exhaustive=False), 1e-10)
+    work_count.apply_by_chain.clear()
+    ev.search([("tv", eps) for eps in FAMILY_LEVELS])
+    # 13,971 with one uniformization per probe, which ran every gallop rung
+    # to its end and re-uniformized from the anchor after each probe that
+    # came out below; one pass per anchor that stops once every target is
+    # below takes 6,390
+    assert work_count.applies <= 7_000
+
+
+def test_a_repeated_search_reads_its_found_brackets(work_count):
+    ev = _Evaluator(ehrenfest(64), _query("continuous", "tv", exhaustive=False), 1e-10)
+    targets = [(metric, eps) for metric in ("tv", "sep") for eps in LEVELS]
+    ev.search(targets)
+    calls, found = work_count.uniformized_calls, dict(ev.found)
+    assert calls > 0
+    ev.search(targets[::-1])
+    assert work_count.uniformized_calls == calls
+    assert ev.found == found

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammainc
 
 from cutofflab import (
     BadDelta,
@@ -23,7 +24,7 @@ from cutofflab import (
     sst_tail,
     step_distribution,
 )
-from cutofflab.chain import SEARCH_CAP, _LOG_SPACE_TIME, _uniformized
+from cutofflab.chain import SEARCH_CAP, _LOG_SPACE_TIME, _PoissonSum, _uniformized
 
 from conftest import ehrenfest, flip, random_bd, two_state
 import oracles
@@ -350,3 +351,68 @@ def test_evolutions_past_the_cap_are_refused_before_any_step(work_count):
     with pytest.raises(BadShape, match="cap"):
         sst_tail(small, 1e9)
     assert work_count.applies == 0 and work_count.matrix_powers == 0
+
+
+@pytest.mark.parametrize("chain,rows", [
+    (random_bd(3, 12), np.eye(13)),
+    (ehrenfest(700), _endpoint_rows(700)),
+])
+def test_an_early_stopped_pass_returns_the_times_it_finished(chain, rows):
+    times = (0.25, 3.0, 699.5, 700.5, 760.0)
+    full = _uniformized(chain, rows, times, 1e-10)
+    seen = []
+
+    def until(finished):
+        seen.append(finished)
+        return len(seen) == 3
+
+    stopped = _uniformized(chain, rows, times, 1e-10, until)
+    assert len(stopped) == 3 and all(a is b for a, b in zip(stopped, seen))
+    for got, expect in zip(stopped, full):
+        assert _hex(got) == _hex(expect)
+
+
+def _banded_step(chain, rows):
+    # one birth-death step row by row, the formula the contiguous step keeps
+    out = rows * chain.hold
+    out[..., 1:] += rows[..., :-1] * chain.birth[:-1]
+    out[..., :-1] += rows[..., 1:] * chain.death[1:]
+    return out
+
+
+@pytest.mark.parametrize("chain", [random_bd(3, 40).lazy(0.5), two_state(0.3, 0.6)])
+def test_contiguous_step_equals_the_row_by_row_step(chain):
+    n = chain.num_states
+    wide = np.random.default_rng(4).random((5, 3 * n))
+    cases = [
+        wide[0, :n],                   # one row
+        wide[:3, :n].copy(),           # stacked rows
+        wide[:2, :2 * n].reshape(2, 2, n),
+        wide[:, 1::3],                 # non-contiguous rows
+        wide[:, :n].T[:n, :5].T,       # non-contiguous, transposed
+    ]
+    for rows in cases:
+        got = chain.apply(rows)
+        assert got.shape == rows.shape
+        assert np.array_equal(got, _banded_step(chain, rows))
+
+
+def test_log_space_poisson_sums_stop_at_their_tail_bound():
+    # the log-space weights can leave the summed mass about 1e-12 short of
+    # 1, so at tol = 1e-10 / 128 the mass test alone ran 45 of 123 sampled
+    # sums in (700, 5000] to the cap (3,978 terms at t = 2048)
+    tol, row = 1e-10 / 128, np.ones(1)
+    bounded = 0
+    for time in (701.5, 1000.25, 2048.0, 3333.0, 4999.0):
+        poisson = _PoissonSum(time, row, tol)
+        i = 0
+        while poisson.more:
+            i += 1
+            poisson.add(i, row)
+        assert i <= time + 8.0 * math.sqrt(time) < poisson.cap, time
+        if poisson.mass < poisson.stop:
+            # the tail bound ended the sum: the exact Poisson mass beyond
+            # term i, P(Gamma(i + 1) < t), is below tol / 2
+            bounded += 1
+            assert gammainc(i + 1, time) < tol / 2, time
+    assert bounded > 0
