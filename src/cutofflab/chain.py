@@ -12,11 +12,12 @@ the building blocks of evolution:
 * ``_pure_birth_tail`` -- the same Poisson mixture on a pure-birth chain
   given by its rates: the tail of a sum of independent exponentials.
 
-``distances`` decides which of them evolves a start set, on every clock.
-Continuous search probes with many start rows on a small chain use none of
-them: they multiply by dense powers E(h) = exp(-h(I-K)) that ``distances``
-builds from the dense kernel, so there uniformization serves the fixed
-times alone.
+``distances`` decides which of them evolves a start set, on every clock,
+and also the step a uniformization pass takes: ``Chain.apply``, or one
+product with the dense kernel per term.  Continuous search probes with many
+start rows on a small chain use none of them: they multiply by dense powers
+E(h) = exp(-h(I-K)) that ``distances`` builds from the dense kernel, so
+there uniformization serves the fixed times alone.
 
 Uniformization accumulates terms until the Poisson mass reaches ``1 - tol``
 and renormalizes, so the truncation error in total variation is at most
@@ -492,10 +493,12 @@ class _PoissonSum:
         return self.more
 
 
-def _uniformized(chain: Chain, rows: np.ndarray, times: tuple, tol: float, until=None) -> list:
+def _uniformized(step, rows: np.ndarray, times: tuple, tol: float, until=None) -> list:
     """Uniformization core: ``rows @ exp(-t (I - K))`` for stacked ``rows``
     at each of the ascending ``times``, from one power sequence
-    ``rows @ K**i``.
+    ``rows @ K**i``, where ``step(rows)`` is ``rows @ K``.  The caller
+    picks the step (``Chain.apply``, or a product with the dense kernel);
+    this function reads no chain.
 
     Each time keeps its own Poisson weights, mass, stopping test and
     accumulated rows, so its result equals a pass of its own bit for bit; the
@@ -507,13 +510,6 @@ def _uniformized(chain: Chain, rows: np.ndarray, times: tuple, tol: float, until
     term.
     """
     _check_cap(times[-1])
-    # One matmul per term beats the banded update when many rows evolve at
-    # once; the banded update wins for a few rows on a large chain.
-    if 4 * rows.shape[0] >= chain.num_states and chain.num_states <= 600:
-        kernel = chain.dense_kernel
-        step = kernel.__rmatmul__
-    else:
-        step = chain.apply
     sums = [_PoissonSum(time, rows, tol) for time in times]
     active = [s for s in sums if s.more]
     finished = []

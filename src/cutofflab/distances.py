@@ -26,7 +26,7 @@ use the semigroup property:
 * Continuous searches gallop (1, 2, 4, ...) and then bisect.  Every probe
   advances from an anchor, the last time whose distance was still above
   eps, by an increment h.  Many start rows on a small chain multiply by a
-  dense power E(h) = exp(-h (I - K)) that the evaluator builds once per h
+  dense power E(h) = exp(-h (I - K)) from the evaluator's table of powers
   (see ``_Evaluator``), one probe at a time from the top of a bisection
   down.  Other start sets take one uniformization pass per anchor at a
   tolerance of tol/128.  From anchor a with upper end b the pass carries
@@ -65,12 +65,14 @@ after every other target has been searched.
 * Discrete targets run one metric at a time, each metric's levels in
   descending eps.  Each level is bracketed by whatever earlier levels, other
   metrics and fixed times left on the evaluator.  A probe's rows, banded
-  from the evaluator's kept rows or a dense matrix power, depend on the
-  step, the chain and the start set alone (see ``_Evaluator``).
+  from the evaluator's kept rows or a dense power of K or K_delta from the
+  same table, depend on the step, the chain and the start set alone (see
+  ``_Evaluator``).
 * Fixed times reduce one evolution, ``_Evaluator.evolve``: the continuous
   clock uniformizes all of them in one pass over one power sequence
-  (``chain._uniformized``), the others step through them in ascending
-  order.  Every metric at one time reduces the same rows.
+  (``chain._uniformized``, with the step the evaluator picks), the others
+  step through them in ascending order.  Every metric at one time reduces
+  the same rows.
 
 ``step_distribution``, ``continuous_distribution`` and
 ``birth_death.corner_separation`` read those rows from an evaluator whose
@@ -178,54 +180,64 @@ class _Evaluator:
     not read here, since every call names its metric.  The start set is one
     frozen array, ``starts``, with one row per start distribution: the given
     start vector, or one-hot rows for the endpoint pair or for every state.
-    Every route evolves those rows (uniformization, products with the dense
-    semigroup powers E(h), banded steps from ``_kept``, which holds them at
-    step 0, and ``starts @ K**m``, or ``K**m`` itself when the rows are every
-    state), and the period floors read their exact class masses.  Every
-    evaluation goes through ``evaluate``, which reduces every requested
-    metric at several times from one evolution, ``evolve``, and caches the
-    values per (time, metric).  ``search`` brackets mixing times at (metric,
+    Every route evolves those rows (uniformization, products with the
+    powers of the clock's one-step matrix, and banded steps from ``_kept``,
+    which holds them at step 0), and the period floors read their exact
+    class masses.  Every evaluation goes through ``evaluate``, which reduces
+    every requested metric at several times from one evolution, ``evolve``,
+    and caches the values per (time, metric).  ``search`` brackets mixing times at (metric,
     eps) targets from those values and keeps the brackets in ``found``,
     keyed by target.
 
-    On the continuous clock, fixed times take one multi-time uniformization
-    pass, and a search probe advances its anchor's rows by an increment h.
-    Where ``dense_probes`` holds (n <= 300 states and 4 r >= n for r start
-    rows, the sizes at which uniformization takes one dense product per
-    term) each probe is one product with E(h) = exp(-h (I - K)), kept in
-    ``_semigroup`` and built once per h:
+    Every clock has one one-step matrix, K, K_delta or E(1) = exp(-(I - K)),
+    and ``semigroup(h)`` reads its powers from one table, ``_semigroup``,
+    freed with the evaluator.  Each factor is built once by
+    ``_build_semigroup`` and kept read-only:
 
-    * h <= 1: the Poisson(h) sum of kernel powers, to the rounding floor;
-    * h = 2**k > 1: the square of E(h / 2);
-    * any other h: E at its top binary digit times E at the rest.
+    * discrete and lazy: K or K_delta at h = 1;
+    * continuous: E(h) for h <= 1, the Poisson(h) sum of kernel powers to
+      the rounding floor;
+    * h = 2**k > 1: the square of the factor at h / 2.
 
-    Gallop and bisection increments are powers of two; the last rung,
-    10**7 - 2**23, and its halvings are composed from them.  Each E(h) is
-    scaled to unit row sums, which keeps every squaring from doubling the
-    rows' mass error (unscaled, a 7-state chain's row sums at h = 2**23 were
-    off by 1.1e-9).  E(h) depends on the chain and h alone, so a probe's
-    rows do not depend on what was searched before.  Other start sets, such
-    as the endpoint pair of a large birth-death chain, take one pass from
-    each anchor that carries every increment its probes need and stops
-    once each target is below eps, with banded steps for a few rows on a
-    large chain.  Every probed point is the anchor of at most one pass.
+    Any other h is the power at h - top times the factor at top, the
+    largest power of two <= h, which is the lowest-digit-first order of
+    ``np.linalg.matrix_power``, so integer powers keep numpy's bits.  Such
+    products are not kept; keeping them would hold every probed step's
+    power.  Each continuous factor is scaled to unit row sums, which keeps
+    every squaring from doubling the rows' mass error (unscaled, a 7-state
+    chain's row sums at h = 2**23 were off by 1.1e-9).  A power depends on
+    the chain, the clock and h alone, so no route's rows depend on what was
+    evaluated before.
+
+    This class decides every evolution route.  On the continuous clock,
+    fixed times take one multi-time uniformization pass, and a search probe
+    advances its anchor's rows by an increment h.  Where ``dense_probes``
+    holds (n <= 300 states and 4 r >= n for r start rows), each probe is
+    one product with E(h), and each uniformization term one product with
+    the dense kernel.  Gallop and bisection increments are powers of two;
+    the last rung, 10**7 - 2**23, and its halvings are composed from them.
+    Other start sets, such as the endpoint pair of a large birth-death
+    chain, step by ``Chain.apply`` in one pass from each anchor that carries
+    every increment its probes need and stops once each target is below
+    eps.  Every probed point is the anchor of at most one pass.
 
     On the discrete and lazy clocks, a step m >= 256 on a chain of n <= 300
-    states takes a dense matrix power when m * r > n * p: r start rows, and
-    p = squarings plus multiplies in ``np.linalg.matrix_power``.  So
-    exhaustive starts take the power there, and the endpoint pair or one
-    start vector only at steps of order n log m (a slow-mixing chain's, or a
-    long fixed run).  The rule reads the step, the chain and the start set,
-    never ``_kept``, so a step's route and its bits do not depend on what
-    was evaluated before; power rows are not kept.  Every other step is
-    banded, and banded rows at step t are the same bits however they were
-    reached.  So one store, ``_kept``, maps steps to banded rows: the rows
-    of every banded step evaluated, and the rows at every step an evolution
-    passes that is a multiple of 2**(floor(log2 t) - 2), four per octave
-    (1..8, 10, 12, 14, 16, 20, ...).  A banded request reads its step there
-    or continues ``Chain.apply`` from the largest kept step below it;
-    once an evolution has passed the request, that re-evolves less than a
-    quarter of its steps.
+    states takes ``starts @ semigroup(m)`` (or the power itself when the
+    rows are every state) when m * r > n * p: r start rows, and p =
+    squarings plus multiplies of a power built from nothing.  So exhaustive
+    starts take the power there, and the endpoint pair or one start vector
+    only at steps of order n log m (a slow-mixing chain's, or a long fixed
+    run).  The rule reads the step, the chain and the start set, never
+    ``_kept`` or the table, so a step's route and its bits do not depend on
+    what was evaluated before; power rows are not kept.  Every other step
+    is banded, and banded rows at step t are the same bits however they
+    were reached.  So one store, ``_kept``, maps steps to banded rows: the
+    rows of every banded step evaluated, and the rows at every step an
+    evolution passes that is a multiple of 2**(floor(log2 t) - 2), four per
+    octave (1..8, 10, 12, 14, 16, 20, ...).  A banded request reads its
+    step there or continues ``Chain.apply`` from the largest kept step
+    below it; once an evolution has passed the request, that re-evolves
+    less than a quarter of its steps.
     """
 
     def __init__(self, chain: Chain, query: DistanceQuery, tol: float):
@@ -306,27 +318,49 @@ class _Evaluator:
         each step in turn on the others."""
         times = [self._time(t) for t in times]
         if self.continuous:
-            return _uniformized(self.base, self.starts, tuple(times), self.tol)
+            return _uniformized(self.step, self.starts, tuple(times), self.tol)
         return [self._rows(t) for t in times]
 
-    def semigroup(self, h: float) -> np.ndarray:
-        """E(h) = exp(-h (I - K)) as a dense matrix with unit row sums,
-        built once per h."""
+    @property
+    def step(self):
+        """``rows @ K`` on the base chain for a uniformization pass: one
+        dense product where ``dense_probes`` holds, ``Chain.apply``
+        otherwise."""
+        return self.base.dense_kernel.__rmatmul__ if self.dense_probes else self.base.apply
+
+    def semigroup(self, h) -> np.ndarray:
+        """The clock's one-step matrix at time h, read-only: K**h or
+        K_delta**h for an integer h >= 1, or E(h) = exp(-h (I - K)) on the
+        continuous clock.
+
+        The factors, E(h <= 1) and E(2**k), are built once each and kept in
+        ``_semigroup``.  Any other h is E(h - top) @ E(top), with top the
+        largest power of two <= h, as ``np.linalg.matrix_power`` multiplies
+        from the lowest binary digit up; it is not kept.
+        """
+        top = 2.0 ** (math.frexp(h)[1] - 1)
+        if h > 1 and h != top:
+            return self.semigroup(h - top) @ self.semigroup(top)
         power = self._semigroup.get(h)
         if power is None:
-            power = self._build_semigroup(h)
-            power /= power.sum(axis=1, keepdims=True)
-            self._semigroup[h] = power
+            power = self._semigroup[h] = self._build_semigroup(h)
+            power.flags.writeable = False
         return power
 
-    def _build_semigroup(self, h: float) -> np.ndarray:
-        if h <= 1.0:
-            return _poisson_power(self.base.dense_kernel, h)
-        top = 2.0 ** (math.frexp(h)[1] - 1)  # the largest power of two <= h
-        if top == h:
+    def _build_semigroup(self, h) -> np.ndarray:
+        # one factor: the one-step matrix at h = 1 on the discrete and lazy
+        # clocks, a Poisson sum at h <= 1 on the continuous one, a squaring
+        # above; continuous factors are scaled to unit row sums
+        if not self.continuous and h == 1:
+            return self.eff.dense_kernel
+        if h <= 1:
+            power = _poisson_power(self.base.dense_kernel, h)
+        else:
             half = self.semigroup(0.5 * h)
-            return half @ half
-        return self.semigroup(top) @ self.semigroup(h - top)
+            power = half @ half
+        if self.continuous:
+            power /= power.sum(axis=1, keepdims=True)
+        return power
 
     def _time(self, time):
         return _check_time(time) if self.continuous else _as_steps(time)
@@ -336,7 +370,7 @@ class _Evaluator:
         n, count = self.eff.num_states, self.starts.shape[0]
         products = steps.bit_length() + steps.bit_count() - 2
         if steps >= _POW_MIN_STEPS and n <= _POW_MAX_STATES and steps * count > n * products:
-            power = np.linalg.matrix_power(self.eff.dense_kernel, steps)
+            power = self.semigroup(steps)
             # n one-hot rows are the identity; any one-hot row times the
             # power is that power's row, bit for bit
             return power if count == n else self.starts @ power
@@ -620,7 +654,7 @@ def _continuous_brackets(ev: _Evaluator, targets) -> None:
             last.update(dict.fromkeys(up, k))
             return not up
 
-        _uniformized(ev.base, rows, tuple(t - a for t in times), inc_tol, until=finished)
+        _uniformized(ev.step, rows, tuple(t - a for t in times), inc_tol, until=finished)
         return probed, last
 
     rows = ev.starts

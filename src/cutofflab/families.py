@@ -155,6 +155,8 @@ def load_family(path) -> FamilySpec:
 
 def generate(spec: FamilySpec, n: int) -> Chain:
     """The family member on states 0..n (n need not be in spec.sizes)."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+        raise BadFamily(f"size must be an integer, got {n!r}")
     n = int(n)
     if n < 2:
         raise BadFamily(f"size must be >= 2, got {n}")

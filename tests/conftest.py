@@ -43,9 +43,10 @@ def small_corpus():
 
 @dataclass
 class WorkCount:
-    """Kernel applications per chain, dense matrix powers and uniformization
-    calls with their summed time argument (a multi-time pass counts its
-    largest time), as counted by the ``work_count`` fixture."""
+    """Kernel applications per chain, dense power factors built on the
+    discrete and lazy clocks, and uniformization calls with their summed
+    time argument (a multi-time pass counts its largest time), as counted by
+    the ``work_count`` fixture."""
 
     apply_by_chain: Counter = field(default_factory=Counter)
     matrix_powers: int = 0
@@ -59,29 +60,31 @@ class WorkCount:
 
 @pytest.fixture()
 def work_count(monkeypatch):
-    """Count ``Chain.apply``, ``numpy.linalg.matrix_power`` and
-    ``_uniformized`` calls made during a test; the counts are deterministic,
-    so tests can pin them."""
+    """Count ``Chain.apply`` calls, the power factors that discrete and lazy
+    evaluators build (``_Evaluator._build_semigroup``) and ``_uniformized``
+    calls made during a test; the counts are deterministic, so tests can pin
+    them."""
     work = WorkCount()
     real_apply = Chain.apply
-    real_power = np.linalg.matrix_power
+    real_build = distances_module._Evaluator._build_semigroup
     real_uniformized = chain_module._uniformized
 
     def apply(self, dist):
         work.apply_by_chain[self] += 1
         return real_apply(self, dist)
 
-    def matrix_power(a, n):
-        work.matrix_powers += 1
-        return real_power(a, n)
+    def build_semigroup(ev, h):
+        if not ev.continuous:
+            work.matrix_powers += 1
+        return real_build(ev, h)
 
-    def uniformized(chain, rows, times, tol, until=None):
+    def uniformized(step, rows, times, tol, until=None):
         work.uniformized_calls += 1
         work.uniformized_time += times[-1]
-        return real_uniformized(chain, rows, times, tol, until)
+        return real_uniformized(step, rows, times, tol, until)
 
     monkeypatch.setattr(Chain, "apply", apply)
-    monkeypatch.setattr(np.linalg, "matrix_power", matrix_power)
+    monkeypatch.setattr(distances_module._Evaluator, "_build_semigroup", build_semigroup)
     for module in (chain_module, distances_module):
         monkeypatch.setattr(module, "_uniformized", uniformized)
     return work

@@ -191,7 +191,7 @@ def per_probe_brackets(ev, targets, found=None, cap=SEARCH_CAP) -> dict:
         h = t - anchor[0]
         if ev.dense_probes:
             return point(t, anchor[1] @ ev.semigroup(h), group)
-        return point(t, _uniformized(ev.base, anchor[1], (h,), inc_tol)[0], group)
+        return point(t, _uniformized(ev.base.apply, anchor[1], (h,), inc_tol)[0], group)
 
     lo = point(0.0, ev.starts, targets)
     found.update((tg, (0.0, 0.0)) for tg in targets if lo[2][tg[0]] <= tg[1])

@@ -245,18 +245,37 @@ def _record_evolutions(monkeypatch):
 
 @pytest.mark.parametrize("chain", [
     random_bd(2003, 6), random_bd(2031, 34), ehrenfest(16), _dense_reversible(), _nonreversible(),
+    ehrenfest(64),
 ])
 def test_verify_bounds_repeats_no_uniformization(chain, monkeypatch):
     # the fixed times are uniformized once, in one pass; every search probe
     # of the exhaustive continuous clock multiplies its anchor's rows by
-    # E(h), and each E(h) is built once on the evaluator for every metric
-    # and level
+    # E(h), and each factor, E(h) or a power of K or K_delta, is built once
+    # on its evaluator for every metric, level and fixed time
     uniformized, built = _record_evolutions(monkeypatch)
     verify_bounds(chain)
     assert len(uniformized) > 0
     assert len(set(uniformized)) == len(uniformized)
     assert len(built) > 10
     assert len(set(built)) == len(built)
+    if chain.num_states == 65:
+        # fixed times up to 364 steps on the discrete clock, and the lazy
+        # clock's Poisson points, take dense powers
+        assert {ev.query.time_mode for ev, _ in built} == {"discrete", "lazy", "continuous"}
+
+
+def test_many_rows_on_a_large_chain_uniformize_banded(work_count):
+    # 401 states lie above the dense-product size, so every start state's
+    # row steps by Chain.apply at each Poisson term, within tol of expm
+    chain = random_bd(7, 400)
+    ev = _Evaluator(chain, _query("continuous", "tv"), 1e-10)
+    assert not ev.dense_probes and ev.starts.shape == (401, 401)
+    times = (0.5, 3.0, 20.0)
+    work_count.apply_by_chain.clear()
+    for t, rows in zip(times, ev.evolve(times)):
+        expect = oracles.rows_at(chain.dense_kernel, t, "continuous")
+        assert np.abs(rows - expect).sum(axis=1).max() / 2 <= 1e-10, t
+    assert work_count.applies > 0 and work_count.uniformized_calls == 1
 
 
 def test_few_row_probes_repeat_no_uniformization(monkeypatch):
@@ -342,7 +361,8 @@ def test_slow_path_continuous_search_takes_cached_powers(work_count, monkeypatch
 
 def test_continuous_search_refuses_at_the_cap_without_uniformizing(work_count, monkeypatch):
     # at rate 1e-9 the distance stays above 1/4 through t = 10**7; the last
-    # rung, 10**7 - 2**23, is composed from the powers of its binary digits
+    # rung, 10**7 - 2**23, is composed from the powers of its binary digits,
+    # and no composite is built or kept
     _, built = _record_evolutions(monkeypatch)
     chain = _rates_path([1e-9, 1e-9, 0.0], [0.0, 1e-9, 1e-9])
     with pytest.raises(NoConvergence, match="through t = 10000000"):
@@ -350,7 +370,7 @@ def test_continuous_search_refuses_at_the_cap_without_uniformizing(work_count, m
     assert work_count.uniformized_calls == 0
     squares = [2.0 ** k for k in range(23)]
     assert sorted(h for _, h in built if h in squares) == squares
-    assert len(built) == len(squares) + (10**7 - 2**23).bit_count() - 1
+    assert len(built) == len(squares)
 
 
 @pytest.mark.parametrize("chain,mode,metric", SMALL_CASES + [(ehrenfest(310), "lazy", "tv")])
@@ -511,12 +531,33 @@ def test_public_evolutions_take_the_evaluator_route(work_count):
     assert sep == pytest.approx(expect, abs=1e-10)
 
 
-@pytest.mark.parametrize("steps", [256, 300, 1024, 4000])
-def test_every_state_takes_the_power_itself(steps):
-    chain = random_bd(5, 40)
-    ev = _Evaluator(chain, _query("discrete", "tv"), 1e-10)
-    power = np.linalg.matrix_power(chain.dense_kernel, steps)
-    assert ev._rows(steps).tobytes() == power.tobytes()
+@pytest.mark.parametrize("steps", [256, 257, 300, 1000, 1024, 4000, 4095, 2**20 + 3])
+def test_every_state_takes_the_power_itself(steps, work_count):
+    # every state and the endpoint pair on 41 states, and one start vector
+    # on 13, take the power route on both integer clocks; the power is read
+    # from the evaluator's factors of K or K_delta, multiplied from the
+    # lowest binary digit up, so its rows keep numpy's bits
+    chain, small = random_bd(5, 40), random_bd(5, 12)
+    start = np.arange(1.0, 14.0) / 91.0
+    cases = [
+        (chain, DistanceQuery(mode, "tv", delta=delta, exhaustive=exhaustive))
+        for mode, delta in (("discrete", None), ("lazy", 0.5))
+        for exhaustive in (True, False)
+    ]
+    cases += [(small, DistanceQuery(mode, "tv", delta=delta, start=start))
+              for mode, delta in (("discrete", None), ("lazy", 0.5))]
+    for base, query in cases:
+        ev = _Evaluator(base, query, 1e-10)
+        kernel = base.lazy(0.5).dense_kernel if query.time_mode == "lazy" else base.dense_kernel
+        expect = (ev.starts @ np.linalg.matrix_power(kernel, steps)).tobytes()
+        work_count.apply_by_chain.clear()
+        before = work_count.matrix_powers
+        assert ev._rows(steps).tobytes() == expect, query
+        # K**(2**k) for k = 0..floor(log2 steps), each built once
+        built = work_count.matrix_powers
+        assert built - before == steps.bit_length() and work_count.applies == 0
+        assert ev._rows(steps).tobytes() == expect, query
+        assert work_count.matrix_powers == built and work_count.applies == 0
 
 
 def test_period_refusal_does_no_work(work_count):

@@ -311,19 +311,21 @@ def _endpoint_rows(n):
 
 
 @pytest.mark.parametrize("chain,rows", [
-    (random_bd(3, 12), np.eye(13)),                 # stacked rows, dense matmul per term
+    (random_bd(3, 12), np.eye(13)),                 # every state, dense matmul per term
     (random_bd(3, 12), np.eye(13)[4:5]),            # one row, banded Chain.apply
     (ehrenfest(700), _endpoint_rows(700)),          # stacked rows, banded Chain.apply
     (Chain.from_dense(oracles.random_reversible_dense(np.random.default_rng(5), 6)),
      np.full((1, 6), 1.0 / 6.0)),                   # one row, Chain.apply on the dense kernel
 ])
 def test_multi_time_pass_equals_single_time_passes(chain, rows):
+    every_state = rows.shape[0] == chain.num_states
+    step = chain.dense_kernel.__rmatmul__ if every_state else chain.apply
     times = (0.0, 0.25, 3.0, 699.5, 700.5, 760.0)  # both sides of _LOG_SPACE_TIME
     assert times[3] < _LOG_SPACE_TIME < times[4]
-    together = _uniformized(chain, rows, times, 1e-10)
+    together = _uniformized(step, rows, times, 1e-10)
     assert len(together) == len(times)
     for time, got in zip(times, together):
-        assert _hex(got) == _hex(_uniformized(chain, rows, (time,), 1e-10)[0]), time
+        assert _hex(got) == _hex(_uniformized(step, rows, (time,), 1e-10)[0]), time
     assert _hex(together[0]) == _hex(rows)
 
 
@@ -359,14 +361,14 @@ def test_evolutions_past_the_cap_are_refused_before_any_step(work_count):
 ])
 def test_an_early_stopped_pass_returns_the_times_it_finished(chain, rows):
     times = (0.25, 3.0, 699.5, 700.5, 760.0)
-    full = _uniformized(chain, rows, times, 1e-10)
+    full = _uniformized(chain.apply, rows, times, 1e-10)
     seen = []
 
     def until(finished):
         seen.append(finished)
         return len(seen) == 3
 
-    stopped = _uniformized(chain, rows, times, 1e-10, until)
+    stopped = _uniformized(chain.apply, rows, times, 1e-10, until)
     assert len(stopped) == 3 and all(a is b for a, b in zip(stopped, seen))
     for got, expect in zip(stopped, full):
         assert _hex(got) == _hex(expect)

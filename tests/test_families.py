@@ -83,6 +83,15 @@ def test_generate_ehrenfest_rates():
     assert np.allclose(chain.hold, 0.0)
 
 
+@pytest.mark.parametrize("size", [4.7, 4.0, np.float64(6.9), "5", True, None])
+def test_generate_refuses_sizes_that_are_not_integers(size):
+    # a fractional size was truncated (4.7 built n = 4) and a string was
+    # read as its number; FamilySpec refuses them already
+    with pytest.raises(BadFamily, match="integer"):
+        generate(FamilySpec("ehrenfest", (4,)), size)
+    assert generate(FamilySpec("ehrenfest", (4,)), np.int64(5)).num_states == 6
+
+
 def test_generate_paths():
     sym = generate(FamilySpec("path_symmetric", (5,)), 5)
     assert sym.birth[0] == 0.5 and sym.hold[0] == 0.5
