@@ -10,13 +10,14 @@ path) is the fingerprint of its absence.
 
 import math
 
-from cutofflab import FamilySpec, criterion_scan, family_scan
+from cutofflab import FamilySpec, family_scan
 
 sizes = (16, 32, 64, 128, 256)
 
 print("== spectral trend ==")
 for family in ("ehrenfest", "path_symmetric"):
-    report = criterion_scan(FamilySpec(family, sizes))
+    # an empty eps grid asks for the spectral columns and the verdict alone
+    report = family_scan(FamilySpec(family, sizes), eps_grid=())
     print(f"{family}: verdict = {report.verdict}")
     for rec in report.records:
         print(f"  n={rec.n:4d}  gap={rec.gap:.6f}  s={rec.spectral_sum:10.3f}  product={rec.product:.4f}")

@@ -58,7 +58,6 @@ from .families import (
     FamilyReport,
     FamilySpec,
     SizeRecord,
-    criterion_scan,
     family_scan,
     generate,
     load_family,
@@ -111,7 +110,6 @@ __all__ = [
     "FamilyReport",
     "FamilySpec",
     "SizeRecord",
-    "criterion_scan",
     "family_scan",
     "generate",
     "load_family",

@@ -290,10 +290,11 @@ class _Evaluator:
         if self.continuous:
             return _continuous_brackets(self, targets)
         error = None
-        for metric in dict.fromkeys(m for m, _ in targets):
+        metrics = tuple(dict.fromkeys(m for m, _ in targets))
+        for k, metric in enumerate(metrics):
             try:
                 for eps in sorted({e for m, e in targets if m == metric}, reverse=True):
-                    steps = _search_discrete(self, eps, metric)
+                    steps = _search_discrete(self, eps, metric, metrics[k:])
                     self.found[(metric, eps)] = (steps, steps)
             except NoConvergence as exc:
                 error = error or exc
@@ -507,7 +508,10 @@ def mixing_bracket(
     return float(lo), float(hi)
 
 
-def _search_discrete(ev: _Evaluator, eps: float, metric: str) -> int:
+def _search_discrete(ev: _Evaluator, eps: float, metric: str, metrics) -> int:
+    # every probe reduces its rows for each of ``metrics``, the metrics still
+    # to be searched, so their searches read the steps this one probed
+    # instead of composing those powers again
     floor = ev.period_floor(metric)
     if eps < floor:  # a float against a Fraction compares exactly
         raise NoConvergence(
@@ -527,7 +531,8 @@ def _search_discrete(ev: _Evaluator, eps: float, metric: str) -> int:
         probe_metric, threshold = metric, eps
 
     def mixed(t) -> bool:
-        return ev.value(t, probe_metric) <= threshold
+        ev.evaluate((t,), {*metrics, probe_metric})
+        return ev._cache[(float(t), probe_metric)] <= threshold
 
     # a discrete value depends on the step alone, so every value the
     # evaluator holds brackets the crossing as well as a probe would

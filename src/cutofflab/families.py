@@ -8,11 +8,12 @@ Families (all birth-death on 0..n):
 * ``random_bd``       seeded rates, floored so p_i * q_{i+1} >= 0.02 and
                       p_i + q_{i+1} <= 0.9 (monotone, aperiodic)
 
-Scans produce a FamilyReport: the product gap * spectral_sum per size drives
-the trend verdict (grows 1.5x and near-monotone -> "cutoff-trend"; flat
-within 30% -> "no-cutoff-trend"; anything else "inconclusive"), while mixing
-columns compare continuous times against delta-lazy times whose ratio should
-stabilize near 1 - delta.
+``family_scan`` produces a FamilyReport: the product gap * spectral_sum per
+size drives the trend verdict (grows 1.5x and near-monotone ->
+"cutoff-trend"; flat within 30% -> "no-cutoff-trend"; anything else
+"inconclusive").  A nonempty eps grid adds mixing columns that compare
+continuous times against delta-lazy times, whose ratio should stabilize near
+1 - delta; an empty grid leaves them out.
 
 ``verify_bounds`` instantiates every applicable inequality relating the
 metrics, the spectrum, and the stationary-time brackets on concrete grids,
@@ -31,9 +32,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import Chain, _check_delta, _check_eps, _check_time
+from .chain import Chain, _check_delta, _check_eps
 from .distances import DistanceQuery, _Evaluator
-from .errors import BadEpsilon, BadFamily, BadShape, NoConvergence, NotReversible
+from .errors import BadFamily, BadShape, NoConvergence, NotReversible
 from .birth_death import sep_bounds, stationary_time_summary
 from .spectral import beta_delta, eigen_summary
 
@@ -288,40 +289,18 @@ def _trend_verdict(products: list[float]) -> str:
     return "inconclusive"
 
 
-def _fill_spectrum(rec: SizeRecord, chain: Chain) -> None:
-    summary = eigen_summary(chain)
-    rec.gap = summary.gap
-    rec.spectral_sum = summary.spectral_sum
-    rec.product = summary.gap * summary.spectral_sum
-
-
-def criterion_scan(spec: FamilySpec) -> FamilyReport:
-    """Spectral trend scan: gap, spectral sum, and their product per size,
-    plus the trend verdict."""
-    records = []
-    for n in spec.sizes:
-        rec = SizeRecord(n=n)
-        _fill_spectrum(rec, generate(spec, n))
-        records.append(rec)
-    report = FamilyReport(
-        spec=spec,
-        delta=None,
-        eps_grid=(),
-        records=records,
-        verdict=_trend_verdict([r.product for r in records]),
-    )
-    return report
-
-
 def family_scan(
     spec: FamilySpec,
     delta: float | None = None,
     eps_grid: tuple[float, ...] | None = None,
     tol: float = 1e-10,
 ) -> FamilyReport:
-    """Full scan: spectra + verdict, mixing times over the eps grid in both
-    continuous and delta-lazy time, the c/lazy ratio at eps=1/4, and the
-    window between the grid's extreme eps values.
+    """Gap, spectral sum and their product per size, and the trend verdict.
+
+    A nonempty eps grid adds mixing times over the grid in both continuous
+    and delta-lazy time, the c/lazy ratio at eps = 1/4, and the window
+    between the grid's extreme eps values.  An empty grid gives the spectral
+    report alone: ``delta`` and every clock column stay None or empty.
 
     ``delta`` and ``eps_grid`` default to the spec's, and where the spec has
     none to ``DEFAULT_DELTA`` and ``DEFAULT_EPS_GRID``."""
@@ -330,18 +309,18 @@ def family_scan(
     if eps_grid is None:
         eps_grid = DEFAULT_EPS_GRID if spec.eps_grid is None else spec.eps_grid
     eps_grid = tuple(_check_eps(e) for e in eps_grid)
-    if not eps_grid:
-        raise BadEpsilon("eps_grid must hold at least one eps")
     levels = sorted(set(eps_grid) | {0.25})
-    lo_eps, hi_eps = min(eps_grid), max(eps_grid)
     targets = [("tv", level) for level in levels]
     continuous = DistanceQuery("continuous", "tv")
     lazy = DistanceQuery("lazy", "tv", delta=delta)
     records = []
     for n in spec.sizes:
         chain = generate(spec, n)
-        rec = SizeRecord(n=n)
-        _fill_spectrum(rec, chain)
+        summary = eigen_summary(chain)
+        rec = SizeRecord(n, summary.gap, summary.spectral_sum, summary.gap * summary.spectral_sum)
+        records.append(rec)
+        if not eps_grid:
+            continue
         for query, column in ((lazy, rec.mixing_lazy), (continuous, rec.mixing_continuous)):
             ev = _Evaluator(chain, query, tol)
             ev.search(targets)
@@ -351,21 +330,24 @@ def family_scan(
                 column[level] = float(0.5 * (lo + hi))
         # worst-case tv at t = 0 is max_x (1 - pi(x)) >= 1/2, so T(1/4) > 0 on both clocks
         rec.ratio_c_over_lazy = rec.mixing_continuous[0.25] / rec.mixing_lazy[0.25]
-        rec.window = abs(rec.mixing_continuous[lo_eps] - rec.mixing_continuous[hi_eps])
+        rec.window = abs(
+            rec.mixing_continuous[min(eps_grid)] - rec.mixing_continuous[max(eps_grid)]
+        )
         rec.sqrt_t = math.sqrt(rec.mixing_continuous[0.25])
         rec.window_over_sqrt_t = rec.window / rec.sqrt_t
         rec.window_over_n = rec.window / n
-        records.append(rec)
-    target = 1.0 - delta
-    return FamilyReport(
+    report = FamilyReport(
         spec=spec,
-        delta=delta,
+        delta=None,
         eps_grid=eps_grid,
         records=records,
         verdict=_trend_verdict([r.product for r in records]),
-        ratio_target=target,
-        ratio_deviation_final=abs(records[-1].ratio_c_over_lazy - target),
     )
+    if eps_grid:
+        report.delta = delta
+        report.ratio_target = 1.0 - delta
+        report.ratio_deviation_final = abs(records[-1].ratio_c_over_lazy - report.ratio_target)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +418,6 @@ def verify_bounds(
     chain: Chain,
     delta: float = DEFAULT_DELTA,
     eps_grid: tuple[float, ...] = VERIFY_EPS_GRID,
-    time_grid: tuple[float, ...] | None = None,
     tol: float = 1e-10,
 ) -> BoundReport:
     """Instantiate every applicable inequality on concrete grids.
@@ -479,16 +460,14 @@ def verify_bounds(
             SkippedEntry("spectral", "all", "chain is not reversible; no spectral entries")
         )
 
-    if time_grid is None:
-        if summary is not None:
-            base = summary.spectral_sum
-        else:
-            with suppress(NoConvergence):
-                clocks["lazy"].search([("tv", 0.25)])
-            t_lazy = mix("lazy", "tv", 0.25)
-            base = (1.0 - delta) * t_lazy[1] if t_lazy else 50.0
-        time_grid = (0.3 * base, 0.7 * base, 1.2 * base)
-    t_grid = tuple(_check_time(t) for t in time_grid)
+    if summary is not None:
+        base = summary.spectral_sum
+    else:
+        with suppress(NoConvergence):
+            clocks["lazy"].search([("tv", 0.25)])
+        t_lazy = mix("lazy", "tv", 0.25)
+        base = (1.0 - delta) * t_lazy[1] if t_lazy else 50.0
+    t_grid = (0.3 * base, 0.7 * base, 1.2 * base)
     m_grid = sorted({max(1, round(t)) for t in t_grid})
 
     # Metric comparisons at fixed times: tv <= dbar <= 2 tv, dbar <= sep,

@@ -14,7 +14,6 @@ from cutofflab import (
     DistanceQuery,
     FamilySpec,
     corner_separation,
-    criterion_scan,
     distance,
     eigen_summary,
     family_scan,
@@ -101,8 +100,8 @@ def test_criterion_5_ehrenfest_quarter_nlogn(ehrenfest_ratio_report):
 
 def test_criterion_6_trend_dichotomy():
     sizes = (16, 32, 64, 128, 256, 512, 1024)
-    grow = criterion_scan(FamilySpec("ehrenfest", sizes))
-    flat = criterion_scan(FamilySpec("path_symmetric", sizes))
+    grow = family_scan(FamilySpec("ehrenfest", sizes), eps_grid=())
+    flat = family_scan(FamilySpec("path_symmetric", sizes), eps_grid=())
     products = [r.product for r in grow.records]
     increasing = all(b > a for a, b in zip(products, products[1:]))
     ok = grow.verdict == "cutoff-trend" and flat.verdict == "no-cutoff-trend" and increasing

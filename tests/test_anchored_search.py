@@ -75,7 +75,7 @@ def _query(mode, metric, exhaustive=True):
 def _shared_search(chain, query, levels):
     # drive one evaluator through the levels in the given order
     ev = _Evaluator(chain, query, 1e-10)
-    return {eps: _search_discrete(ev, eps, query.metric) for eps in levels}, ev
+    return {eps: _search_discrete(ev, eps, query.metric, (query.metric,)) for eps in levels}, ev
 
 
 def _searched_brackets(chain, query, levels):
@@ -382,7 +382,7 @@ def test_a_level_bracketed_by_held_values_probes_only_inside(chain, mode, metric
     ev = _Evaluator(chain, query, 1e-10)
     ev.evaluate([lo, hi], (metric,))
     held = set(ev._cache)
-    assert _search_discrete(ev, 0.01, metric) == m
+    assert _search_discrete(ev, 0.01, metric, (metric,)) == m
     probed = {int(time) for time, _ in set(ev._cache) - held}
     assert probed and all(lo < t < hi for t in probed)
     assert len(probed) <= (hi - lo - 1).bit_length()
@@ -402,7 +402,7 @@ def test_every_probed_banded_step_is_kept(work_count):
     # 311 states lie above the dense-power cliff, so every probe is banded
     chain = ehrenfest(310)
     ev = _Evaluator(chain, _query("lazy", "tv", exhaustive=False), 1e-10)
-    assert _search_discrete(ev, 0.25, "tv") > 256
+    assert _search_discrete(ev, 0.25, "tv", ("tv",)) > 256
     probed = {int(time) for time, _ in ev._cache}
     work_count.apply_by_chain.clear()
     for t in probed:

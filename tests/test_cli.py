@@ -223,6 +223,23 @@ def test_out_flag_writes_atomically(capsys, two_state_file, tmp_path):
     assert leftovers == []
 
 
+def test_out_and_csv_files_take_the_umask_mode(capsys, two_state_file, tmp_path):
+    # the files get the mode a plain open() gives, not mkstemp's 0600
+    spec_file = write_json(tmp_path / "family.json", {"family": "ehrenfest", "sizes": [4]})
+    old = os.umask(0o022)
+    try:
+        for umask, mode in ((0o022, 0o644), (0o027, 0o640)):
+            os.umask(umask)
+            out, csv = tmp_path / f"r{umask:o}.json", tmp_path / f"t{umask:o}.csv"
+            run_cli(capsys, "spectrum", "--chain", two_state_file, "--out", str(out))
+            run_cli(capsys, "family", "--spec", spec_file, "--eps-grid", "0.25",
+                    "--out", str(out), "--csv", str(csv))
+            assert os.stat(out).st_mode & 0o777 == mode
+            assert os.stat(csv).st_mode & 0o777 == mode
+    finally:
+        os.umask(old)
+
+
 def test_inputs_are_not_mutated(capsys, ehrenfest8):
     before = open(ehrenfest8, "rb").read()
     run_cli(capsys, "spectrum", "--chain", ehrenfest8)
@@ -260,6 +277,28 @@ def test_family_verb_with_csv(capsys, tmp_path):
         "family", "--spec", spec_file, "--eps-grid", "0.1,0.5", "--csv", str(csv_file),
     )
     assert csv_file.read_bytes() == first
+
+
+def test_family_verb_with_an_empty_spec_grid(capsys, tmp_path):
+    # an empty eps grid asks for the spectral columns and the verdict alone
+    spec_file = write_json(
+        tmp_path / "family.json", {"family": "ehrenfest", "sizes": [4, 16], "eps_grid": []}
+    )
+    csv_file = tmp_path / "table.csv"
+    code, out, _ = run_cli(capsys, "family", "--spec", spec_file, "--csv", str(csv_file))
+    assert code == 0
+    payload = json.loads(out)
+    spectral = family_scan(FamilySpec("ehrenfest", (4, 16), eps_grid=()))
+    assert payload == spectral.to_dict()
+    assert payload["delta"] is None and payload["verdict"] == "cutoff-trend"
+    for rec in payload["records"]:
+        assert rec["product"] > 0.0
+        assert rec["mixing_continuous"] == [] and rec["mixing_lazy"] == []
+        assert rec["ratio_c_over_lazy"] is None and rec["window"] is None
+    lines = csv_file.read_text().splitlines()
+    assert lines[0] == "n,gap,s,product,ratio,window,sqrt_t"
+    assert "T_" not in csv_file.read_text()
+    assert len(lines) == 4 and lines[-1].startswith("verdict,cutoff-trend")
 
 
 def test_family_flag_precedence(capsys, tmp_path):

@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,15 +15,16 @@ from cutofflab import (
     Chain,
     FamilyReport,
     FamilySpec,
-    criterion_scan,
+    SizeRecord,
     family_scan,
     generate,
     load_family,
     verify_bounds,
 )
+from cutofflab.distances import _Evaluator
 from cutofflab.families import DEFAULT_DELTA, DEFAULT_EPS_GRID, _trend_verdict
 
-from conftest import flip, rank_one
+from conftest import flip, random_bd, rank_one
 
 
 def test_family_spec_validation():
@@ -127,7 +129,7 @@ def test_trend_verdict_rules():
 
 
 def test_criterion_scan_ehrenfest_products_are_harmonic():
-    report = criterion_scan(FamilySpec("ehrenfest", (8, 16, 64)))
+    report = family_scan(FamilySpec("ehrenfest", (8, 16, 64)), eps_grid=())
     for rec in report.records:
         expect = sum(1.0 / k for k in range(1, rec.n + 1))
         assert rec.gap == pytest.approx(2.0 / rec.n, abs=1e-12)
@@ -136,7 +138,7 @@ def test_criterion_scan_ehrenfest_products_are_harmonic():
 
 
 def test_criterion_scan_symmetric_path_is_flat():
-    report = criterion_scan(FamilySpec("path_symmetric", (8, 16, 32)))
+    report = family_scan(FamilySpec("path_symmetric", (8, 16, 32)), eps_grid=())
     products = [r.product for r in report.records]
     assert max(products) / min(products) <= 1.3
     assert report.verdict == "no-cutoff-trend"
@@ -178,7 +180,7 @@ def test_ratio_scan_tolerates_extreme_eps():
 
 def test_family_scan_validates_eps_grid():
     spec = FamilySpec("ehrenfest", (8,))
-    for grid in ((), (0.0, 0.5), (0.5, 1.0), ("0.5",)):
+    for grid in ((0.0, 0.5), (0.5, 1.0), ("0.5",)):
         with pytest.raises(BadEpsilon):
             family_scan(spec, eps_grid=grid)
 
@@ -196,9 +198,15 @@ def test_family_scan_uses_the_spec_scan_defaults():
     assert family_scan(spec, eps_grid=(0.3,)).eps_grid == (0.3,)
     bare = family_scan(FamilySpec("ehrenfest", (4, 8)))
     assert (bare.delta, bare.eps_grid) == (DEFAULT_DELTA, DEFAULT_EPS_GRID)
-    # an empty spec grid is refused like an empty argument
-    with pytest.raises(BadEpsilon):
-        family_scan(FamilySpec("ehrenfest", (4, 8), eps_grid=()))
+    # an empty grid, given or from the spec, asks for the spectral report
+    # alone: no clock is run, so delta and every clock column stay empty
+    spectral = family_scan(FamilySpec("ehrenfest", (4, 8), delta=0.25, eps_grid=()))
+    assert (spectral.delta, spectral.eps_grid) == (None, ())
+    assert spectral.ratio_target is None and spectral.ratio_deviation_final is None
+    assert spectral.verdict == report.verdict
+    for rec, full in zip(spectral.records, report.records):
+        assert rec == SizeRecord(full.n, full.gap, full.spectral_sum, full.product)
+    assert family_scan(spec, eps_grid=()).records == spectral.records
 
 
 def test_window_scan_fields():
@@ -262,11 +270,29 @@ def test_verify_bounds_random_chain_passes():
     assert len(blob["entries"]) == len(report.entries)
 
 
-def test_verify_bounds_refuses_bad_time_grid():
-    chain = generate(FamilySpec("random_bd", (6,), seed=3), 6)
-    for bad in (math.inf, math.nan, -1.0, "1", True):
-        with pytest.raises(BadShape):
-            verify_bounds(chain, time_grid=(1.0, bad))
+def test_verify_bounds_composes_each_discrete_power_once(monkeypatch):
+    # the tv and sep searches of one clock probe the same steps; each probe
+    # reduces its rows for every searched metric, so a power composed for one
+    # search (a step that is not a power of two) is never composed again
+    composed = Counter()
+    depth = [0]
+    real = _Evaluator.semigroup
+
+    def semigroup(ev, h):
+        if depth[0] == 0 and not ev.continuous and h & (h - 1):
+            composed[(ev, h)] += 1
+        depth[0] += 1
+        try:
+            return real(ev, h)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(_Evaluator, "semigroup", semigroup)
+    for seed, n in ((2013, 16), (2017, 20)):
+        composed.clear()
+        verify_bounds(random_bd(seed, n))
+        assert len(composed) > 20
+        assert max(composed.values()) == 1
 
 
 def test_verify_bounds_refuses_bad_eps_and_delta_before_any_step(work_count):
