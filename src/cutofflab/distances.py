@@ -20,59 +20,60 @@ n = 29, 1/2-lazy tv at t = 1 reads 0.92567 from the endpoints against
 endpoints against 1.  The ``exhaustive`` flag restores full maximization.
 
 ``mixing_time`` searches for the smallest time with distance <= eps, which
-is valid because all three metrics are nonincreasing in time.  The searches
-use the semigroup property:
+is valid because all three metrics are nonincreasing in time.  One
+evaluator per clock serves every metric, level and fixed time, and no rows
+are evolved twice on it.  Its ``search`` brackets every (metric, eps)
+target in one grouped search and writes each bracket to ``found``, which
+``mixing_time``, ``mixing_bracket``, ``family_scan`` and ``verify_bounds``
+all read.  The clocks differ only where they must:
 
-* Continuous searches gallop (1, 2, 4, ...) and then bisect.  Every probe
-  advances from an anchor, the last time whose distance was still above
-  eps, by an increment h.  Many start rows on a small chain multiply by a
-  dense power E(h) = exp(-h (I - K)) from the evaluator's table of powers
-  (see ``_Evaluator``), one probe at a time from the top of a bisection
-  down.  Other start sets take one uniformization pass per anchor at a
-  tolerance of tol/128.  From anchor a with upper end b the pass carries
-  the points a bisection probes from a while each comes out below eps:
+* Thresholds.  A target is decided by a metric and a threshold: its own
+  metric and eps, or on a periodic chain's discrete clock the tv excess
+  over its floor against eps - floor (see below).  A target a period floor
+  rules out is refused before any probe.
+* Seeds.  A discrete value depends on the step alone, so a discrete target
+  starts between the values the evaluator holds for its metric: the
+  largest held step above its threshold (step 0, probed, when none is) and
+  the smallest held step after that.  A continuous target starts at 0,
+  since a continuous value's bits depend on the anchor it was advanced
+  from.
+* Gallop.  Targets with no upper end gallop together: from rung lo the
+  next is 2 lo - base, or lo + 1 when lo = base.  On the continuous clock
+  base stays 0, so the rungs are 1, 2, 4, ....  A discrete group still
+  above eps at a rung where other targets came out below restarts its
+  gallop there (base = that rung), as a fresh search from that rung would.
+* Probe tree.  The targets between the same two points share one
+  bisection tree, walked depth first, lowest interval first, and a rung's
+  bisections before the next rung.  From an anchor a, the last point where
+  the group was above eps, with upper end b, the probed points are
   m1 = (a + b) / 2, m2 = (a + m1) / 2, ..., down to the first within the
-  bracket width of a, and b itself on a gallop rung.  It finishes them in
-  ascending order and stops once every target is below; larger times are
-  below too, since the distance is nonincreasing.
-* Discrete and lazy searches take their bracket from the values the
-  evaluator already holds.  A discrete value depends on the step alone, so
-  the lower end is the largest held step whose distance is above eps (step
-  0 is probed when none is), and the upper end is the smallest held step
-  above it.  With no upper end held, the search gallops from the lower end
-  (lo+1, lo+2, lo+4, ...); then it bisects.  Wherever the float distance is
-  nonincreasing at eps, every probe order finds the same minimal step.
+  bracket width of a, and b itself on a gallop rung.  The width is
+  max(1e-6, 1e-4 t) in continuous time; discrete midpoints round down and
+  close at width 1, so a discrete bracket is (m, m).  A target goes on from
+  the last point at which it is above eps to the point after it.  Each
+  probe reduces only the metrics of its group; discrete values are cached
+  per (step, metric).
+* Probes.  Discrete probes, and continuous ones where many rows on a small
+  chain multiply by dense powers E(h) = exp(-h (I - K)), walk the points
+  top down while some target is still below (``_Evaluator`` picks every
+  route).  Other continuous start sets take one uniformization pass per
+  anchor at a tolerance of tol/128, which finishes the points in ascending
+  order and stops once every target is below; later points are below too.
 
-One evaluator per clock serves every metric, level and fixed time, and no
-rows are evolved twice on it.  Its ``search`` takes (metric, eps) targets
-and writes each bracket to ``found``; ``mixing_time``, ``mixing_bracket``,
-``family_scan`` and ``verify_bounds`` all read their answers there.  A
-target that cannot converge is left out of ``found``, and so is every
-smaller eps of its metric; ``search`` raises the first such NoConvergence
-after every other target has been searched.
+Every continuous probe keeps the anchor and increment of a fresh search,
+and a multi-time pass gives each time the bits of a pass of its own.  So
+wherever the float distance is nonincreasing at eps, every bracket is the
+one a fresh search per target gives: bit-identical in continuous time, the
+same minimal step in discrete time.  A target that cannot converge is left
+out of ``found``, and so is every smaller eps of its metric; ``search``
+raises the first period-floor refusal in target order, else the refusal at
+the cap, after every other target has been searched.
 
-* Continuous targets share one probe tree.  The gallop's rungs do not
-  depend on the target, and a target's bisection depends only on the two
-  rungs around its crossing.  So all targets walk one gallop, and the
-  targets between the same two rungs walk one bisection tree depth first,
-  each point probed once and reduced to every metric its targets need.
-  Every probe keeps the anchor and increment of a fresh search, and a
-  multi-time pass gives each time the bits of a pass of its own.  A target
-  goes on from the last probed point at which it is above eps, up to the
-  next point.  So wherever the float distance is nonincreasing at eps,
-  every bracket is bit-identical to a fresh one and to one probe per
-  uniformization, top down.
-* Discrete targets run one metric at a time, each metric's levels in
-  descending eps.  Each level is bracketed by whatever earlier levels, other
-  metrics and fixed times left on the evaluator.  A probe's rows, banded
-  from the evaluator's kept rows or a dense power of K or K_delta from the
-  same table, depend on the step, the chain and the start set alone (see
-  ``_Evaluator``).
-* Fixed times reduce one evolution, ``_Evaluator.evolve``: the continuous
-  clock uniformizes all of them in one pass over one power sequence
-  (``chain._uniformized``, with the step the evaluator picks), the others
-  step through them in ascending order.  Every metric at one time reduces
-  the same rows.
+Fixed times reduce one evolution, ``_Evaluator.evolve``: the continuous
+clock uniformizes all of them in one pass over one power sequence
+(``chain._uniformized``, with the step the evaluator picks), the others
+step through them in ascending order.  Every metric at one time reduces the
+same rows.
 
 ``step_distribution``, ``continuous_distribution`` and
 ``birth_death.corner_separation`` read those rows from an evaluator whose
@@ -183,11 +184,11 @@ class _Evaluator:
     Every route evolves those rows (uniformization, products with the
     powers of the clock's one-step matrix, and banded steps from ``_kept``,
     which holds them at step 0), and the period floors read their exact
-    class masses.  Every evaluation goes through ``evaluate``, which reduces
-    every requested metric at several times from one evolution, ``evolve``,
-    and caches the values per (time, metric).  ``search`` brackets mixing times at (metric,
-    eps) targets from those values and keeps the brackets in ``found``,
-    keyed by target.
+    class masses.  ``evaluate`` reduces every requested metric at several
+    times from one evolution, ``evolve``, and caches the values per (time,
+    metric).  ``search`` brackets every (metric, eps) target in one grouped
+    search (see the module docstring), whose discrete probes read and extend
+    that cache, and keeps the brackets in ``found``, keyed by target.
 
     Every clock has one one-step matrix, K, K_delta or E(1) = exp(-(I - K)),
     and ``semigroup(h)`` reads its powers from one table, ``_semigroup``,
@@ -276,30 +277,49 @@ class _Evaluator:
 
     def search(self, targets) -> None:
         """Mixing brackets (lo, hi) at (metric, eps) targets, written to
-        ``found``; the discrete modes give (m, m) with m exact.
-
-        A target that cannot converge raises NoConvergence, and so would
-        every smaller eps of its metric; the first such error is raised
-        after every other target has been searched.  Targets already in
+        ``found``; the discrete modes give (m, m) with m exact.  All targets
+        share one gallop and one probe tree (see the module docstring), and
+        one that cannot converge is left out of ``found`` and raises
+        NoConvergence once the others are searched.  Targets already in
         ``found`` are not searched again.
         """
         targets = list(dict.fromkeys((metric, _check_eps(eps)) for metric, eps in targets))
         targets = [tg for tg in targets if tg not in self.found]
         if any(metric == "sep" for metric, _ in targets):
             _check_separation(self.pi)
-        if self.continuous:
-            return _continuous_brackets(self, targets)
-        error = None
-        metrics = tuple(dict.fromkeys(m for m, _ in targets))
-        for k, metric in enumerate(metrics):
+        # refusals are kept as messages: a kept exception's traceback would
+        # hold this frame, and through the caller's frame every evaluator,
+        # in a cycle only the full garbage collection frees
+        tests, refusals = {}, []
+        for target in targets:
             try:
-                for eps in sorted({e for m, e in targets if m == metric}, reverse=True):
-                    steps = _search_discrete(self, eps, metric, metrics[k:])
-                    self.found[(metric, eps)] = (steps, steps)
+                tests[target] = self._threshold(*target)
             except NoConvergence as exc:
-                error = error or exc
-        if error is not None:
-            raise error
+                refusals.append(str(exc))
+        _grouped_search(self, tests, refusals)
+        if refusals:
+            raise NoConvergence(refusals[0])
+
+    def _threshold(self, metric: str, eps: float) -> tuple[str, float]:
+        """The metric and threshold that decide "distance <= eps", or
+        NoConvergence where a period floor rules eps out."""
+        floor = self.period_floor(metric)
+        if eps < floor:  # a float against a Fraction compares exactly
+            raise NoConvergence(
+                f"the chain has period {self.base.period}; its {metric} "
+                f"distance stays at or above {float(floor):g} > {eps}"
+            )
+        if floor and metric == "sep" and eps == floor and _sep_floor_unmet(self):
+            raise NoConvergence(
+                f"the chain has period {self.base.period}; its sep distance "
+                f"stays above its floor {eps} at every step"
+            )
+        if floor and metric == "tv":
+            # tv = floor + excess exactly, and the excess carries no
+            # cancellation against the floor, so eps == floor is decided by
+            # its sign
+            return "excess", float(Fraction(eps) - floor)
+        return metric, eps
 
     def evaluate(self, times, metrics) -> None:
         """Reduce every metric at every time, evolving the start set once."""
@@ -508,61 +528,6 @@ def mixing_bracket(
     return float(lo), float(hi)
 
 
-def _search_discrete(ev: _Evaluator, eps: float, metric: str, metrics) -> int:
-    # every probe reduces its rows for each of ``metrics``, the metrics still
-    # to be searched, so their searches read the steps this one probed
-    # instead of composing those powers again
-    floor = ev.period_floor(metric)
-    if eps < floor:  # a float against a Fraction compares exactly
-        raise NoConvergence(
-            f"the chain has period {ev.base.period}; its {metric} "
-            f"distance stays at or above {float(floor):g} > {eps}"
-        )
-    if floor and metric == "sep" and eps == floor and _sep_floor_unmet(ev):
-        raise NoConvergence(
-            f"the chain has period {ev.base.period}; its sep distance "
-            f"stays above its floor {eps} at every step"
-        )
-    if floor and metric == "tv":
-        # tv = floor + excess exactly, and the excess carries no cancellation
-        # against the floor, so eps == floor is decided by its sign
-        probe_metric, threshold = "excess", float(Fraction(eps) - floor)
-    else:
-        probe_metric, threshold = metric, eps
-
-    def mixed(t) -> bool:
-        ev.evaluate((t,), {*metrics, probe_metric})
-        return ev._cache[(float(t), probe_metric)] <= threshold
-
-    # a discrete value depends on the step alone, so every value the
-    # evaluator holds brackets the crossing as well as a probe would
-    known = {int(t): v for (t, m), v in ev._cache.items() if m == probe_metric}
-    lo = max((t for t, v in known.items() if v > threshold), default=None)
-    if lo is None:
-        if mixed(0):
-            return 0
-        lo = 0
-    hi = min((t for t in known if t > lo), default=None)
-    base, stride = lo, 1
-    while hi is None:
-        probe = min(base + stride, SEARCH_CAP)
-        if mixed(probe):
-            hi = probe
-        elif probe == SEARCH_CAP:
-            raise NoConvergence(
-                f"distance stays above {eps} through {SEARCH_CAP} steps"
-            )
-        else:
-            lo, stride = probe, 2 * stride
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if mixed(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def _sep_floor_unmet(ev: _Evaluator) -> bool:
     """Whether sep provably never meets its positive class-mass floor.
 
@@ -603,89 +568,121 @@ def _poisson_power(kernel: np.ndarray, h: float) -> np.ndarray:
     return acc
 
 
-def _below_chain(a: float, b: float) -> list:
+def _below_chain(a, b, continuous: bool) -> list:
     """The points a bisection of (a, b) probes from a while each comes out
-    below eps, ascending: (a + b) / 2, its midpoint with a, and so on down
-    to the first within max(1e-6, 1e-4 t) of a."""
+    below eps, ascending: the midpoint of (a, b), its midpoint with a, and so
+    on down to the first within the bracket width of a.  The width is
+    max(1e-6, 1e-4 t) on the continuous clock; integer midpoints round down
+    and close at width 1."""
     chain = []
-    while b - a > max(1e-6, 1e-4 * b):
-        b = 0.5 * (a + b)
+    while b - a > (max(1e-6, 1e-4 * b) if continuous else 1):
+        b = 0.5 * (a + b) if continuous else (a + b) // 2
         chain.append(b)
     return chain[::-1]
 
 
-def _continuous_brackets(ev: _Evaluator, targets) -> None:
-    # The semigroup property lets every probe advance from the last time at
-    # which the distance was still above eps, instead of integrating from 0.
+def _grouped_search(ev: _Evaluator, tests: dict, refusals: list) -> None:
+    # ``tests`` maps each target to the metric and threshold that decide it.
+    # A task is (points, anchor rows, group, base): the points
+    # (a, *_below_chain(a, b), b) of one interval, and base, the start of
+    # the gallop, on a gallop rung b, where b is not yet known to be below.
     # Uniformized increments run at tol/128, so the composed truncation
     # error over the whole search stays below tol (well under 128 committed
     # increments); E(h) is summed to the rounding floor.
-    # One gallop (0, 1, 2, 4, ...) serves every target.  From an anchor a
-    # with upper end b, the targets between them are probed once for all at
-    # the points (a, *_below_chain(a, b), b), b only on a gallop rung, where
-    # it is not yet known to be below.  A target's next interval runs from
-    # the last of those points at which it is above eps to the point after
-    # it; a target above at the rung waits for the next rung from there.
-    inc_tol = ev.tol / 128.0
+    continuous, inc_tol = ev.continuous, ev.tol / 128.0
+    zero, cap = (0.0, float(SEARCH_CAP)) if continuous else (0, SEARCH_CAP)
 
-    def above(rows, group) -> set:
-        values = {m: ev._metric(rows, m) for m in {m for m, _ in group}}
-        return {tg for tg in group if values[tg[0]] > tg[1]}
+    def above(t, rows, group) -> set:
+        # the targets of group above their thresholds at time t
+        metrics = {tests[tg][0] for tg in group}
+        if continuous:
+            values = {m: ev._metric(rows, m) for m in metrics}
+        else:
+            need = [m for m in metrics if (float(t), m) not in ev._cache]
+            if need:
+                rows = ev._rows(t)
+                ev._cache.update({(float(t), m): ev._metric(rows, m, t) for m in need})
+            values = {m: ev._cache[(float(t), m)] for m in metrics}
+        return {tg for tg in group if values[tests[tg][0]] > tests[tg][1]}
 
-    def probe(rows, points, group, probe_top: bool):
-        # rows at every probed index k of points (0 is the anchor), and each
-        # target's last index at which it is above eps
-        a, times = points[0], points[1:] if probe_top else points[1:-1]
+    def task(a, b, rows, group, base=None):
+        # with no b, a gallop rung from base: 2 a - base, or a + 1 at a = base
+        if b is None:
+            b = min(2 * a - base if a != base else a + 1, cap)
+        return [a, *_below_chain(a, b, continuous), b], rows, group, base
+
+    def probe(rows, points, group, on_rung: bool):
+        # each target's last index in points at which it is above (0 is the
+        # anchor), and the rows at every probed index on the continuous clock
+        a, times = points[0], points[1:] if on_rung else points[1:-1]
         probed, last = {0: rows}, dict.fromkeys(group, 0)
-        if ev.dense_probes:
-            # top down, one product per point, while some target has been
-            # below at every point so far
-            falling = group
-            for k in range(len(times), 0, -1):
-                probed[k] = rows @ ev.semigroup(times[k - 1] - a)
-                up = above(probed[k], falling)
+        if continuous and not ev.dense_probes:
+
+            def finished(rows_k) -> bool:
+                # bottom up in one pass, which stops once every target is
+                # below; by monotonicity each stays below at the later points
+                k = len(probed)
+                probed[k] = rows_k
+                up = above(None, rows_k, group)
                 last.update(dict.fromkeys(up, k))
-                falling = [tg for tg in falling if tg not in up]
-                if not falling:
-                    break
+                return not up
+
+            _uniformized(ev.step, rows, tuple(t - a for t in times), inc_tol, until=finished)
             return probed, last
-
-        def finished(rows_k) -> bool:
-            # bottom up in one pass, which stops once every target is below;
-            # by monotonicity each stays below at the later points
-            k = len(probed)
-            probed[k] = rows_k
-            up = above(rows_k, group)
+        # top down, one probe per point, while some target has been below at
+        # every point so far
+        falling = group
+        for k in range(len(times), 0, -1):
+            if continuous:
+                probed[k] = rows @ ev.semigroup(times[k - 1] - a)
+            up = above(times[k - 1], probed.get(k), falling)
             last.update(dict.fromkeys(up, k))
-            return not up
-
-        _uniformized(ev.step, rows, tuple(t - a for t in times), inc_tol, until=finished)
+            falling = [tg for tg in falling if tg not in up]
+            if not falling:
+                break
         return probed, last
 
-    rows = ev.starts
-    up = above(rows, targets)
-    ev.found.update((tg, (0.0, 0.0)) for tg in targets if tg not in up)
-    waiting, lo = [tg for tg in targets if tg in up], 0.0
-    while waiting:
-        if lo == SEARCH_CAP:
-            eps = max(e for _, e in waiting)
-            raise NoConvergence(f"distance stays above {eps} through t = {SEARCH_CAP}")
-        hi = min(2.0 * lo, float(SEARCH_CAP)) if lo else 1.0
-        stack = [(rows, [lo, *_below_chain(lo, hi), hi], waiting, True)]
-        waiting = []
-        while stack:
-            rows_a, points, group, probe_top = stack.pop()
-            if len(points) == 2 and not probe_top:
-                ev.found.update((tg, tuple(points)) for tg in group)
-                continue
-            probed, last = probe(rows_a, points, group, probe_top)
-            for k in sorted(set(last.values())):
-                group_k = [tg for tg in group if last[tg] == k]
-                if k + 1 == len(points):
-                    waiting, lo, rows = group_k, points[k], probed[k]
-                else:
-                    a, b = points[k], points[k + 1]
-                    stack.append((probed[k], [a, *_below_chain(a, b), b], group_k, False))
+    # seeds: a discrete target lies between the values held for its metric;
+    # a continuous one starts at 0, as its values depend on their anchor
+    held = {} if continuous else ev._cache
+    known = {tg: [(int(t), v) for (t, m), v in held.items() if m == test[0]]
+             for tg, test in tests.items()}
+    lo = {tg: max((t for t, v in known[tg] if v > tests[tg][1]), default=None) for tg in tests}
+    fresh = [tg for tg in tests if lo[tg] is None]
+    up = above(zero, ev.starts, fresh)
+    ev.found.update((tg, (zero, zero)) for tg in fresh if tg not in up)
+    seeds = {}
+    for tg in tests:
+        if tg not in ev.found:
+            a = zero if lo[tg] is None else lo[tg]
+            hi = min((t for t, _ in known[tg] if t > a), default=None)
+            seeds.setdefault((a, hi), []).append(tg)
+    # the lowest interval is probed first, and a rung's bisections before the
+    # next rung
+    stack = [task(a, b, ev.starts, group, a if b is None else None)
+             for (a, b), group in sorted(seeds.items(), key=lambda seed: seed[0][0], reverse=True)]
+    while stack:
+        points, rows, group, base = stack.pop()
+        if len(points) == 2 and base is None:
+            bracket = (points[0] if continuous else points[1], points[1])
+            ev.found.update(dict.fromkeys(group, bracket))
+            continue
+        probed, last = probe(rows, points, group, base is not None)
+        levels = sorted(set(last.values()), reverse=True)
+        for k in levels:
+            group_k = [tg for tg in group if last[tg] == k]
+            if k + 1 < len(points):
+                stack.append(task(points[k], points[k + 1], probed.get(k), group_k))
+            elif points[k] == cap:
+                eps = max(e for _, e in group_k)
+                through = f"t = {SEARCH_CAP}" if continuous else f"{SEARCH_CAP} steps"
+                refusals.append(f"distance stays above {eps} through {through}")
+            else:
+                # a discrete group restarts its gallop at a rung where other
+                # targets came out below, as a fresh search would from there
+                restart = not continuous and len(levels) > 1
+                stack.append(task(points[k], None, probed.get(k), group_k,
+                                  points[k] if restart else base))
 
 
 @dataclass(frozen=True, eq=False)

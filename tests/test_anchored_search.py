@@ -5,11 +5,11 @@ already holds, whatever metric, level or fixed time put them there.  The
 evaluator keeps the rows of every banded step it evaluates, and of a ladder
 of four steps per octave, in one store keyed by step; a banded request
 reads its step there or continues from the largest kept step below it.
-Continuous targets share one gallop and one bisection tree per gallop
-interval.  ``_Evaluator.search`` takes every (metric, eps) target of one
-clock and writes its brackets to ``found``.  Every probed value must be the
-one a fresh evaluation gives, so the answers must equal a fresh search per
-level and, on small chains, a linear scan.  ``verify_bounds`` keeps one
+``_Evaluator.search`` takes every (metric, eps) target of one clock, on
+every clock, through one gallop and one bisection tree, and writes its
+brackets to ``found``.  Every probed value must be the one a fresh
+evaluation gives, so the answers must equal a fresh search per level and,
+on small chains, a linear scan.  ``verify_bounds`` keeps one
 evaluator per clock for every metric, level and fixed time; its reports must
 equal those built from public calls, and it must uniformize no (start rows,
 time, tol) twice.  Continuous probes with many rows on a small chain multiply
@@ -17,8 +17,11 @@ by cached powers E(h) = exp(-h (I - K)), each built once per evaluator and
 checked against the matrix exponential.
 """
 
+import gc
 import json
+import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -39,7 +42,7 @@ from cutofflab import chain as chain_module
 from cutofflab import distances as distances_module
 from cutofflab import families
 from cutofflab.chain import SEARCH_CAP, Chain
-from cutofflab.distances import _Evaluator, _search_discrete, distance_curve, mixing_bracket
+from cutofflab.distances import _Evaluator, distance_curve, mixing_bracket
 
 from conftest import ehrenfest, flip, random_bd, two_state
 import oracles
@@ -73,9 +76,12 @@ def _query(mode, metric, exhaustive=True):
 
 
 def _shared_search(chain, query, levels):
-    # drive one evaluator through the levels in the given order
+    # drive one evaluator through the levels in the given order, one search
+    # per level, each bracketed by the values the earlier ones left
     ev = _Evaluator(chain, query, 1e-10)
-    return {eps: _search_discrete(ev, eps, query.metric, (query.metric,)) for eps in levels}, ev
+    for eps in levels:
+        ev.search([(query.metric, eps)])
+    return {eps: ev.found[(query.metric, eps)][1] for eps in levels}, ev
 
 
 def _searched_brackets(chain, query, levels):
@@ -382,7 +388,8 @@ def test_a_level_bracketed_by_held_values_probes_only_inside(chain, mode, metric
     ev = _Evaluator(chain, query, 1e-10)
     ev.evaluate([lo, hi], (metric,))
     held = set(ev._cache)
-    assert _search_discrete(ev, 0.01, metric, (metric,)) == m
+    ev.search([(metric, 0.01)])
+    assert ev.found[(metric, 0.01)] == (m, m)
     probed = {int(time) for time, _ in set(ev._cache) - held}
     assert probed and all(lo < t < hi for t in probed)
     assert len(probed) <= (hi - lo - 1).bit_length()
@@ -402,7 +409,8 @@ def test_every_probed_banded_step_is_kept(work_count):
     # 311 states lie above the dense-power cliff, so every probe is banded
     chain = ehrenfest(310)
     ev = _Evaluator(chain, _query("lazy", "tv", exhaustive=False), 1e-10)
-    assert _search_discrete(ev, 0.25, "tv", ("tv",)) > 256
+    ev.search([("tv", 0.25)])
+    assert ev.found[("tv", 0.25)][1] > 256
     probed = {int(time) for time, _ in ev._cache}
     work_count.apply_by_chain.clear()
     for t in probed:
@@ -466,7 +474,9 @@ def test_family_scan_lazy_column_work(work_count):
     assert 0 < lazy <= 50_000  # 294,604 with one fresh search per level
     # 12,281 continuing only from the latest checkpoint, 9,803 resuming
     # each level at its metric's checkpoint, 8,699 bracketing each level by
-    # the values already held
+    # the values already held, and the same in one probe tree for all
+    # levels, whose groups still above eps at a rung where others came out
+    # below restart their gallop there (11,771 without that restart)
     assert lazy == 8_699
     assert work_count.matrix_powers == 0
     # the continuous column evolves the base chain; 33,219 applications
@@ -569,6 +579,131 @@ def test_period_refusal_does_no_work(work_count):
         with pytest.raises(NoConvergence):
             mixing_time(chain, 0.25, _query("discrete", metric, exhaustive=False))
     assert work_count.applies == 0 and work_count.matrix_powers == 0
+
+
+def _spread_start(n: int) -> np.ndarray:
+    # masses 0.7 / 0.3 on the two parity classes: tv floor 0.2, sep floor 0.4
+    start = np.zeros(n + 1)
+    start[0], start[1] = 0.7, 0.3
+    return start
+
+
+def _at_floor(chain, query, metric) -> float:
+    # the smallest double at or above the exact floor
+    floor = _Evaluator(chain, query, 1e-10).period_floor(metric)
+    at = float(floor)
+    return at if Fraction(at) >= floor else math.nextafter(at, 1.0)
+
+
+def _floor_cases():
+    spread = DistanceQuery("discrete", "tv", start=_spread_start(8))
+    at_tv = _at_floor(ehrenfest(8), spread, "tv")
+    endpoints = _query("discrete", "tv", exhaustive=False)
+    return [
+        # tv above, at and below 0.2; sep above, at (never met) and below 0.4
+        (ehrenfest(8), spread, [("tv", 0.3), ("tv", at_tv), ("tv", math.nextafter(at_tv, 0.0)),
+                                ("sep", 0.45), ("sep", 0.4), ("sep", 0.35)]),
+        # endpoints on two parity classes: floors 1/2, 1 and 1
+        (ehrenfest(7), endpoints, [("tv", 0.6), ("tv", 0.5), ("tv", 0.4), ("sep", 0.9),
+                                   ("dbar", 0.9)]),
+        # endpoints on one parity class: floors 1/2, 1 and 0
+        (ehrenfest(8), endpoints, [("tv", 0.6), ("tv", 0.5), ("tv", 0.4), ("sep", 0.9),
+                                   ("dbar", 0.5), ("dbar", 0.25)]),
+        # aperiodic: no floor
+        (random_bd(4, 30), _query("discrete", "tv"),
+         [(metric, eps) for metric in ("tv", "sep", "dbar") for eps in (0.5, 0.25, 0.1)]),
+        (ehrenfest(8), _query("lazy", "tv", exhaustive=False),
+         [(metric, eps) for metric in ("tv", "sep", "dbar") for eps in (0.5, 0.25, 0.1)]),
+    ]
+
+
+@pytest.mark.parametrize("chain,query,targets", _floor_cases())
+def test_one_search_decides_each_target_at_its_own_floor(chain, query, targets):
+    # one search over mixed metrics gives every target the bracket of a
+    # search of its own, and leaves out exactly the targets such a search
+    # refuses; it raises the refusal of the first of them
+    answers, refusals = {}, {}
+    for metric, eps in targets:
+        q = DistanceQuery(query.time_mode, metric, delta=query.delta, start=query.start,
+                          exhaustive=query.exhaustive)
+        try:
+            answers[(metric, eps)] = mixing_bracket(chain, eps, q)
+        except NoConvergence as exc:
+            refusals[(metric, eps)] = str(exc)
+    if query.time_mode == "discrete" and chain.period > 1:
+        assert answers and refusals
+    for order in _orders(targets):
+        ev = _Evaluator(chain, query, 1e-10)
+        if refusals:
+            with pytest.raises(NoConvergence) as raised:
+                ev.search(order)
+            first = next(tg for tg in order if tg in refusals)
+            assert str(raised.value) == refusals[first]
+        else:
+            ev.search(order)
+        assert ev.found == answers
+
+
+@pytest.mark.parametrize("chain,eps,query,message", [
+    (flip(), 0.25, DistanceQuery("discrete", "tv"),
+     "the chain has period 2; its tv distance stays at or above 0.5 > 0.25"),
+    (ehrenfest(8), 0.9, DistanceQuery("discrete", "sep"),
+     "the chain has period 2; its sep distance stays at or above 1 > 0.9"),
+    (ehrenfest(7), 0.25, DistanceQuery("discrete", "dbar"),
+     "the chain has period 2; its dbar distance stays at or above 1 > 0.25"),
+    (ehrenfest(8), 0.4, DistanceQuery("discrete", "sep", start=_spread_start(8)),
+     "the chain has period 2; its sep distance stays above its floor 0.4 at every step"),
+    (two_state(1e-9, 1e-9), 0.25, DistanceQuery("discrete", "tv", start=[1.0, 0.0]),
+     "distance stays above 0.25 through 10000000 steps"),
+    (_rates_path([1e-9, 1e-9, 0.0], [0.0, 1e-9, 1e-9]), 0.25, DistanceQuery("continuous", "tv"),
+     "distance stays above 0.25 through t = 10000000"),
+    (_rates_path([1e-9, 1e-9, 0.0], [0.0, 1e-9, 1e-9]), 0.25,
+     DistanceQuery("lazy", "sep", delta=0.5),
+     "distance stays above 0.25 through 10000000 steps"),
+])
+def test_single_target_refusals_keep_their_text(chain, eps, query, message):
+    # the CLI prints these after "error: " and exits 3
+    with pytest.raises(NoConvergence) as raised:
+        mixing_time(chain, eps, query)
+    assert str(raised.value) == message
+
+
+def test_refused_targets_leave_no_evaluator_to_the_cycle_collector():
+    # Ehrenfest 16 has period 2, so verify_bounds' discrete targets are
+    # refused.  A refusal kept as an exception held the search's frame in a
+    # cycle, and through verify_bounds' frame every evaluator, until a full
+    # collection
+    chain = ehrenfest(16)
+    gc.collect()
+    gc.disable()
+    try:
+        verify_bounds(chain)
+        alive = [o for o in gc.get_objects() if isinstance(o, _Evaluator) and o.base is chain]
+    finally:
+        gc.enable()
+    assert alive == []
+
+
+def test_discrete_probes_reduce_only_their_groups_metrics(monkeypatch):
+    # 115 reductions on the discrete clock when every probe reduced every
+    # metric still to be searched
+    reductions, checks = [], []
+    real_metric, real_check = _Evaluator._metric, distances_module._check_separation
+
+    def counted_metric(ev, rows, metric, time=None):
+        if ev.query.time_mode == "discrete":
+            reductions.append(metric)
+        return real_metric(ev, rows, metric, time)
+
+    monkeypatch.setattr(_Evaluator, "_metric", counted_metric)
+    verify_bounds(random_bd(2031, 34))
+    assert len(reductions) == 81
+    # separation is checked once per search, not at every probe
+    monkeypatch.setattr(distances_module, "_check_separation",
+                        lambda pi: checks.append(1) or real_check(pi))
+    ev = _Evaluator(random_bd(2031, 34), _query("discrete", "tv"), 1e-10)
+    ev.search([(metric, eps) for metric in ("tv", "sep") for eps in (0.4, 0.2, 0.1)])
+    assert len(checks) == 1 and len(ev.found) == 6
 
 
 FAMILY_LEVELS = (0.75, 0.5, 0.25, 0.1, 0.05)

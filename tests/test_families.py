@@ -128,7 +128,7 @@ def test_trend_verdict_rules():
     assert _trend_verdict([1.0, 0.8, 1.6]) == "inconclusive"
 
 
-def test_criterion_scan_ehrenfest_products_are_harmonic():
+def test_family_scan_empty_grid_ehrenfest_products_are_harmonic():
     report = family_scan(FamilySpec("ehrenfest", (8, 16, 64)), eps_grid=())
     for rec in report.records:
         expect = sum(1.0 / k for k in range(1, rec.n + 1))
@@ -137,7 +137,7 @@ def test_criterion_scan_ehrenfest_products_are_harmonic():
     assert report.verdict == "cutoff-trend"
 
 
-def test_criterion_scan_symmetric_path_is_flat():
+def test_family_scan_empty_grid_symmetric_path_is_flat():
     report = family_scan(FamilySpec("path_symmetric", (8, 16, 32)), eps_grid=())
     products = [r.product for r in report.records]
     assert max(products) / min(products) <= 1.3
