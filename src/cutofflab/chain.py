@@ -16,8 +16,9 @@ the building blocks of evolution:
 and also the step a uniformization pass takes: ``Chain.apply``, or one
 product with the dense kernel per term.  Continuous search probes with many
 start rows on a small chain use none of them: they multiply by dense powers
-E(h) = exp(-h(I-K)) that ``distances`` builds from the dense kernel, so
-there uniformization serves the fixed times alone.
+E(h) = exp(-h(I-K)) that ``distances`` builds from the dense kernel, and so
+do the fixed times there whose uniformization would take more row steps
+than their power takes products.
 
 Uniformization accumulates terms until the Poisson mass reaches ``1 - tol``
 and renormalizes, so the truncation error in total variation is at most

@@ -69,11 +69,14 @@ out of ``found``, and so is every smaller eps of its metric; ``search``
 raises the first period-floor refusal in target order, else the refusal at
 the cap, after every other target has been searched.
 
-Fixed times reduce one evolution, ``_Evaluator.evolve``: the continuous
-clock uniformizes all of them in one pass over one power sequence
-(``chain._uniformized``, with the step the evaluator picks), the others
-step through them in ascending order.  Every metric at one time reduces the
-same rows.
+Fixed times reduce one evolution, ``_Evaluator.evolve``.  One route rule
+serves all three clocks: on a chain of at most 300 states, a time whose
+start rows would take more row steps to evolve than its power takes n x n
+products to build reads them from that power (K**m, K_delta**m or E(t)).
+The continuous clock uniformizes its other times in one pass over one
+power sequence (``chain._uniformized``, with the step the evaluator
+picks); the others step through them in ascending order.  Every metric at
+one time reduces the same rows.
 
 ``step_distribution``, ``continuous_distribution`` and
 ``birth_death.corner_separation`` read those rows from an evaluator whose
@@ -131,6 +134,9 @@ from .errors import BadDelta, BadShape, LengthMismatch, NoConvergence, Numerical
 # Dense-power probing pays off for repeated large-m probes on small chains.
 _POW_MIN_STEPS = 256
 _POW_MAX_STATES = 300
+# n x n products counted for one factor E(h <= 1): its Poisson sum takes 21
+# kernel powers at h = 1, and as many scaled sums
+_FACTOR_PRODUCTS = 22
 
 
 def total_variation(a, b) -> float:
@@ -192,16 +198,18 @@ class _Evaluator:
 
     Every clock has one one-step matrix, K, K_delta or E(1) = exp(-(I - K)),
     and ``semigroup(h)`` reads its powers from one table, ``_semigroup``,
-    freed with the evaluator.  Each factor is built once by
-    ``_build_semigroup`` and kept read-only:
+    freed with the evaluator.  Each factor is built by ``_build_semigroup``
+    and kept read-only:
 
     * discrete and lazy: K or K_delta at h = 1;
     * continuous: E(h) for h <= 1, the Poisson(h) sum of kernel powers to
       the rounding floor;
     * h = 2**k > 1: the square of the factor at h / 2.
 
-    Any other h is the power at h - top times the factor at top, the
-    largest power of two <= h, which is the lowest-digit-first order of
+    The table keeps the factors at powers of two; a continuous factor at
+    any other h < 1 is rebuilt on each request.  Any other h > 1 is the
+    power at h - top times the factor at top, the largest power of two
+    <= h, which is the lowest-digit-first order of
     ``np.linalg.matrix_power``, so integer powers keep numpy's bits.  Such
     products are not kept; keeping them would hold every probed step's
     power.  Each continuous factor is scaled to unit row sums, which keeps
@@ -210,28 +218,38 @@ class _Evaluator:
     the chain, the clock and h alone, so no route's rows depend on what was
     evaluated before.
 
-    This class decides every evolution route.  On the continuous clock,
-    fixed times take one multi-time uniformization pass, and a search probe
-    advances its anchor's rows by an increment h.  Where ``dense_probes``
-    holds (n <= 300 states and 4 r >= n for r start rows), each probe is
-    one product with E(h), and each uniformization term one product with
-    the dense kernel.  Gallop and bisection increments are powers of two;
-    the last rung, 10**7 - 2**23, and its halvings are composed from them.
-    Other start sets, such as the endpoint pair of a large birth-death
-    chain, step by ``Chain.apply`` in one pass from each anchor that carries
-    every increment its probes need and stops once each target is below
-    eps.  Every probed point is the anchor of at most one pass.
+    This class decides every evolution route.  One rule, ``_takes_power``,
+    routes a fixed time on every clock and a discrete or lazy search probe:
+    on a chain of n <= 300 states, the time t takes ``starts @
+    semigroup(t)`` (or the power itself when the rows are every state) when
+    terms * r > n * p, with r start rows, terms the row steps an evolution
+    from 0 takes (the step m, from m >= 256; or about t + 10 sqrt(t) + 10
+    Poisson terms) and p the n x n products of the power built from an
+    empty table (squarings plus multiplies, and on the continuous clock the
+    Poisson sums of E(1) and of E(frac) for t's fractional part).  So
+    exhaustive starts take the power at long times, and the endpoint pair
+    or one start vector only at times of order n log t (a slow-mixing
+    chain's, or a long fixed run); a continuous time t <= 1 never does.  The
+    rule reads the time, the chain and the start set, never ``_kept`` or
+    the table, so a time's route and its bits do not depend on what was
+    evaluated before; power rows are not kept.  The fixed times of an
+    exhaustive small chain thus reuse the dyadic factors its continuous
+    search builds.
 
-    On the discrete and lazy clocks, a step m >= 256 on a chain of n <= 300
-    states takes ``starts @ semigroup(m)`` (or the power itself when the
-    rows are every state) when m * r > n * p: r start rows, and p =
-    squarings plus multiplies of a power built from nothing.  So exhaustive
-    starts take the power there, and the endpoint pair or one start vector
-    only at steps of order n log m (a slow-mixing chain's, or a long fixed
-    run).  The rule reads the step, the chain and the start set, never
-    ``_kept`` or the table, so a step's route and its bits do not depend on
-    what was evaluated before; power rows are not kept.  Every other step
-    is banded, and banded rows at step t are the same bits however they
+    On the continuous clock, the other fixed times take one multi-time
+    uniformization pass, and a search probe advances its anchor's rows by
+    an increment h.  Where ``dense_probes`` holds (n <= 300 states and
+    4 r >= n), each probe is one product with E(h), and each uniformization
+    term one product with the dense kernel.  Gallop and bisection
+    increments are powers of two; the last rung, 10**7 - 2**23, and its
+    halvings are composed from them.  Other start sets, such as the
+    endpoint pair of a large birth-death chain, step by ``Chain.apply`` in
+    one pass from each anchor that carries every increment its probes need
+    and stops once each target is below eps.  Every probed point is the
+    anchor of at most one pass.
+
+    On the discrete and lazy clocks every step off the power route is
+    banded, and banded rows at step t are the same bits however they
     were reached.  So one store, ``_kept``, maps steps to banded rows: the
     rows of every banded step evaluated, and the rows at every step an
     evolution passes that is a multiple of 2**(floor(log2 t) - 2), four per
@@ -334,13 +352,21 @@ class _Evaluator:
                 self._cache[(float(time), metric)] = self._metric(rows, metric, time)
 
     def evolve(self, times) -> list:
-        """The start set's rows at each of the ascending ``times``: one
-        multi-time uniformization pass on the continuous clock, ``_rows`` at
-        each step in turn on the others."""
+        """The start set's rows at each of the ascending ``times``.  A time
+        the route rule (``_takes_power``) sends to powers reads them; on the
+        continuous clock the other times share one multi-time uniformization
+        pass, and on the others ``_rows`` steps through them in turn.  A time
+        past the cap is refused before any factor is built."""
         times = [self._time(t) for t in times]
-        if self.continuous:
-            return _uniformized(self.step, self.starts, tuple(times), self.tol)
-        return [self._rows(t) for t in times]
+        if not times:
+            return []
+        _check_cap(times[-1])
+        if not self.continuous:
+            return [self._rows(t) for t in times]
+        powered = [self._takes_power(t) for t in times]
+        passed = tuple(t for t, power in zip(times, powered) if not power)
+        rows = iter(_uniformized(self.step, self.starts, passed, self.tol) if passed else ())
+        return [self._power_rows(t) if power else next(rows) for t, power in zip(times, powered)]
 
     @property
     def step(self):
@@ -354,18 +380,23 @@ class _Evaluator:
         K_delta**h for an integer h >= 1, or E(h) = exp(-h (I - K)) on the
         continuous clock.
 
-        The factors, E(h <= 1) and E(2**k), are built once each and kept in
-        ``_semigroup``.  Any other h is E(h - top) @ E(top), with top the
-        largest power of two <= h, as ``np.linalg.matrix_power`` multiplies
-        from the lowest binary digit up; it is not kept.
+        The factors at powers of two, E(2**k) for any integer k, are built
+        once each and kept in ``_semigroup``.  E(h) at any other h < 1, such
+        as a fixed time's fractional part, is built on each request and not
+        kept, so a long list of fixed times keeps no factor per time.  Any
+        other h > 1 is E(h - top) @ E(top), with top the largest power of
+        two <= h, as ``np.linalg.matrix_power`` multiplies from the lowest
+        binary digit up; it is not kept either.
         """
         top = 2.0 ** (math.frexp(h)[1] - 1)
         if h > 1 and h != top:
             return self.semigroup(h - top) @ self.semigroup(top)
         power = self._semigroup.get(h)
         if power is None:
-            power = self._semigroup[h] = self._build_semigroup(h)
+            power = self._build_semigroup(h)
             power.flags.writeable = False
+            if h == top:
+                self._semigroup[h] = power
         return power
 
     def _build_semigroup(self, h) -> np.ndarray:
@@ -386,15 +417,34 @@ class _Evaluator:
     def _time(self, time):
         return _check_time(time) if self.continuous else _as_steps(time)
 
+    def _takes_power(self, time) -> bool:
+        """Whether the start rows at ``time`` are read from
+        ``semigroup(time)``: terms * r > n * products on n <= 300 states
+        (see the class docstring).  The continuous terms, t + 10 sqrt(t) +
+        10, lie above the Poisson terms of a uniformization pass at the
+        default tol of 1e-10 (1,208 against 1,326 at t = 1000)."""
+        n, count = self.eff.num_states, self.starts.shape[0]
+        if n > _POW_MAX_STATES:
+            return False
+        if not self.continuous:
+            products = time.bit_length() + time.bit_count() - 2
+            return time >= _POW_MIN_STEPS and time * count > n * products
+        whole = int(time)
+        products = (whole > 0) * (_FACTOR_PRODUCTS + whole.bit_length() + whole.bit_count() - 2)
+        if time > whole or whole == 0:
+            products += _FACTOR_PRODUCTS + (whole > 0)
+        return (time + 10.0 * math.sqrt(time) + 10.0) * count > n * products
+
+    def _power_rows(self, time) -> np.ndarray:
+        power = self.semigroup(time)
+        # n one-hot rows are the identity; any one-hot row times the power is
+        # that power's row, bit for bit
+        return power if self.starts.shape[0] == power.shape[0] else self.starts @ power
+
     def _rows(self, steps: int) -> np.ndarray:
         _check_cap(steps)
-        n, count = self.eff.num_states, self.starts.shape[0]
-        products = steps.bit_length() + steps.bit_count() - 2
-        if steps >= _POW_MIN_STEPS and n <= _POW_MAX_STATES and steps * count > n * products:
-            power = self.semigroup(steps)
-            # n one-hot rows are the identity; any one-hot row times the
-            # power is that power's row, bit for bit
-            return power if count == n else self.starts @ power
+        if self._takes_power(steps):
+            return self._power_rows(steps)
         done = max(k for k in self._kept if k <= steps)
         rows = self._kept[done]
         while done < steps:
@@ -481,11 +531,15 @@ def step_distribution(chain: Chain, start, steps: int) -> np.ndarray:
 
 
 def continuous_distribution(chain: Chain, start, time: float, tol: float = 1e-10) -> np.ndarray:
-    """Distribution ``start @ exp(-time (I - K))`` by uniformization.
+    """Distribution ``start @ exp(-time (I - K))``.
 
-    Accumulates Poisson(time)-weighted kernel powers until the collected
-    mass reaches ``1 - tol`` and renormalizes, keeping the truncation error
-    in total variation below ``tol``.
+    By uniformization, Poisson(time)-weighted kernel powers accumulated
+    until the collected mass reaches ``1 - tol`` and renormalized, which
+    keeps the truncation error in total variation below ``tol``.  On a
+    chain of at most 300 states, a time long enough that building E(time)
+    from its binary digits takes fewer n x n products than the
+    uniformization takes row steps reads the row from E(time) instead,
+    whose factors are Poisson sums to the rounding floor.
     """
     return _distribution_at(chain, "continuous", start, time, tol)
 

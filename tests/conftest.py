@@ -44,12 +44,14 @@ def small_corpus():
 @dataclass
 class WorkCount:
     """Kernel applications per chain, dense power factors built on the
-    discrete and lazy clocks, and uniformization calls with their summed
-    time argument (a multi-time pass counts its largest time), as counted by
-    the ``work_count`` fixture."""
+    discrete and lazy clocks, factors E(h) built on the continuous clock,
+    and uniformization calls with their summed time argument (a multi-time
+    pass counts its largest time), as counted by the ``work_count``
+    fixture."""
 
     apply_by_chain: Counter = field(default_factory=Counter)
     matrix_powers: int = 0
+    continuous_factors: int = 0
     uniformized_calls: int = 0
     uniformized_time: float = 0.0
 
@@ -60,8 +62,8 @@ class WorkCount:
 
 @pytest.fixture()
 def work_count(monkeypatch):
-    """Count ``Chain.apply`` calls, the power factors that discrete and lazy
-    evaluators build (``_Evaluator._build_semigroup``) and ``_uniformized``
+    """Count ``Chain.apply`` calls, the power factors that evaluators build
+    (``_Evaluator._build_semigroup``), apart by clock, and ``_uniformized``
     calls made during a test; the counts are deterministic, so tests can pin
     them."""
     work = WorkCount()
@@ -74,7 +76,9 @@ def work_count(monkeypatch):
         return real_apply(self, dist)
 
     def build_semigroup(ev, h):
-        if not ev.continuous:
+        if ev.continuous:
+            work.continuous_factors += 1
+        else:
             work.matrix_powers += 1
         return real_build(ev, h)
 

@@ -27,11 +27,13 @@ import numpy as np
 import pytest
 
 from cutofflab import (
+    BadShape,
     DistanceQuery,
     FamilySpec,
     NoConvergence,
     corner_separation,
     distance,
+    eigen_summary,
     family_scan,
     generate,
     mixing_time,
@@ -43,6 +45,7 @@ from cutofflab import distances as distances_module
 from cutofflab import families
 from cutofflab.chain import SEARCH_CAP, Chain
 from cutofflab.distances import _Evaluator, distance_curve, mixing_bracket
+from cutofflab.families import VERIFY_EPS_GRID
 
 from conftest import ehrenfest, flip, random_bd, two_state
 import oracles
@@ -223,10 +226,36 @@ def test_verify_bounds_ehrenfest_64_uniformized_work(work_count):
     # fresh evolution per (clock, metric, t); 2,346 with one search per
     # (clock, metric), of which 735 repeated earlier probes and 1,002 were
     # fixed-time evaluations from t = 0 whose largest time is 364.  The
-    # search probes multiply by cached powers E(h), which leaves the one
-    # fixed-time pass
-    assert work_count.uniformized_calls == 1
-    assert 0 < work_count.uniformized_time <= 1_000
+    # search probes multiply by cached powers E(h), and so do the six fixed
+    # times, 0.3, 0.7 and 1.2 times the spectral sum 151.8 and their
+    # doubles: each would take more Poisson terms on 65 rows than E(t)
+    # takes products, so no uniformization pass is left
+    assert work_count.uniformized_calls == 0
+    assert work_count.uniformized_time == 0.0
+
+
+def test_verify_bounds_ehrenfest_64_shares_its_continuous_factors(work_count):
+    # the fixed times build 15 factors on an evaluator of their own and the
+    # continuous search 16; in verify_bounds they share 8 (E(1), E(2), ...,
+    # E(128)), so its continuous evaluator builds 23, each once (the
+    # fixed times' fractional parts are rebuilt on request, but each is
+    # requested once)
+    chain = ehrenfest(64)
+    query = _query("continuous", "tv")
+    s = eigen_summary(chain).spectral_sum
+    grid = [0.3 * s, 0.7 * s, 1.2 * s]
+    _Evaluator(chain, query, 1e-10).evaluate([*grid, *(2 * t for t in grid)], ("tv", "sep"))
+    fixed, work_count.continuous_factors = work_count.continuous_factors, 0
+    # verify_bounds' continuous targets
+    _Evaluator(chain, query, 1e-10).search(
+        [("tv", eps) for eps in VERIFY_EPS_GRID]
+        + [("tv", eps / 4.0) for eps in VERIFY_EPS_GRID]
+        + [("sep", eps) for eps in VERIFY_EPS_GRID]
+    )
+    search, work_count.continuous_factors = work_count.continuous_factors, 0
+    verify_bounds(chain)
+    assert (fixed, search, work_count.continuous_factors) == (15, 16, 23)
+    assert work_count.uniformized_calls == 0
 
 
 def _record_evolutions(monkeypatch):
@@ -249,18 +278,21 @@ def _record_evolutions(monkeypatch):
     return uniformized, built
 
 
-@pytest.mark.parametrize("chain", [
-    random_bd(2003, 6), random_bd(2031, 34), ehrenfest(16), _dense_reversible(), _nonreversible(),
-    ehrenfest(64),
+@pytest.mark.parametrize("chain,passed", [
+    (random_bd(2003, 6), 1), (random_bd(2031, 34), 0), (ehrenfest(16), 1), (_dense_reversible(), 5),
+    (_nonreversible(), 6), (ehrenfest(64), 0),
 ])
-def test_verify_bounds_repeats_no_uniformization(chain, monkeypatch):
-    # the fixed times are uniformized once, in one pass; every search probe
-    # of the exhaustive continuous clock multiplies its anchor's rows by
-    # E(h), and each factor, E(h) or a power of K or K_delta, is built once
-    # on its evaluator for every metric, level and fixed time
+def test_verify_bounds_repeats_no_uniformization(chain, passed, monkeypatch):
+    # the continuous fixed times that the route rule leaves to
+    # uniformization take one pass (all six on the 3-state chain, whose
+    # times are 0.3..2.4; none on 35 and 65 states, whose fixed times read
+    # E(t)); every search probe of the exhaustive continuous clock
+    # multiplies its anchor's rows by E(h), and each factor, E(h) or a power
+    # of K or K_delta, is built once on its evaluator for every metric,
+    # level and fixed time
     uniformized, built = _record_evolutions(monkeypatch)
     verify_bounds(chain)
-    assert len(uniformized) > 0
+    assert len(uniformized) == passed
     assert len(set(uniformized)) == len(uniformized)
     assert len(built) > 10
     assert len(set(built)) == len(built)
@@ -335,6 +367,61 @@ def test_semigroup_squarings_keep_their_accuracy_to_the_cap():
         h = 2.0 ** k
         expect = sum(np.exp(-rate * h) * np.outer(v, v) for rate, v in zip((0, r, 3 * r), vectors))
         assert np.abs(ev.semigroup(h) - expect).sum(axis=1).max() / 2 <= 1e-14, h
+
+
+VERIFY_SLICE = [random_bd(2000 + k, 3 + k % 38) for k in (0, 3, 8, 15, 21, 29, 33, 37)]
+
+
+def _verify_times(chain) -> list:
+    # verify_bounds' continuous fixed times: 0.3, 0.7 and 1.2 times the
+    # spectral sum, and their doubles
+    s = eigen_summary(chain).spectral_sum
+    return [f * s for f in (0.3, 0.6, 0.7, 1.2, 1.4, 2.4)]
+
+
+@pytest.mark.parametrize("chain", VERIFY_SLICE)
+def test_fixed_times_on_the_power_route_equal_the_matrix_exponential(chain):
+    # every start state on 4..41 states: the longer fixed times read E(t),
+    # composed from the table's factors and a Poisson sum at t's fractional
+    # part, within 1e-12 of expm (4e-14 at most over the 40-chain slice)
+    ev = _Evaluator(chain, _query("continuous", "tv"), 1e-10)
+    times = [t for t in _verify_times(chain) if ev._takes_power(t)]
+    assert len(times) >= 3
+    for t, rows in zip(times, ev.evolve(times)):
+        expect = oracles.rows_at(chain.dense_kernel, t, "continuous")
+        assert np.abs(rows - expect).sum(axis=1).max() / 2 <= 1e-12, t
+
+
+@pytest.mark.parametrize("chain", [VERIFY_SLICE[1], VERIFY_SLICE[5], ehrenfest(64)])
+def test_a_fixed_time_keeps_its_bits_whatever_came_before(chain):
+    # short times are uniformized and long ones read E(t); either way a
+    # time's rows are the same bits alone on a fresh evaluator, among other
+    # times, and after a full search has filled the table
+    query = _query("continuous", "tv")
+    times = sorted([0.5, 3.0, *_verify_times(chain)])
+    alone = [_Evaluator(chain, query, 1e-10).evolve([t])[0].tobytes() for t in times]
+    routes = {_Evaluator(chain, query, 1e-10)._takes_power(t) for t in times}
+    assert routes == {True, False}
+    together = _Evaluator(chain, query, 1e-10).evolve(times)
+    assert [rows.tobytes() for rows in together] == alone
+    ev = _Evaluator(chain, query, 1e-10)
+    ev.search([(metric, eps) for metric in ("tv", "sep", "dbar") for eps in LEVELS])
+    assert [ev.evolve([t])[0].tobytes() for t in times] == alone
+    assert [rows.tobytes() for rows in ev.evolve(times)] == alone
+
+
+@pytest.mark.parametrize("mode", ["discrete", "continuous"])
+def test_a_fixed_time_past_the_cap_is_refused_before_any_factor(mode, work_count):
+    # every start state on 41 states: the times below the cap would take the
+    # power route, but the largest time is checked first
+    ev = _Evaluator(random_bd(5, 40), _query(mode, "tv"), 1e-10)
+    work_count.apply_by_chain.clear()  # construction checks pi with one application
+    for times in ([SEARCH_CAP + 1], [300, 5000, SEARCH_CAP + 1]):
+        with pytest.raises(BadShape, match="exceeds the evolution cap"):
+            ev.evolve(times)
+    assert ev._semigroup == {}
+    assert work_count.continuous_factors == work_count.matrix_powers == 0
+    assert work_count.uniformized_calls == 0 and work_count.applies == 0
 
 
 @pytest.mark.parametrize("chain", ORACLE_CHAINS)
