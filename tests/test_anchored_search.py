@@ -281,7 +281,7 @@ def _record_evolutions(monkeypatch):
 @pytest.mark.parametrize("chain,passed", [
     (random_bd(2003, 6), 1), (random_bd(2031, 34), 0), (ehrenfest(16), 1), (_dense_reversible(), 5),
     (_nonreversible(), 6), (ehrenfest(64), 0),
-])
+], ids=[f"chain{i}" for i in range(6)])
 def test_verify_bounds_repeats_no_uniformization(chain, passed, monkeypatch):
     # the continuous fixed times that the route rule leaves to
     # uniformization take one pass (all six on the 3-state chain, whose
