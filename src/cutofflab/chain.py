@@ -22,9 +22,9 @@ than their power takes products.
 
 Uniformization accumulates terms until the Poisson mass reaches ``1 - tol``
 and renormalizes, so the truncation error in total variation is at most
-``tol``.  Above t = 700 the Poisson weights are tracked in log space to avoid
-underflow of the leading terms; there the sum also ends once a bound on the
-mass of the remaining terms falls below ``tol / 2`` (see ``_PoissonSum``).
+``tol``.  The weights come from one recurrence at every time; above t = 700,
+where e^{-t} underflows, it enters in factors that each stay in range (see
+``_PoissonSum``).
 One pass serves several times: the kernel powers ``rows @ K**i`` are the
 same for every time, and each time keeps its own weights, mass and stopping
 test, so each result is bit for bit the one a pass of its own gives.  A pass
@@ -60,8 +60,9 @@ from .errors import (
 ROW_SUM_TOL = 1e-12
 STATIONARY_RESIDUAL_TOL = 1e-10
 
-# Poisson weights switch to log-space tracking above this time.
-_LOG_SPACE_TIME = 700.0
+# exp(-x) is a normal double for x up to this; e^{-t} past it enters the
+# Poisson weights in factors (see ``_PoissonSum``).
+_EXP_RANGE = 700.0
 
 # No evolution runs past this many steps or time units, and mixing-time
 # searches give up there.
@@ -447,47 +448,42 @@ def _check_cap(time) -> None:
 
 class _PoissonSum:
     """One time's Poisson weights, collected mass and stopping test in a
-    uniformization pass, in exactly the operations of a pass of its own."""
+    uniformization pass, in exactly the operations of a pass of its own.
+
+    The weights follow w_0 = e^{-t}, w_i = w_{i-1} t / i.  Past
+    ``_EXP_RANGE``, where e^{-t} underflows, e^{-t} enters as k = 2**j
+    equal factors e^{-t/k} with t/k in (350, 700]: the running weight starts
+    at one factor and takes the next whenever it passes 1.  Terms are
+    collected once every factor is in; the weights before that lie below
+    t e^{-350} and count as underflowed.  For t <= ``_EXP_RANGE``, k = 1.
+    """
 
     def __init__(self, time: float, rows: np.ndarray, tol: float):
         self.time = time
-        self.log_space = time > _LOG_SPACE_TIME
-        if self.log_space:
-            self.log_w = -time
-            self.weight = 0.0  # exp(-t) underflows; weights surface near i ~ t
-        else:
-            self.weight = math.exp(-time)
-        self.acc = self.weight * rows
-        self.mass = self.weight
-        self.tol = tol
+        parts = 1
+        while time / parts > _EXP_RANGE:
+            parts *= 2
+        self.factor = math.exp(-time / parts)
+        self.pending = parts - 1
+        self.weight = self.factor
+        self.mass = 0.0 if self.pending else self.weight
+        self.acc = self.mass * rows
         self.stop = 1.0 - tol
         self.cap = int(time + 40.0 * math.sqrt(time + 1.0) + 120.0)
         self.more = self.wants(0)
 
     def wants(self, i: int) -> bool:
-        """Whether term i + 1 is still needed after terms 0..i.
-
-        In log space the summed weights can stay about 1e-12 short of 1, so
-        there a tail bound also ends the sum: past the mode (i + 1 > t) each
-        weight is at most t / (i + 1) times the one before, so the terms
-        after i sum to below w_i t / (i + 1 - t).  The sum ends once that is
-        below tol / 2, which leaves the other half of tol to the rounding of
-        the log-space weights (up to about 1e-11 over 8,000 terms).
-        """
-        if self.mass >= self.stop or i >= self.cap:
-            return False
-        past_mode = self.log_space and i + 1 > self.time
-        return not (past_mode and 2.0 * self.weight * self.time < self.tol * (i + 1 - self.time))
+        """Whether term i + 1 is still needed after terms 0..i."""
+        return self.mass < self.stop and i < self.cap
 
     def add(self, i: int, rows: np.ndarray) -> bool:
         """Collect term i, the rows after i kernel applications, and say
         whether term i + 1 is needed (also kept as ``more``)."""
-        if self.log_space:
-            self.log_w += math.log(self.time) - math.log(i)
-            self.weight = math.exp(self.log_w) if self.log_w > -745.0 else 0.0
-        else:
-            self.weight *= self.time / i
-        if self.weight != 0.0:
+        self.weight *= self.time / i
+        if self.pending and self.weight > 1.0:
+            self.weight *= self.factor
+            self.pending -= 1
+        if not self.pending:
             self.acc += self.weight * rows
             self.mass += self.weight
         self.more = self.wants(i)

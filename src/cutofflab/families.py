@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import Chain, _check_delta, _check_eps
+from .chain import Chain, _check_delta, _check_eps, _check_tol
 from .distances import DistanceQuery, _Evaluator
 from .errors import BadFamily, BadShape, NoConvergence, NotReversible
 from .birth_death import sep_bounds, stationary_time_summary
@@ -304,6 +304,7 @@ def family_scan(
 
     ``delta`` and ``eps_grid`` default to the spec's, and where the spec has
     none to ``DEFAULT_DELTA`` and ``DEFAULT_EPS_GRID``."""
+    _check_tol(tol)
     if delta is None:
         delta = DEFAULT_DELTA if spec.delta is None else spec.delta
     if eps_grid is None:

@@ -24,7 +24,13 @@ from cutofflab import (
     sst_tail,
     step_distribution,
 )
-from cutofflab.chain import SEARCH_CAP, _LOG_SPACE_TIME, _PoissonSum, _uniformized
+from cutofflab.chain import (
+    SEARCH_CAP,
+    _EXP_RANGE,
+    _PoissonSum,
+    _pure_birth_tail,
+    _uniformized,
+)
 
 from conftest import ehrenfest, flip, random_bd, two_state
 import oracles
@@ -320,8 +326,8 @@ def _endpoint_rows(n):
 def test_multi_time_pass_equals_single_time_passes(chain, rows):
     every_state = rows.shape[0] == chain.num_states
     step = chain.dense_kernel.__rmatmul__ if every_state else chain.apply
-    times = (0.0, 0.25, 3.0, 699.5, 700.5, 760.0)  # both sides of _LOG_SPACE_TIME
-    assert times[3] < _LOG_SPACE_TIME < times[4]
+    times = (0.0, 0.25, 3.0, 699.5, 700.5, 760.0)  # both sides of _EXP_RANGE
+    assert times[3] < _EXP_RANGE < times[4]
     together = _uniformized(step, rows, times, 1e-10)
     assert len(together) == len(times)
     for time, got in zip(times, together):
@@ -399,22 +405,50 @@ def test_contiguous_step_equals_the_row_by_row_step(chain):
         assert np.array_equal(got, _banded_step(chain, rows))
 
 
-def test_log_space_poisson_sums_stop_at_their_tail_bound():
-    # the log-space weights can leave the summed mass about 1e-12 short of
-    # 1, so at tol = 1e-10 / 128 the mass test alone ran 45 of 123 sampled
-    # sums in (700, 5000] to the cap (3,978 terms at t = 2048)
-    tol, row = 1e-10 / 128, np.ones(1)
-    bounded = 0
-    for time in (701.5, 1000.25, 2048.0, 3333.0, 4999.0):
-        poisson = _PoissonSum(time, row, tol)
-        i = 0
-        while poisson.more:
-            i += 1
-            poisson.add(i, row)
-        assert i <= time + 8.0 * math.sqrt(time) < poisson.cap, time
-        if poisson.mass < poisson.stop:
-            # the tail bound ended the sum: the exact Poisson mass beyond
-            # term i, P(Gamma(i + 1) < t), is below tol / 2
-            bounded += 1
-            assert gammainc(i + 1, time) < tol / 2, time
-    assert bounded > 0
+def _poisson_run(time, tol):
+    row = np.ones(1)
+    poisson = _PoissonSum(time, row, tol)
+    weights, i = [poisson.weight], 0
+    while poisson.more:
+        i += 1
+        poisson.add(i, row)
+        weights.append(poisson.weight)
+    return poisson, weights, i
+
+
+def test_poisson_sums_stop_with_the_true_tail_below_tol():
+    # the sum stops on its collected mass alone, so that mass must not
+    # overstate the weights' true total past t = 700
+    tol = 1e-10 / 128
+    for time in (701.5, 1000.25, 2048.0, 4999.0, 17000.0):
+        poisson, _, i = _poisson_run(time, tol)
+        assert poisson.mass >= poisson.stop, time
+        assert i <= time + 8.0 * math.sqrt(time), time
+        # the exact Poisson mass beyond term i is P(Gamma(i + 1) < t)
+        assert gammainc(i + 1, time) <= tol, time
+
+
+@pytest.mark.parametrize("time", [0.0, 0.25, 3.0, 699.5, _EXP_RANGE])
+def test_poisson_weights_up_to_the_exp_range_are_the_plain_recurrence(time):
+    poisson, weights, terms = _poisson_run(time, 1e-10)
+    w = math.exp(-time)
+    plain, mass = [w], w
+    i = 0
+    while mass < 1.0 - 1e-10:
+        i += 1
+        w *= time / i
+        plain.append(w)
+        mass += w
+    assert terms == i
+    assert [x.hex() for x in weights] == [x.hex() for x in plain]
+    assert poisson.mass.hex() == mass.hex()
+
+
+def test_pure_birth_tail_meets_a_tight_tol_on_a_long_horizon():
+    # Ehrenfest 2048's stage rates 2j/n at t = E[S] / 2: the weights' rounding
+    # over about 8,400 Poisson terms must stay below tol
+    n, tol = 2048, 1e-13
+    rates = 2.0 * np.arange(1, n + 1) / n
+    time = 0.5 * float(np.sum(1.0 / rates))
+    below = oracles.ehrenfest_sst_tail(n, time) - _pure_birth_tail(rates, time, tol)
+    assert 0.0 <= below <= tol

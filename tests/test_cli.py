@@ -301,6 +301,14 @@ def test_family_verb_with_an_empty_spec_grid(capsys, tmp_path):
     assert len(lines) == 4 and lines[-1].startswith("verdict,cutoff-trend")
 
 
+def test_family_bad_tol_exits_two_with_an_empty_spec_grid(capsys, tmp_path):
+    spec_file = write_json(
+        tmp_path / "family.json", {"family": "ehrenfest", "sizes": [4], "eps_grid": []}
+    )
+    code, out, err = run_cli(capsys, "family", "--spec", spec_file, "--tol", "-3")
+    assert code == 2 and out == "" and "tol" in err
+
+
 def test_family_flag_precedence(capsys, tmp_path):
     spec_file = write_json(
         tmp_path / "family.json",

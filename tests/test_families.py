@@ -16,6 +16,7 @@ from cutofflab import (
     FamilyReport,
     FamilySpec,
     SizeRecord,
+    TolTooLoose,
     family_scan,
     generate,
     load_family,
@@ -183,6 +184,15 @@ def test_family_scan_validates_eps_grid():
     for grid in ((0.0, 0.5), (0.5, 1.0), ("0.5",)):
         with pytest.raises(BadEpsilon):
             family_scan(spec, eps_grid=grid)
+
+
+def test_family_scan_validates_tol_with_an_empty_grid():
+    # the spectral-only scan runs no evolution, so tol was never checked
+    spec = FamilySpec("ehrenfest", (8,))
+    for eps_grid in ((), (0.25,)):
+        for bad in (5.0, 0.0, -3.0, math.nan, "1e-10"):
+            with pytest.raises(TolTooLoose):
+                family_scan(spec, eps_grid=eps_grid, tol=bad)
 
 
 def test_family_scan_uses_the_spec_scan_defaults():
