@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import Chain, _check_eps, _check_separation, _check_time, _pure_birth_tail
+from .chain import Chain, _check_eps, _check_separation, _check_time, _pure_birth_tail, _real
 from .distances import DistanceQuery, _Evaluator
 from .errors import BadDelta, BadShape, ChainError, NotBirthDeath, NumericalFailure
 from .spectral import eigen_summary, tridiagonal_eigenvalues
@@ -196,9 +196,10 @@ def corner_separation(
     if mode == "continuous":
         query = DistanceQuery(mode, "sep", start=corner)
     elif mode == "lazy":
-        if not (isinstance(delta, (int, float)) and 0.5 <= delta < 1.0):
+        value = _real(delta)
+        if value is None or not 0.5 <= value < 1.0:
             raise BadDelta(f"lazy corner identity needs delta in [1/2, 1), got {delta!r}")
-        query = DistanceQuery(mode, "sep", delta=delta, start=corner)
+        query = DistanceQuery(mode, "sep", delta=value, start=corner)
     else:
         raise BadShape(f"corner separation supports lazy or continuous, got {mode!r}")
     row = _Evaluator(chain, query, tol).evolve([time])[0][0]
@@ -214,7 +215,7 @@ def sep_bounds(summary: StationaryTimeSummary, eps: float) -> tuple[float, float
     multiplies the mean alone by sqrt-based constants.  Lower bounds clamp
     at 0.
     """
-    _check_eps(eps)
+    eps = _check_eps(eps)
     mean, var = summary.mean, summary.variance
     spread = math.sqrt(var / (1.0 / eps - 1.0))
     lower = max(0.0, mean - spread)

@@ -391,25 +391,39 @@ def load_chain(path) -> Chain:
 # The one check per kind of input; every module validates through these.
 
 
-def _check_tol(tol: float) -> None:
-    if not (isinstance(tol, (int, float)) and 0.0 < tol <= 1e-6):
+def _real(value) -> float | None:
+    """A real number as a Python float: an int, a float or a numpy integer
+    or floating scalar, never a bool; None for anything else.  An int too
+    large for a double reads as an infinity of its sign."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _check_tol(tol) -> float:
+    """A truncation tolerance in (0, 1e-6]."""
+    value = _real(tol)
+    if value is None or not 0.0 < value <= 1e-6:
         raise TolTooLoose(f"tol must lie in (0, 1e-6], got {tol!r}")
+    return value
 
 
 def _check_time(time) -> float:
     """A continuous time: a finite number >= 0, not a bool."""
-    if isinstance(time, bool) or not (
-        isinstance(time, (int, float, np.integer)) and math.isfinite(time) and time >= 0
-    ):
+    value = _real(time)
+    if value is None or not (math.isfinite(value) and value >= 0):
         raise BadShape(f"time must be a finite nonnegative number, got {time!r}")
-    return float(time)
+    return value
 
 
 def _as_steps(time) -> int:
     """A step count: an integer >= 0, or a float holding one."""
     if isinstance(time, (int, np.integer)) and not isinstance(time, bool):
         steps = int(time)
-    elif isinstance(time, float) and time.is_integer():
+    elif isinstance(time, (float, np.floating)) and float(time).is_integer():
         steps = int(time)
     else:
         raise NonIntegerTime(f"discrete times must be integers, got {time!r}")
@@ -420,16 +434,18 @@ def _as_steps(time) -> int:
 
 def _check_delta(delta) -> float:
     """A laziness delta in (0, 1)."""
-    if not (isinstance(delta, (int, float)) and 0.0 < delta < 1.0):
+    value = _real(delta)
+    if value is None or not 0.0 < value < 1.0:
         raise BadDelta(f"laziness delta must lie in (0, 1), got {delta!r}")
-    return float(delta)
+    return value
 
 
 def _check_eps(eps) -> float:
     """A threshold eps in (0, 1)."""
-    if not (isinstance(eps, (int, float)) and 0.0 < eps < 1.0):
+    value = _real(eps)
+    if value is None or not 0.0 < value < 1.0:
         raise BadEpsilon(f"eps must lie in (0, 1), got {eps!r}")
-    return float(eps)
+    return value
 
 
 def _check_separation(pi) -> None:
@@ -534,7 +550,7 @@ def _pure_birth_tail(rates: np.ndarray, time: float, tol: float) -> float:
     mass left out, which is below ``tol``.  L * time past ``SEARCH_CAP``
     is refused.
     """
-    _check_tol(tol)
+    tol = _check_tol(tol)
     rate = float(rates.max())
     horizon = rate * time
     _check_cap(horizon)

@@ -137,6 +137,8 @@ _POW_MAX_STATES = 300
 # n x n products counted for one factor E(h <= 1): its Poisson sum takes 21
 # kernel powers at h = 1, and as many scaled sums
 _FACTOR_PRODUCTS = 22
+# Entries of one block of row differences in the dbar reduction
+_DBAR_BLOCK = 2**16
 
 
 def total_variation(a, b) -> float:
@@ -170,7 +172,7 @@ class DistanceQuery:
         if self.metric not in ("tv", "sep", "dbar"):
             raise BadShape(f"unknown metric {self.metric!r}")
         if self.time_mode == "lazy":
-            _check_delta(self.delta)
+            object.__setattr__(self, "delta", _check_delta(self.delta))
         elif self.delta is not None:
             raise BadDelta("delta only applies to lazy mode")
         if self.start is not None and self.metric == "dbar":
@@ -195,6 +197,13 @@ class _Evaluator:
     metric).  ``search`` brackets every (metric, eps) target in one grouped
     search (see the module docstring), whose discrete probes read and extend
     that cache, and keeps the brackets in ``found``, keyed by target.
+    ``_metric`` reduces rows to one metric.  For dbar it takes a block of
+    rows at a time against every later row, at most ``_DBAR_BLOCK``
+    differences per block unless one row's alone take more, so a few numpy
+    calls replace a Python loop over rows, and memory stays
+    O(_DBAR_BLOCK + r n) for r rows of n states.  Each pair's sum is numpy's
+    over one contiguous row, as in the row-by-row loop, so its bits are
+    that loop's.
 
     Every clock has one one-step matrix, K, K_delta or E(1) = exp(-(I - K)),
     and ``semigroup(h)`` reads its powers from one table, ``_semigroup``,
@@ -260,10 +269,9 @@ class _Evaluator:
     """
 
     def __init__(self, chain: Chain, query: DistanceQuery, tol: float):
-        _check_tol(tol)
+        self.tol = _check_tol(tol)
         self.base = chain
         self.query = query
-        self.tol = tol
         self.pi = chain.stationary
         self.continuous = query.time_mode == "continuous"
         if query.time_mode == "lazy":
@@ -501,11 +509,23 @@ class _Evaluator:
                 heavy, np.clip(self.pi - rows, 0.0, None), np.clip(rows - self.pi, 0.0, None)
             )
             return float(excess.sum(axis=1).max())
-        best = 0.0
-        for i in range(rows.shape[0] - 1):
-            gap = 0.5 * np.abs(rows[i + 1 :] - rows[i]).sum(axis=1).max()
-            best = max(best, float(gap))
-        return min(best, 1.0)
+        # dbar: a block of rows against every row after its first, in one
+        # buffer of at most _DBAR_BLOCK entries unless one row needs more;
+        # each pair's sum runs over one contiguous row, as numpy's pairwise
+        # sum.  The few pairs inside a block are met twice, or with the row
+        # itself at 0; since |a - b| = |b - a| exactly, no maximum moves.
+        r, n = rows.shape
+        buf = np.empty(min((r - 1) ** 2 * n, max(_DBAR_BLOCK, (r - 1) * n)))
+        best, i = 0.0, 0
+        while i < r - 1:
+            later = r - 1 - i
+            k = max(1, min(later, _DBAR_BLOCK // (later * n)))
+            gaps = buf[: k * later * n].reshape(k, later, n)
+            np.subtract(rows[i + 1 :], rows[i : i + k, None], out=gaps)
+            np.abs(gaps, out=gaps)
+            best = max(best, float(gaps.sum(axis=2).max()))
+            i += k
+        return min(0.5 * best, 1.0)
 
 
 def _clean_distribution(vec: np.ndarray) -> np.ndarray:
@@ -563,8 +583,9 @@ def mixing_time(chain: Chain, eps: float, query: DistanceQuery, tol: float = 1e-
     above eps (or equals a positive sep floor that no step meets).
     """
     ev = _Evaluator(chain, query, tol)
-    ev.search([(query.metric, eps)])
-    lo, hi = ev.found[(query.metric, eps)]
+    target = (query.metric, _check_eps(eps))
+    ev.search([target])
+    lo, hi = ev.found[target]
     if query.time_mode == "continuous":
         return 0.5 * (lo + hi)
     return hi
@@ -577,8 +598,9 @@ def mixing_bracket(
     discrete modes.  Inequality checks against a computed mixing time should
     compare with the safe end of this bracket, not the midpoint."""
     ev = _Evaluator(chain, query, tol)
-    ev.search([(query.metric, eps)])
-    lo, hi = ev.found[(query.metric, eps)]
+    target = (query.metric, _check_eps(eps))
+    ev.search([target])
+    lo, hi = ev.found[target]
     return float(lo), float(hi)
 
 

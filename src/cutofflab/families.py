@@ -304,7 +304,7 @@ def family_scan(
 
     ``delta`` and ``eps_grid`` default to the spec's, and where the spec has
     none to ``DEFAULT_DELTA`` and ``DEFAULT_EPS_GRID``."""
-    _check_tol(tol)
+    tol = _check_tol(tol)
     if delta is None:
         delta = DEFAULT_DELTA if spec.delta is None else spec.delta
     if eps_grid is None:

@@ -10,7 +10,13 @@ Two eigensolvers back the summary:
 * birth-death form: the symmetrized I - K is tridiagonal; eigenvalues come
   from bisection on Sturm-sequence negative-pivot counts, vectorized across
   eigenvalue indices.  Bisection gives guaranteed containment and is run
-  well past 1e-12 interval width (to ~1 ulp of each eigenvalue).
+  well past 1e-12 interval width (to ~1 ulp of each eigenvalue).  It runs
+  as multisection: one pass counts the midpoints of the next few levels
+  below every distinct bracket in one call, at most ``_PASS_SHIFTS``
+  shifts, and walks each index down them.  Each midpoint is
+  ``0.5 * (lo + hi)`` of the floats that one-level bisection would halve,
+  and a shift's count does not depend on the shifts counted beside it, so
+  every eigenvalue keeps the bits of one count per level.
 * dense form: LAPACK's symmetric eigensolver on the symmetrized kernel.
 """
 from __future__ import annotations
@@ -59,9 +65,21 @@ def tridiagonal_eigenvalues(diag, off_squared) -> np.ndarray:
 
     Bisection keeps one bracket per eigenvalue index, from the padded
     Gershgorin interval, and halves it at ``0.5 * (lo + hi)`` until its width
-    is at most max(1e-15, 4e-16 |mid|) (~1 ulp), for at most 120 sweeps.
-    Every eigenvalue has the bits of the plain loop that counts every index
-    each sweep with the pivmin-clamped Sturm recurrence.
+    is at most max(1e-15, 4e-16 |mid|) (~1 ulp), at most 120 times.  The
+    halvings run in multi-level passes (multisection; Lo, Philippe and
+    Sameh, SISSC 1987).  Every unfinished index has been halved as often as
+    the others, so indices whose brackets share ``lo`` share the bracket,
+    and each distinct bracket is one node.  A pass counts, in one
+    ``_negative_pivots`` call, the 2**L - 1 midpoints of the next L levels
+    below every node, then walks each unfinished index L levels down its
+    node's subtree, with the done test before each level.  L grows while
+    the pass's shifts stay within ``_PASS_SHIFTS``: the first pass of a
+    solve takes 9 levels, and once a large spectrum's brackets have
+    separated a pass is one level.  Every eigenvalue keeps the bits of the
+    plain loop that counts every index each sweep with the pivmin-clamped
+    Sturm recurrence: a subtree's midpoints are ``0.5 * (lo + hi)`` of the
+    same floats that loop halves, and a shift's count does not depend on
+    the shifts counted beside it.
     """
     d = np.asarray(diag, dtype=float)
     e2 = np.asarray(off_squared, dtype=float)
@@ -86,21 +104,75 @@ def tridiagonal_eigenvalues(diag, off_squared) -> np.ndarray:
     lo = np.full(n, lo0 - pad)
     hi = np.full(n, hi0 + pad)
 
-    for _ in range(120):
-        width = hi - lo
-        mid = 0.5 * (lo + hi)
-        done = width <= np.maximum(1e-15, 4e-16 * np.abs(mid))
-        active = np.flatnonzero(~done)
+    depth = 0
+    while depth < _MAX_HALVINGS:
+        active = np.flatnonzero(~_finished(lo, hi))
         if active.size == 0:
             break
-        # a shift's count does not depend on the shifts beside it, so each
-        # distinct midpoint of the unfinished indices is counted once
-        shifts, slot = np.unique(mid[active], return_inverse=True)
-        above = _negative_pivots(d, e2, shifts)[slot] > active  # eigenvalue below mid
-        shrink, lift = active[above], active[~above]
-        hi[shrink] = mid[shrink]
-        lo[lift] = mid[lift]
+        # every unfinished index was halved `depth` times, so indices whose
+        # brackets share lo share the bracket: one node per distinct lo
+        starts, node = np.unique(lo[active], return_inverse=True)
+        ends = np.empty_like(starts)
+        ends[node] = hi[active]
+        levels, room = 1, _MAX_HALVINGS - depth
+        while levels < room and (2 ** (levels + 1) - 1) * starts.size <= _PASS_SHIFTS:
+            levels += 1
+        points, finished, counts = _subtree(d, e2, starts, ends, levels)
+        # an index starts from its node's whole row [a, b] and halves it at
+        # (a + b) // 2, staying at the first finished bracket it meets
+        a = node * (2**levels + 1)
+        b = a + 2**levels
+        for _ in range(levels):
+            mid = (a + b) >> 1
+            go = ~finished[mid]
+            upper = counts[mid] <= active  # the eigenvalue is not below mid
+            a = np.where(go & upper, mid, a)
+            b = np.where(go & ~upper, mid, b)
+        lo[active] = points[a]
+        hi[active] = points[b]
+        depth += levels
     return 0.5 * (lo + hi)
+
+
+# Shifts one pass of tridiagonal_eigenvalues may count: it takes L levels
+# below each of its nodes while nodes * (2**L - 1) stays within this.
+_PASS_SHIFTS = 512
+_MAX_HALVINGS = 120
+
+
+def _finished(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    # the done test of the plain bisection loop, bracket by bracket
+    return hi - lo <= np.maximum(1e-15, 4e-16 * np.abs(0.5 * (lo + hi)))
+
+
+def _subtree(d, e2, starts, ends, levels):
+    # The next ``levels`` halvings below each node [starts[k], ends[k]], as
+    # one row of 2**levels + 1 points per node in ascending order: a bracket
+    # k halvings down is [j s, (j + 1) s] with s = 2**(levels - k), halved
+    # at the point between.  For each inner point, the done test of the
+    # bracket it halves and the count at it, every node's counted in one
+    # call; the rows come out flat.
+    width = 2**levels
+    points = np.empty((starts.size, width + 1))
+    points[:, 0], points[:, -1] = starts, ends
+    for k in range(levels):
+        span = width >> k
+        points[:, span // 2 :: span] = 0.5 * (points[:, :-1:span] + points[:, span::span])
+    inner = np.arange(1, width)
+    half = inner & -inner  # the point m halves [m - half, m + half]
+    finished = np.zeros(points.shape, dtype=bool)
+    finished[:, 1:-1] = _finished(points[:, inner - half], points[:, inner + half])
+    # the rows ascend, and so do the nodes; near the end of a solve,
+    # subtrees a few ulps wide repeat points, which are counted once (a
+    # repeat that were not adjacent would only be counted twice)
+    shifts = points[:, 1:-1].ravel()
+    fresh = np.empty(shifts.size, dtype=bool)
+    fresh[0] = True
+    np.not_equal(shifts[1:], shifts[:-1], out=fresh[1:])
+    counts = np.zeros(points.shape, dtype=np.int64)
+    distinct = _negative_pivots(d, e2, shifts[fresh])
+    counts[:, 1:-1] = distinct[np.cumsum(fresh) - 1].reshape(-1, width - 1)
+    return points.ravel(), finished.ravel(), counts.ravel()
 
 
 _PIVMIN = 1e-290
@@ -118,7 +190,11 @@ def _negative_pivots(d: np.ndarray, e2: np.ndarray, xs: np.ndarray) -> np.ndarra
     # A column holds such a pivot exactly when its counts of q < pivmin and
     # of q <= -pivmin differ; otherwise either count is its count of q < 0.
     # row[0] carries the previous block's last pivots; memory stays
-    # O(_BLOCK_ROWS * len(xs)).
+    # O(_BLOCK_ROWS * len(xs)).  Each shift is one column, and every
+    # operation, the recount included, acts on its column alone, so a
+    # shift's count does not depend on the shifts beside it: a multisection
+    # pass counts midpoints that no index reaches along with those it walks
+    # through, and each keeps the count it would have alone.
     n, m = d.shape[0], xs.shape[0]
     block = np.empty((min(_BLOCK_ROWS, n) + 1, m))
     row = list(block)
@@ -236,6 +312,6 @@ def beta_delta(summary: SpectralSummary, delta: float) -> float:
     beta(delta) = max |delta + (1-delta) theta| over kernel eigenvalues
     theta with the single trivial eigenvalue 1 removed.
     """
-    _check_delta(delta)
+    delta = _check_delta(delta)
     theta = summary.kernel_spectrum[1:]  # drop the trivial eigenvalue
     return float(np.abs(delta + (1.0 - delta) * theta).max())

@@ -1,3 +1,5 @@
+import os
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -30,6 +32,18 @@ def rank_one(pi) -> Chain:
 
 def random_bd(seed: int, n: int) -> Chain:
     return generate(FamilySpec("random_bd", (max(n, 2),), seed=seed), n)
+
+
+def bench_workloads():
+    """The benchmark's ``workloads`` module, read from bench/: its inputs,
+    verb arguments and goldens."""
+    bench = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    return workloads
 
 
 @pytest.fixture(scope="session")

@@ -2,10 +2,10 @@
 
 Everything here is deliberately naive: dense matrices, library eigensolvers,
 and the matrix exponential.  Nothing is shared with the package internals,
-so agreement is meaningful.  Two entries keep an algorithm the package
-replaced, to pin its successor to the old results: ``sturm_bisection``, and
-``per_probe_brackets``, which walks the old search order over the package's
-own evolution.
+so agreement is meaningful.  Three entries keep an algorithm the package
+replaced, to pin its successor to the old results: ``sturm_bisection``,
+``dbar_by_rows``, and ``per_probe_brackets``, which walks the old search
+order over the package's own evolution.
 """
 import math
 
@@ -55,6 +55,17 @@ def dbar_worst(rows: np.ndarray) -> float:
     for i in range(n):
         for j in range(i + 1, n):
             best = max(best, 0.5 * float(np.abs(rows[i] - rows[j]).sum()))
+    return min(best, 1.0)
+
+
+def dbar_by_rows(rows: np.ndarray) -> float:
+    """dbar over the rows by the package's original reduction: one row
+    at a time against every later row, one numpy sum per pair.  The
+    package's blocked reduction must reproduce these bits exactly."""
+    best = 0.0
+    for i in range(rows.shape[0] - 1):
+        gap = 0.5 * np.abs(rows[i + 1 :] - rows[i]).sum(axis=1).max()
+        best = max(best, float(gap))
     return min(best, 1.0)
 
 

@@ -221,8 +221,12 @@ def test_continuous_distribution_validates_time_and_tol():
         continuous_distribution(chain, [1.0, 0.0], True)
     with pytest.raises(BadShape):
         distance(chain, DistanceQuery("continuous", "tv"), True)
-    with pytest.raises(TolTooLoose):
-        continuous_distribution(chain, [1.0, 0.0], 1.0, tol=1e-3)
+    for bad in (np.True_, np.float32(-0.5), np.float32("nan")):
+        with pytest.raises(BadShape):
+            continuous_distribution(chain, [1.0, 0.0], bad)
+    for bad in (1e-3, np.float32(1e-3), np.True_):
+        with pytest.raises(TolTooLoose):
+            continuous_distribution(chain, [1.0, 0.0], 1.0, tol=bad)
     with pytest.raises(TolTooLoose):
         continuous_distribution(chain, [1.0, 0.0], 1.0, tol=0.0)
 

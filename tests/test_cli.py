@@ -15,6 +15,8 @@ import cutofflab
 from cutofflab import FamilyReport, FamilySpec, NumericalFailure, SizeRecord, cli, family_scan
 from cutofflab.cli import export_csv, main
 
+from conftest import bench_workloads
+
 
 def write_json(path, obj):
     path.write_text(json.dumps(obj))
@@ -179,18 +181,7 @@ def test_spec_fields_of_the_wrong_type_exit_two(capsys, tmp_path, flag, spec):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
-def _bench_workloads():
-    # the benchmark's inputs, verb arguments and goldens, read from bench/
-    bench = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
-    sys.path.insert(0, bench)
-    try:
-        import workloads
-    finally:
-        sys.path.remove(bench)
-    return workloads
-
-
-workloads = _bench_workloads()
+workloads = bench_workloads()
 
 
 @pytest.mark.parametrize("pair", workloads.TWO_STATE, ids=str)

@@ -1,6 +1,7 @@
 """Distance-to-stationarity queries and mixing time searches."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from cutofflab import (
     LengthMismatch,
     NoConvergence,
     NonIntegerTime,
+    continuous_distribution,
     corner_separation,
     distance,
     distance_curve,
@@ -43,8 +45,9 @@ def test_query_validation():
         DistanceQuery(time_mode="discrete", metric="hellinger")
     with pytest.raises(BadDelta):
         DistanceQuery(time_mode="lazy", metric="tv")
-    with pytest.raises(BadDelta):
-        DistanceQuery(time_mode="lazy", metric="tv", delta=1.0)
+    for bad in (1.0, True, np.True_, np.float32("nan"), np.float32(1.5)):
+        with pytest.raises(BadDelta):
+            DistanceQuery(time_mode="lazy", metric="tv", delta=bad)
     with pytest.raises(BadDelta):
         DistanceQuery(time_mode="continuous", metric="tv", delta=0.5)
     with pytest.raises(BadShape):
@@ -279,9 +282,32 @@ def test_two_state_continuous_closed_form():
 def test_mixing_time_validates_eps():
     chain = two_state()
     q = DistanceQuery(time_mode="continuous", metric="tv")
-    for bad in (0.0, 1.0, -0.1):
+    for bad in (0.0, 1.0, -0.1, True, np.True_, np.float32("nan"), np.float32(1.5)):
         with pytest.raises(BadEpsilon):
             mixing_time(chain, bad, q)
+
+
+def test_numpy_float32_inputs_read_as_their_float():
+    chain = random_bd(3, 12)
+    cont = DistanceQuery("continuous", "tv")
+    for eps in (np.float32(0.25), np.float32(0.1)):
+        assert mixing_bracket(chain, eps, cont) == mixing_bracket(chain, float(eps), cont)
+    lazy = DistanceQuery("lazy", "tv", delta=np.float32(0.3))
+    assert type(lazy.delta) is float and lazy.delta == float(np.float32(0.3))
+    twin = DistanceQuery("lazy", "tv", delta=float(np.float32(0.3)))
+    assert mixing_time(chain, np.float32(0.25), lazy) == mixing_time(chain, 0.25, twin)
+    t = np.float32(1.5)
+    assert distance(chain, cont, t).hex() == distance(chain, cont, float(t)).hex()
+    assert distance(chain, DistanceQuery("discrete", "tv"), np.float32(3.0)) == distance(
+        chain, DistanceQuery("discrete", "tv"), 3
+    )
+    # in float32, 1 - tol rounds to 1 and a Poisson sum would never stop
+    tol = np.float32(1e-10)
+    few = DistanceQuery("continuous", "tv", start=[1.0] + [0.0] * 12)
+    assert distance(chain, few, 2.5, tol).hex() == distance(chain, few, 2.5, float(tol)).hex()
+    assert continuous_distribution(chain, few.start, 2.5, tol).tobytes() == (
+        continuous_distribution(chain, few.start, 2.5, float(tol)).tobytes()
+    )
 
 
 def test_discrete_time_must_be_integer():
@@ -350,6 +376,25 @@ def test_sandwich_between_tv_and_dbar(small_corpus):
             dbar = distance(chain, dbar_q, t)
             assert d <= dbar + 1e-10
             assert dbar <= 2 * d + 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 7, 64, 129, 300])
+def test_blocked_dbar_keeps_the_row_loop_bits(n):
+    # 129 states cross the 128-entry block of numpy's pairwise sum
+    ev = _Evaluator(ehrenfest(n - 1), DistanceQuery("discrete", "dbar"), 1e-10)
+    rng = np.random.default_rng(n)
+    for count in (1, 2, n):
+        rows = rng.dirichlet(np.full(n, 0.5), size=count)
+        tracemalloc.start()
+        try:
+            value = ev._metric(rows, "dbar")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert value.hex() == oracles.dbar_by_rows(rows).hex(), count
+        # one block of at most 2**16 differences, or one row's against the
+        # rest; all pairs at once would take count**2 * n / 2
+        assert peak <= 2 * 8 * max(2**16, rows.size)
 
 
 def test_dbar_below_separation(small_corpus):

@@ -25,7 +25,9 @@ from cutofflab import (
 from cutofflab.distances import _Evaluator
 from cutofflab.families import DEFAULT_DELTA, DEFAULT_EPS_GRID, _trend_verdict
 
-from conftest import flip, random_bd, rank_one
+from conftest import bench_workloads, flip, random_bd, rank_one
+
+workloads = bench_workloads()
 
 
 def test_family_spec_validation():
@@ -360,3 +362,14 @@ def test_verify_bounds_nonreversible_skips_spectral_entries():
     names = {e.inequality for e in report.entries}
     assert "tv-below-dbar" in names
     assert "gap-sandwich-lower" not in names
+
+
+@pytest.mark.parametrize("n", workloads.FAMILY_SIZES)
+def test_family_scan_equals_the_bench_goldens_exactly(n):
+    # the benchmark's own check allows 1e-10 on the spectrum and 1e-4 on the
+    # continuous column; every value holds to the bit
+    gold = workloads.load_goldens()["family_ehrenfest"][str(n)]
+    rec = family_scan(FamilySpec("ehrenfest", (n,)), delta=workloads.FAMILY_DELTA).records[0]
+    assert (rec.gap, rec.spectral_sum) == (gold["gap"], gold["spectral_sum"])
+    assert [list(kv) for kv in sorted(rec.mixing_lazy.items())] == gold["mixing_lazy"]
+    assert [list(kv) for kv in sorted(rec.mixing_continuous.items())] == gold["mixing_continuous"]

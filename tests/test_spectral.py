@@ -107,6 +107,14 @@ def test_sturm_bisection_keeps_the_original_bits():
         assert tridiagonal_eigenvalues(diag, off2).tobytes() == expect.tobytes(), len(diag)
 
 
+def test_a_solve_that_runs_out_of_halvings_keeps_the_original_bits():
+    # an eigenvalue near 0 under a bracket 1e30 wide needs more than the 120
+    # halvings either solver makes
+    for diag, off2 in (([1e30, 0.0, 1.0], [0.0, 1e-3]), ([1e25, -3e-20, 2e-20, 5.0], [1e-40, 0.0, 2.0])):
+        expect = oracles.sturm_bisection(diag, off2)
+        assert tridiagonal_eigenvalues(diag, off2).tobytes() == expect.tobytes()
+
+
 def _record_counts(monkeypatch):
     # every shift passed to the block count, and to the clamped recount with
     # the number of rows it runs
@@ -140,7 +148,8 @@ def _meets_a_tiny_pivot(d, e2, x) -> bool:
 
 def test_clamped_recount_runs_on_the_flagged_shifts_only(monkeypatch):
     # Ehrenfest 4's spectrum is symmetric about 1, and its bisection
-    # midpoints hit eigenvalues exactly
+    # midpoints hit eigenvalues exactly; so do speculative subtree midpoints
+    # that no index walks through (3 flagged shifts before multisection)
     (diag, off2), _ = _bd_tridiagonals(ehrenfest(4))
     swept, clamped, _ = _record_counts(monkeypatch)
     vals = tridiagonal_eigenvalues(diag, off2)
@@ -148,12 +157,16 @@ def test_clamped_recount_runs_on_the_flagged_shifts_only(monkeypatch):
     flagged = [
         np.array([x for x in xs if _meets_a_tiny_pivot(diag, off2, x)]) for xs in swept
     ]
-    assert sum(f.size for f in flagged) == 3
+    assert sum(f.size for f in flagged) == 16
     assert [xs.tobytes() for xs in clamped] == [f.tobytes() for f in flagged if f.size]
 
 
 def test_ehrenfest_1024_solve_counts_each_distinct_unfinished_shift_once(monkeypatch):
-    # the plain loop counts all 1,025 indices in each of its 52 sweeps: 53,300 shifts
+    # the plain loop counts all 1,025 indices in each of its 52 sweeps: 53,300
+    # shifts.  One sweep per call counted 43,051 distinct shifts in 52 calls;
+    # the first pass now takes the 511 midpoints of 9 levels, then one level
+    # per pass while the brackets are many, and the last pass 7 levels below
+    # 4 brackets, whose midpoints repeat at ulp widths
     (diag, off2), _ = _bd_tridiagonals(ehrenfest(1024))
     swept, clamped, rows = _record_counts(monkeypatch)
     tracemalloc.start()
@@ -162,14 +175,25 @@ def test_ehrenfest_1024_solve_counts_each_distinct_unfinished_shift_once(monkeyp
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(swept) == 52
-    assert sum(xs.size for xs in swept) == 43_051
+    assert len(swept) == 44
+    assert sum(xs.size for xs in swept) == 43_067
+    assert all(np.unique(xs).size == xs.size for xs in swept)
     assert sum(xs.size for xs in clamped) == 14
     # each recount starts at the first block of 64 rows that holds a pivot
     # below pivmin; from row 0, its 4 calls ran 4,100 rows
     assert len(rows) == 4 and sum(rows) == 2_756
     assert peak < 1025 * 1025 * 8 / 4  # no n x n table
     assert np.max(np.abs(vals - 2.0 * np.arange(1025) / 1024)) <= 1e-12
+
+
+@pytest.mark.parametrize("n, calls", [(2, 8), (5, 9)])
+def test_a_small_solve_takes_few_multisection_passes(monkeypatch, n, calls):
+    # one _negative_pivots call per sweep took 52 calls at either size
+    (diag, off2), _ = _bd_tridiagonals(ehrenfest(n))
+    swept, _, _ = _record_counts(monkeypatch)
+    vals = tridiagonal_eigenvalues(diag, off2)
+    assert len(swept) == calls
+    assert vals.tobytes() == oracles.sturm_bisection(diag, off2).tobytes()
 
 
 def test_ehrenfest_spectrum_is_arithmetic():
