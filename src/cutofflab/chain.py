@@ -380,12 +380,17 @@ def load_chain(path) -> Chain:
         {"type": "dense", "matrix": [[...], ...]}
         {"type": "birth_death", "p": [...], "q": [...], "r": [...]}
     """
+    return Chain.from_spec(_read_json(path, "chain spec"))
+
+
+def _read_json(path, what: str):
+    """The JSON value in a file; BadShape "cannot read <what> <path>" when
+    the file cannot be opened or parsed."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise BadShape(f"cannot read chain spec {path}: {exc}") from exc
-    return Chain.from_spec(obj)
+        raise BadShape(f"cannot read {what} {path}: {exc}") from exc
 
 
 # The one check per kind of input; every module validates through these.
@@ -401,6 +406,14 @@ def _real(value) -> float | None:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
+
+
+def _integer(value) -> int | None:
+    """An integer as a Python int: an int or a numpy integer scalar, never a
+    bool; None for anything else."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        return None
+    return int(value)
 
 
 def _check_tol(tol) -> float:
@@ -421,12 +434,12 @@ def _check_time(time) -> float:
 
 def _as_steps(time) -> int:
     """A step count: an integer >= 0, or a float holding one."""
-    if isinstance(time, (int, np.integer)) and not isinstance(time, bool):
-        steps = int(time)
-    elif isinstance(time, (float, np.floating)) and float(time).is_integer():
-        steps = int(time)
-    else:
-        raise NonIntegerTime(f"discrete times must be integers, got {time!r}")
+    steps = _integer(time)
+    if steps is None:
+        value = _real(time)
+        if value is None or not value.is_integer():
+            raise NonIntegerTime(f"discrete times must be integers, got {time!r}")
+        steps = int(value)
     if steps < 0:
         raise BadShape(f"time must be nonnegative, got {time!r}")
     return steps

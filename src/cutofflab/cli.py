@@ -166,9 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, chain_input: bool):
-        if chain_input:
-            p.add_argument("--chain", required=True, help="chain spec file (JSON)")
+    def common(p):
+        p.add_argument("--chain", required=True, help="chain spec file (JSON)")
         p.add_argument("--tol", type=float, default=1e-10,
                        help="semigroup truncation tolerance (default 1e-10)")
         p.add_argument("--out", help="write the JSON report here instead of stdout")
@@ -179,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_spectrum)
 
     p = sub.add_parser("analyze", help="one distance value or one mixing time")
-    common(p, chain_input=True)
+    common(p)
     p.add_argument("--metric", choices=("tv", "sep", "dbar"), default="tv")
     p.add_argument("--mode", choices=("discrete", "lazy", "continuous"),
                    default="continuous")
@@ -203,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_family)
 
     p = sub.add_parser("verify", help="check the inequality suite on one chain")
-    common(p, chain_input=True)
+    common(p)
     p.add_argument("--delta", type=float, help="laziness for lazy-side bounds (default 1/2)")
     p.add_argument("--eps-grid", type=_eps_grid_arg,
                    help="comma-separated thresholds (default 0.1,0.2,0.4)")

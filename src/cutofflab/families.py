@@ -25,14 +25,13 @@ chains: ``random_bd`` is both and breaks it for tv (see ``distances``).
 """
 from __future__ import annotations
 
-import json
 import math
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .chain import Chain, _check_delta, _check_eps, _check_tol
+from .chain import Chain, _check_delta, _check_eps, _check_tol, _integer, _read_json, _real
 from .distances import DistanceQuery, _Evaluator
 from .errors import BadFamily, BadShape, NoConvergence, NotReversible
 from .birth_death import sep_bounds, stationary_time_summary
@@ -50,29 +49,67 @@ FLAT_FACTOR = 1.3
 DIP_TOLERANCE = 0.9
 
 
+class _Record:
+    """JSON through the dataclass fields, the one schema.  ``to_dict`` writes
+    every field in declaration order, which is the JSON key order: a nested
+    record through its own ``to_dict``, a tuple as a list, and a mapping (a
+    mixing column) as its sorted [eps, t] pairs.  ``from_dict`` reads every
+    field back, through the ``load`` in the field's metadata where it has one."""
+
+    def to_dict(self) -> dict:
+        return {f.name: _json_form(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, obj: dict):
+        return cls(**{f.name: f.metadata.get("load", _same)(obj[f.name]) for f in fields(cls)})
+
+
+def _json_form(value):
+    if isinstance(value, _Record):
+        return value.to_dict()
+    if isinstance(value, dict):
+        return [list(pair) for pair in sorted(value.items())]
+    if isinstance(value, (list, tuple)):
+        return [_json_form(v) for v in value]
+    return value
+
+
+def _same(value):
+    return value
+
+
+def _quoted(names: list[str]) -> str:
+    return " and ".join(f'"{name}"' for name in names)
+
+
+# The metadata of a tuple field, whose JSON form is a list.
+_TUPLE = {"load": tuple}
+
+
 @dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(_Record):
     """A family name plus the sizes to scan and optional parameters.
 
     ``rho`` applies to path_biased only; ``seed`` to random_bd only.
     ``delta`` and ``eps_grid`` are optional scan defaults: ``family_scan``
-    uses them wherever its own arguments are left out.
+    uses them wherever its own arguments are left out.  Numbers are stored
+    as Python ints and floats, whatever numeric type they came in as.
     """
 
     family: str
-    sizes: tuple[int, ...]
+    sizes: tuple[int, ...] = field(metadata=_TUPLE)
     rho: float | None = None
     seed: int | None = None
     delta: float | None = None
-    eps_grid: tuple[float, ...] | None = None
+    eps_grid: tuple[float, ...] | None = field(default=None, metadata=_TUPLE)
 
     def __post_init__(self):
         if self.family not in FAMILY_NAMES:
             raise BadFamily(f"unknown family {self.family!r}; choose from {FAMILY_NAMES}")
-        sizes = _as_tuple(self.sizes, "sizes")
-        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in sizes):
-            raise BadFamily(f"sizes must be integers, got {list(sizes)!r}")
-        sizes = tuple(int(n) for n in sizes)
+        given = _as_tuple(self.sizes, "sizes")
+        sizes = tuple(_integer(n) for n in given)
+        if None in sizes:
+            raise BadFamily(f"sizes must be integers, got {list(given)!r}")
         if len(sizes) == 0:
             raise BadFamily("sizes must be nonempty")
         if any(n < 2 for n in sizes):
@@ -81,60 +118,54 @@ class FamilySpec:
             raise BadFamily(f"sizes must be strictly increasing, got {sizes}")
         object.__setattr__(self, "sizes", sizes)
         if self.family == "path_biased":
-            if not (
-                isinstance(self.rho, (int, float)) and 0.0 < self.rho < 1.0 and self.rho != 0.5
-            ):
+            rho = _real(self.rho)
+            if rho is None or not (0.0 < rho < 1.0 and rho != 0.5):
                 raise BadFamily(f"path_biased needs rho in (0,1) \\ {{1/2}}, got {self.rho!r}")
+            object.__setattr__(self, "rho", rho)
         elif self.rho is not None:
             raise BadFamily(f"rho only applies to path_biased, not {self.family}")
         if self.family == "random_bd":
-            if not isinstance(self.seed, (int,)) or isinstance(self.seed, bool) or self.seed < 0:
+            seed = _integer(self.seed)
+            if seed is None or seed < 0:
                 raise BadFamily(f"random_bd needs a nonnegative integer seed, got {self.seed!r}")
+            object.__setattr__(self, "seed", seed)
         elif self.seed is not None:
             raise BadFamily(f"seed only applies to random_bd, not {self.family}")
         if self.eps_grid is not None:
-            grid = _as_tuple(self.eps_grid, "eps_grid")
-            if any(not (isinstance(e, (int, float)) and 0.0 < e < 1.0) for e in grid):
-                raise BadFamily(f"eps_grid entries must lie in (0,1), got {list(grid)!r}")
-            object.__setattr__(self, "eps_grid", tuple(float(e) for e in grid))
-        if self.delta is not None and not (
-            isinstance(self.delta, (int, float)) and 0.0 < self.delta < 1.0
-        ):
-            raise BadFamily(f"delta must lie in (0,1), got {self.delta!r}")
+            given = _as_tuple(self.eps_grid, "eps_grid")
+            grid = tuple(_real(e) for e in given)
+            if any(e is None or not 0.0 < e < 1.0 for e in grid):
+                raise BadFamily(f"eps_grid entries must lie in (0,1), got {list(given)!r}")
+            object.__setattr__(self, "eps_grid", grid)
+        if self.delta is not None:
+            delta = _real(self.delta)
+            if delta is None or not 0.0 < delta < 1.0:
+                raise BadFamily(f"delta must lie in (0,1), got {self.delta!r}")
+            object.__setattr__(self, "delta", delta)
 
     def to_dict(self) -> dict:
-        out: dict = {"family": self.family, "sizes": list(self.sizes)}
-        if self.rho is not None:
-            out["rho"] = self.rho
-        if self.seed is not None:
-            out["seed"] = self.seed
-        if self.delta is not None:
-            out["delta"] = self.delta
-        if self.eps_grid is not None:
-            out["eps_grid"] = list(self.eps_grid)
-        return out
+        """The JSON form of the fields that are not None."""
+        return {k: v for k, v in super().to_dict().items() if v is not None}
 
     @classmethod
     def from_dict(cls, obj) -> "FamilySpec":
+        """A spec from a JSON object that has every field without a default,
+        no key that is not a field, and for every tuple field a list or the
+        field's default."""
         if not isinstance(obj, dict):
             raise BadShape("family spec must be a JSON object")
-        if "family" not in obj or "sizes" not in obj:
-            raise BadShape('family spec needs "family" and "sizes" fields')
-        known = {"family", "sizes", "rho", "seed", "delta", "eps_grid"}
-        unknown = set(obj) - known
+        schema = fields(cls)
+        required = [f.name for f in schema if f.default is MISSING]
+        if not set(required) <= set(obj):
+            raise BadShape(f"family spec needs {_quoted(required)} fields")
+        unknown = set(obj) - {f.name for f in schema}
         if unknown:
             raise BadShape(f"unknown family spec fields: {sorted(unknown)}")
-        eps_grid = obj.get("eps_grid")
-        if not isinstance(obj["sizes"], list) or not isinstance(eps_grid, (list, type(None))):
-            raise BadShape('family spec "sizes" and "eps_grid" must be JSON lists')
-        return cls(
-            family=obj["family"],
-            sizes=tuple(obj["sizes"]),
-            rho=obj.get("rho"),
-            seed=obj.get("seed"),
-            delta=obj.get("delta"),
-            eps_grid=tuple(eps_grid) if eps_grid is not None else None,
-        )
+        lists = [f for f in schema if f.metadata.get("load") is tuple]
+        if any(not isinstance(obj.get(f.name), list) and obj.get(f.name) is not f.default
+               for f in lists):
+            raise BadShape(f"family spec {_quoted([f.name for f in lists])} must be JSON lists")
+        return cls(**obj)
 
 
 def _as_tuple(values, name: str) -> tuple:
@@ -146,19 +177,15 @@ def _as_tuple(values, name: str) -> tuple:
 
 def load_family(path) -> FamilySpec:
     """Read a family spec file (JSON)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise BadShape(f"cannot read family spec {path}: {exc}") from exc
-    return FamilySpec.from_dict(obj)
+    return FamilySpec.from_dict(_read_json(path, "family spec"))
 
 
 def generate(spec: FamilySpec, n: int) -> Chain:
     """The family member on states 0..n (n need not be in spec.sizes)."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+    size = _integer(n)
+    if size is None:
         raise BadFamily(f"size must be an integer, got {n!r}")
-    n = int(n)
+    n = size
     if n < 2:
         raise BadFamily(f"size must be >= 2, got {n}")
     idx = np.arange(n + 1, dtype=float)
@@ -173,13 +200,13 @@ def generate(spec: FamilySpec, n: int) -> Chain:
         q[0] = 0.0
         r = 1.0 - p - q
     elif spec.family == "path_biased":
-        p = np.full(n + 1, float(spec.rho))
-        q = np.full(n + 1, 1.0 - float(spec.rho))
+        p = np.full(n + 1, spec.rho)
+        q = np.full(n + 1, 1.0 - spec.rho)
         p[n] = 0.0
         q[0] = 0.0
         r = 1.0 - p - q
     else:  # random_bd; deterministic in (seed, n)
-        rng = np.random.default_rng([int(spec.seed), n])
+        rng = np.random.default_rng([spec.seed, n])
         p = np.zeros(n + 1)
         q = np.zeros(n + 1)
         p[:n] = rng.uniform(0.20, 0.45, n)
@@ -194,15 +221,17 @@ def generate(spec: FamilySpec, n: int) -> Chain:
 
 
 @dataclass
-class SizeRecord:
-    """Per-size measurements; unfilled columns stay None/empty."""
+class SizeRecord(_Record):
+    """Per-size measurements; unfilled columns stay None/empty.
+
+    The field order is the JSON key order, which the CLI goldens pin."""
 
     n: int
     gap: float | None = None
     spectral_sum: float | None = None
     product: float | None = None
-    mixing_continuous: dict = field(default_factory=dict)
-    mixing_lazy: dict = field(default_factory=dict)
+    mixing_continuous: dict = field(default_factory=dict, metadata={"load": dict})
+    mixing_lazy: dict = field(default_factory=dict, metadata={"load": dict})
     ratio_c_over_lazy: float | None = None
     window: float | None = None
     sqrt_t: float | None = None
@@ -211,69 +240,19 @@ class SizeRecord:
 
 
 @dataclass
-class FamilyReport:
-    spec: FamilySpec
+class FamilyReport(_Record):
+    """One ``family_scan``.  The field order is the JSON key order, which the
+    CLI goldens pin."""
+
+    spec: FamilySpec = field(metadata={"load": FamilySpec.from_dict})
     delta: float | None
-    eps_grid: tuple[float, ...]
-    records: list[SizeRecord]
+    eps_grid: tuple[float, ...] = field(metadata=_TUPLE)
+    records: list[SizeRecord] = field(
+        metadata={"load": lambda recs: [SizeRecord.from_dict(rec) for rec in recs]}
+    )
     verdict: str | None = None
     ratio_target: float | None = None
     ratio_deviation_final: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "spec": self.spec.to_dict(),
-            "delta": self.delta,
-            "eps_grid": list(self.eps_grid),
-            "records": [
-                {
-                    "n": rec.n,
-                    "gap": rec.gap,
-                    "spectral_sum": rec.spectral_sum,
-                    "product": rec.product,
-                    "mixing_continuous": [list(kv) for kv in sorted(rec.mixing_continuous.items())],
-                    "mixing_lazy": [list(kv) for kv in sorted(rec.mixing_lazy.items())],
-                    "ratio_c_over_lazy": rec.ratio_c_over_lazy,
-                    "window": rec.window,
-                    "sqrt_t": rec.sqrt_t,
-                    "window_over_sqrt_t": rec.window_over_sqrt_t,
-                    "window_over_n": rec.window_over_n,
-                }
-                for rec in self.records
-            ],
-            "verdict": self.verdict,
-            "ratio_target": self.ratio_target,
-            "ratio_deviation_final": self.ratio_deviation_final,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "FamilyReport":
-        records = [
-            SizeRecord(
-                n=rec["n"],
-                gap=rec["gap"],
-                spectral_sum=rec["spectral_sum"],
-                product=rec["product"],
-                mixing_continuous={e: t for e, t in rec["mixing_continuous"]},
-                mixing_lazy={e: t for e, t in rec["mixing_lazy"]},
-                ratio_c_over_lazy=rec["ratio_c_over_lazy"],
-                window=rec["window"],
-                sqrt_t=rec["sqrt_t"],
-                window_over_sqrt_t=rec["window_over_sqrt_t"],
-                window_over_n=rec["window_over_n"],
-            )
-            for rec in obj["records"]
-        ]
-        eps_grid = tuple(obj["eps_grid"])
-        return cls(
-            spec=FamilySpec.from_dict(obj["spec"]),
-            delta=obj["delta"],
-            eps_grid=eps_grid,
-            records=records,
-            verdict=obj["verdict"],
-            ratio_target=obj["ratio_target"],
-            ratio_deviation_final=obj["ratio_deviation_final"],
-        )
 
 
 def _trend_verdict(products: list[float]) -> str:
@@ -356,7 +335,7 @@ def family_scan(
 
 
 @dataclass(frozen=True)
-class BoundEntry:
+class BoundEntry(_Record):
     inequality: str
     point: str
     lhs: float
@@ -366,9 +345,13 @@ class BoundEntry:
     def margin(self) -> float:
         return self.rhs - self.lhs
 
+    def to_dict(self) -> dict:
+        """The fields, then the margin."""
+        return {**super().to_dict(), "margin": self.margin}
+
 
 @dataclass(frozen=True)
-class SkippedEntry:
+class SkippedEntry(_Record):
     inequality: str
     point: str
     reason: str
@@ -391,20 +374,8 @@ class BoundReport:
         return {
             "passed": self.passed,
             "min_margin": None if not self.entries else self.min_margin,
-            "entries": [
-                {
-                    "inequality": e.inequality,
-                    "point": e.point,
-                    "lhs": e.lhs,
-                    "rhs": e.rhs,
-                    "margin": e.margin,
-                }
-                for e in self.entries
-            ],
-            "skipped": [
-                {"inequality": s.inequality, "point": s.point, "reason": s.reason}
-                for s in self.skipped
-            ],
+            "entries": _json_form(self.entries),
+            "skipped": _json_form(self.skipped),
         }
 
 

@@ -294,11 +294,11 @@ def test_load_chain_round_trip(tmp_path):
 
 def test_load_chain_bad_inputs(tmp_path):
     missing = tmp_path / "nope.json"
-    with pytest.raises(BadShape):
+    with pytest.raises(BadShape, match="cannot read chain spec"):
         load_chain(missing)
     garbled = tmp_path / "garbled.json"
     garbled.write_text("{not json")
-    with pytest.raises(BadShape):
+    with pytest.raises(BadShape, match="cannot read chain spec"):
         load_chain(garbled)
     wrong = tmp_path / "wrong.json"
     wrong.write_text(json.dumps({"type": "sparse", "matrix": []}))

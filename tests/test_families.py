@@ -62,6 +62,80 @@ def test_family_spec_validation():
         FamilySpec("ehrenfest", (4, 8), eps_grid=0.25)
 
 
+@pytest.mark.parametrize(
+    "family, name, value",
+    [
+        ("ehrenfest", "delta", np.float32(0.5)),
+        ("ehrenfest", "delta", np.float64(0.25)),
+        ("path_biased", "rho", np.float32(0.3)),
+        ("path_biased", "rho", np.float64(0.7)),
+        ("random_bd", "seed", np.int64(3)),
+        ("random_bd", "seed", np.uint8(7)),
+    ],
+    ids=["delta-f32", "delta-f64", "rho-f32", "rho-f64", "seed-i64", "seed-u8"],
+)
+def test_family_spec_stores_numpy_scalars_as_python_numbers(family, name, value):
+    # numpy float32 fields were refused and float64 ones stored as numpy scalars
+    spec = FamilySpec(family, (4, 8), **{name: value})
+    stored = getattr(spec, name)
+    expected = int(value) if name == "seed" else float(value)
+    assert type(stored) is type(expected) and stored == expected
+    grid = FamilySpec("ehrenfest", (4, 8), eps_grid=(np.float32(0.25), np.float64(0.1)))
+    assert [type(e) for e in grid.eps_grid] == [float, float]
+    assert grid.eps_grid == (0.25, 0.1)
+    json.dumps(spec.to_dict())
+
+
+@pytest.mark.parametrize(
+    "family, fields",
+    [
+        ("ehrenfest", {"delta": True}),
+        ("ehrenfest", {"delta": np.bool_(True)}),
+        ("ehrenfest", {"delta": np.float32("nan")}),
+        ("ehrenfest", {"delta": np.float64(1.0)}),
+        ("ehrenfest", {"eps_grid": (np.float32(0.0),)}),
+        ("ehrenfest", {"eps_grid": (float("nan"),)}),
+        ("ehrenfest", {"eps_grid": (True,)}),
+        ("path_biased", {"rho": np.float32(0.5)}),
+        ("path_biased", {"rho": float("nan")}),
+        ("path_biased", {"rho": True}),
+        ("path_biased", {"rho": np.float64(1.5)}),
+        ("random_bd", {"seed": True}),
+        ("random_bd", {"seed": np.int64(-1)}),
+        ("random_bd", {"seed": 3.0}),
+    ],
+)
+def test_family_spec_still_refuses_bools_nan_and_out_of_range(family, fields):
+    with pytest.raises(BadFamily):
+        FamilySpec(family, (4, 8), **fields)
+
+
+def test_family_spec_json_follows_the_field_order():
+    biased = FamilySpec("path_biased", (8, 16), rho=0.3, delta=0.25, eps_grid=(0.1, 0.4))
+    assert json.dumps(biased.to_dict()) == (
+        '{"family": "path_biased", "sizes": [8, 16], "rho": 0.3, "delta": 0.25, '
+        '"eps_grid": [0.1, 0.4]}'
+    )
+    seeded = FamilySpec("random_bd", (5, 9), seed=3)
+    assert json.dumps(seeded.to_dict()) == '{"family": "random_bd", "sizes": [5, 9], "seed": 3}'
+
+
+def test_report_json_keys_follow_the_field_order():
+    report = family_scan(FamilySpec("ehrenfest", (4,)), eps_grid=(0.25,)).to_dict()
+    assert list(report) == [
+        "spec", "delta", "eps_grid", "records", "verdict", "ratio_target",
+        "ratio_deviation_final",
+    ]
+    assert list(report["records"][0]) == [
+        "n", "gap", "spectral_sum", "product", "mixing_continuous", "mixing_lazy",
+        "ratio_c_over_lazy", "window", "sqrt_t", "window_over_sqrt_t", "window_over_n",
+    ]
+    bounds = verify_bounds(generate(FamilySpec("random_bd", (5,), seed=3), 5)).to_dict()
+    assert list(bounds) == ["passed", "min_margin", "entries", "skipped"]
+    assert list(bounds["entries"][0]) == ["inequality", "point", "lhs", "rhs", "margin"]
+    assert list(bounds["skipped"][0]) == ["inequality", "point", "reason"]
+
+
 def test_family_spec_round_trip(tmp_path):
     spec = FamilySpec("path_biased", (8, 16, 32), rho=0.7, delta=0.25, eps_grid=(0.1, 0.4))
     again = FamilySpec.from_dict(spec.to_dict())
@@ -77,8 +151,12 @@ def test_family_spec_rejects_unknown_fields(tmp_path):
     with pytest.raises(BadShape):
         FamilySpec.from_dict([1, 2])
     missing = tmp_path / "missing.json"
-    with pytest.raises(BadShape):
+    with pytest.raises(BadShape, match="cannot read family spec"):
         load_family(missing)
+    garbled = tmp_path / "garbled.json"
+    garbled.write_text("{not json")
+    with pytest.raises(BadShape, match="cannot read family spec"):
+        load_family(garbled)
 
 
 def test_generate_ehrenfest_rates():
