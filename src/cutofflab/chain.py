@@ -22,9 +22,9 @@ than their power takes products.
 
 Uniformization accumulates terms until the Poisson mass reaches ``1 - tol``
 and renormalizes, so the truncation error in total variation is at most
-``tol``.  The weights come from one recurrence at every time; above t = 700,
-where e^{-t} underflows, it enters in factors that each stay in range (see
-``_PoissonSum``).
+``tol``.  Every Poisson weight, also in the E(h) sums of ``distances``,
+comes from one recurrence, ``_poisson_weights``; above t = 700, where
+e^{-t} underflows, e^{-t} enters it in factors that each stay in range.
 One pass serves several times: the kernel powers ``rows @ K**i`` are the
 same for every time, and each time keeps its own weights, mass and stopping
 test, so each result is bit for bit the one a pass of its own gives.  A pass
@@ -61,7 +61,7 @@ ROW_SUM_TOL = 1e-12
 STATIONARY_RESIDUAL_TOL = 1e-10
 
 # exp(-x) is a normal double for x up to this; e^{-t} past it enters the
-# Poisson weights in factors (see ``_PoissonSum``).
+# Poisson weights in factors (see ``_poisson_weights``).
 _EXP_RANGE = 700.0
 
 # No evolution runs past this many steps or time units, and mixing-time
@@ -475,9 +475,9 @@ def _check_cap(time) -> None:
         raise BadShape(f"time {time!r} exceeds the evolution cap {SEARCH_CAP}")
 
 
-class _PoissonSum:
-    """One time's Poisson weights, collected mass and stopping test in a
-    uniformization pass, in exactly the operations of a pass of its own.
+def _poisson_weights(time: float):
+    """The collected terms (i, w_i) of Poisson(time), in ascending i and
+    without end: a caller stops where its sum needs no more.
 
     The weights follow w_0 = e^{-t}, w_i = w_{i-1} t / i.  Past
     ``_EXP_RANGE``, where e^{-t} underflows, e^{-t} enters as k = 2**j
@@ -486,37 +486,49 @@ class _PoissonSum:
     collected once every factor is in; the weights before that lie below
     t e^{-350} and count as underflowed.  For t <= ``_EXP_RANGE``, k = 1.
     """
+    parts = 1
+    while time / parts > _EXP_RANGE:
+        parts *= 2
+    factor = math.exp(-time / parts)
+    pending, weight, i = parts - 1, factor, 0
+    while True:
+        if not pending:
+            yield i, weight
+        i += 1
+        weight *= time / i
+        if pending and weight > 1.0:
+            weight *= factor
+            pending -= 1
 
-    def __init__(self, time: float, rows: np.ndarray, tol: float):
-        self.time = time
-        parts = 1
-        while time / parts > _EXP_RANGE:
-            parts *= 2
-        self.factor = math.exp(-time / parts)
-        self.pending = parts - 1
-        self.weight = self.factor
-        self.mass = 0.0 if self.pending else self.weight
-        self.acc = self.mass * rows
-        self.stop = 1.0 - tol
-        self.cap = int(time + 40.0 * math.sqrt(time + 1.0) + 120.0)
-        self.more = self.wants(0)
 
-    def wants(self, i: int) -> bool:
-        """Whether term i + 1 is still needed after terms 0..i."""
-        return self.mass < self.stop and i < self.cap
-
-    def add(self, i: int, rows: np.ndarray) -> bool:
-        """Collect term i, the rows after i kernel applications, and say
-        whether term i + 1 is needed (also kept as ``more``)."""
-        self.weight *= self.time / i
-        if self.pending and self.weight > 1.0:
-            self.weight *= self.factor
-            self.pending -= 1
-        if not self.pending:
-            self.acc += self.weight * rows
-            self.mass += self.weight
-        self.more = self.wants(i)
-        return self.more
+def _poisson_sums(step, rows: np.ndarray, times: tuple, tol: float):
+    """For each of the ascending ``times`` in turn, the Poisson(time) sum of
+    the powers ``rows``, ``step(rows)``, ``step(step(rows))``, ... and its
+    collected mass, yielded once that time's mass reaches ``1 - tol`` or its
+    terms reach int(t + 40 sqrt(t + 1) + 120).  A time past ``SEARCH_CAP``
+    is refused before the first step.  The pass keeps each time's sum, mass
+    and next term, and steps only while some time needs a term."""
+    _check_cap(times[-1])
+    stop, n = 1.0 - tol, len(times)
+    terms = [_poisson_weights(time) for time in times]
+    heads, sums, masses = [next(weights) for weights in terms], [0.0] * n, [0.0] * n
+    caps = [int(time + 40.0 * math.sqrt(time + 1.0) + 120.0) for time in times]
+    active, i, k = range(n), 0, 0
+    while True:
+        for a in active:
+            j, weight = heads[a]
+            if j == i:
+                sums[a] += weight * rows
+                masses[a] += weight
+                heads[a] = next(terms[a])
+        active = [a for a in active if masses[a] < stop and i < caps[a]]
+        while k not in active:
+            yield sums[k], masses[k]
+            k += 1
+            if k == n:
+                return
+        i += 1
+        rows = step(rows)
 
 
 def _uniformized(step, rows: np.ndarray, times: tuple, tol: float, until=None) -> list:
@@ -527,25 +539,17 @@ def _uniformized(step, rows: np.ndarray, times: tuple, tol: float, until=None) -
     this function reads no chain.
 
     Each time keeps its own Poisson weights, mass, stopping test and
-    accumulated rows, so its result equals a pass of its own bit for bit; the
-    pass holds one accumulator per time.  The times' rows are finished in
-    ascending order, each as soon as its sum completes.  ``until``, if
-    given, is called with each finished time's rows in turn, and the pass
-    stops once it returns True; the list then holds the rows of the times
-    finished so far.  Otherwise the pass runs to the largest time's last
-    term.
+    accumulated rows (``_poisson_sums``), and its sum is divided by its
+    mass, so its result equals a pass of its own bit for bit.  The times'
+    rows are finished in ascending order, each as soon as its sum completes.
+    ``until``, if given, is called with each finished time's rows in turn,
+    and the pass stops once it returns True; the list then holds the rows of
+    the times finished so far.  Otherwise the pass runs to the largest
+    time's last term.
     """
-    _check_cap(times[-1])
-    sums = [_PoissonSum(time, rows, tol) for time in times]
-    active = [s for s in sums if s.more]
     finished = []
-    i = 0
-    for poisson in sums:
-        while poisson.more:
-            i += 1
-            rows = step(rows)
-            active = [s for s in active if s.add(i, rows)]
-        finished.append(poisson.acc / poisson.mass)
+    for acc, mass in _poisson_sums(step, rows, times, tol):
+        finished.append(acc / mass)
         if until is not None and until(finished[-1]):
             break
     return finished
@@ -566,16 +570,11 @@ def _pure_birth_tail(rates: np.ndarray, time: float, tol: float) -> float:
     tol = _check_tol(tol)
     rate = float(rates.max())
     horizon = rate * time
-    _check_cap(horizon)
     move = rates / rate
-    mass = np.zeros(rates.shape[0])
-    mass[0] = 1.0
-    poisson = _PoissonSum(horizon, mass, tol)
-    i = 0
-    while poisson.more:
-        i += 1
+
+    def step(mass):
         moved = mass * move
-        mass = mass - moved
-        mass[1:] += moved[:-1]
-        poisson.add(i, mass)
-    return float(poisson.acc.sum())
+        return (mass - moved) + np.append(0.0, moved[:-1])
+
+    acc, _ = next(_poisson_sums(step, np.eye(1, rates.shape[0])[0], (horizon,), tol))
+    return float(acc.sum())

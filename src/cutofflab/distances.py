@@ -126,6 +126,7 @@ from .chain import (
     _check_separation,
     _check_time,
     _check_tol,
+    _poisson_weights,
     _uniformized,
     as_probability_vector,
 )
@@ -629,19 +630,19 @@ def _sep_floor_unmet(ev: _Evaluator) -> bool:
 
 
 def _poisson_power(kernel: np.ndarray, h: float) -> np.ndarray:
-    # sum_i Poi(h)(i) K**i for h <= 1: the weights fall at least as fast as
-    # 1/i!, and the sum stops once a weight is below 1e-20 of the mass
-    # collected, far under the rounding of the terms before it
-    weight = math.exp(-h)
-    acc = np.diag(np.full(kernel.shape[0], weight))
-    mass, power, i = weight, None, 0
-    while weight >= 1e-20 * mass:
-        i += 1
+    # sum_i Poi(h)(i) K**i for h <= 1, weights from chain._poisson_weights:
+    # they fall at least as fast as 1/i!, and the sum stops after the first
+    # weight below 1e-20 of the mass collected, far under the rounding of
+    # the terms before it
+    terms = _poisson_weights(h)
+    _, mass = next(terms)
+    acc, power = np.diag(np.full(kernel.shape[0], mass)), None
+    for _, weight in terms:
         power = kernel if power is None else power @ kernel
-        weight *= h / i
         acc += weight * power
         mass += weight
-    return acc
+        if weight < 1e-20 * mass:
+            return acc
 
 
 def _below_chain(a, b, continuous: bool) -> list:

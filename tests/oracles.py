@@ -2,10 +2,12 @@
 
 Everything here is deliberately naive: dense matrices, library eigensolvers,
 and the matrix exponential.  Nothing is shared with the package internals,
-so agreement is meaningful.  Three entries keep an algorithm the package
+so agreement is meaningful.  Some entries keep an algorithm the package
 replaced, to pin its successor to the old results: ``sturm_bisection``,
-``dbar_by_rows``, and ``per_probe_brackets``, which walks the old search
-order over the package's own evolution.
+``dbar_by_rows``, ``per_probe_brackets``, which walks the old search order
+over the package's own evolution, and the per-time Poisson sums
+(``uniformized_by_poisson_sums``, ``pure_birth_tail_by_poisson_sum`` and
+``poisson_power_by_recurrence``), which form their own weights.
 """
 import math
 
@@ -229,3 +231,93 @@ def per_probe_brackets(ev, targets, found=None, cap=SEARCH_CAP) -> dict:
                 stack.append((anchor, probe[0], below))
         lo = hi
     return found
+
+
+class _PoissonSum:
+    """The package's original per-time Poisson sum, kept as the bit reference
+    for ``chain._poisson_weights`` and the pass that reads it.  Weights
+    w_0 = e^{-t}, w_i = w_{i-1} t / i; past t = 700, e^{-t} enters as k =
+    2**j equal factors e^{-t/k}, and terms are collected once every factor
+    is in."""
+
+    def __init__(self, time: float, rows: np.ndarray, tol: float):
+        self.time = time
+        parts = 1
+        while time / parts > 700.0:
+            parts *= 2
+        self.factor = math.exp(-time / parts)
+        self.pending = parts - 1
+        self.weight = self.factor
+        self.mass = 0.0 if self.pending else self.weight
+        self.acc = self.mass * rows
+        self.stop = 1.0 - tol
+        self.cap = int(time + 40.0 * math.sqrt(time + 1.0) + 120.0)
+        self.more = self.wants(0)
+
+    def wants(self, i: int) -> bool:
+        return self.mass < self.stop and i < self.cap
+
+    def add(self, i: int, rows: np.ndarray) -> bool:
+        self.weight *= self.time / i
+        if self.pending and self.weight > 1.0:
+            self.weight *= self.factor
+            self.pending -= 1
+        if not self.pending:
+            self.acc += self.weight * rows
+            self.mass += self.weight
+        self.more = self.wants(i)
+        return self.more
+
+
+def uniformized_by_poisson_sums(step, rows, times, tol, until=None) -> list:
+    """The package's original multi-time uniformization pass, one
+    ``_PoissonSum`` per time; ``chain._uniformized`` must match it bit for
+    bit, early stop through ``until`` included."""
+    sums = [_PoissonSum(time, rows, tol) for time in times]
+    active = [s for s in sums if s.more]
+    finished = []
+    i = 0
+    for poisson in sums:
+        while poisson.more:
+            i += 1
+            rows = step(rows)
+            active = [s for s in active if s.add(i, rows)]
+        finished.append(poisson.acc / poisson.mass)
+        if until is not None and until(finished[-1]):
+            break
+    return finished
+
+
+def pure_birth_tail_by_poisson_sum(rates, time, tol) -> float:
+    """The package's original ``chain._pure_birth_tail`` loop: the transient
+    mass of the pure-birth chain uniformized at its largest rate, summed with
+    the Poisson weights and not divided by their mass."""
+    rate = float(rates.max())
+    move = rates / rate
+    mass = np.zeros(rates.shape[0])
+    mass[0] = 1.0
+    poisson = _PoissonSum(rate * time, mass, tol)
+    i = 0
+    while poisson.more:
+        i += 1
+        moved = mass * move
+        mass = mass - moved
+        mass[1:] += moved[:-1]
+        poisson.add(i, mass)
+    return float(poisson.acc.sum())
+
+
+def poisson_power_by_recurrence(kernel, h) -> np.ndarray:
+    """The package's original ``distances._poisson_power``: sum_i Poi(h)(i)
+    K**i for h <= 1, stopped after the first weight below 1e-20 of the
+    mass."""
+    weight = math.exp(-h)
+    acc = np.diag(np.full(kernel.shape[0], weight))
+    mass, power, i = weight, None, 0
+    while weight >= 1e-20 * mass:
+        i += 1
+        power = kernel if power is None else power @ kernel
+        weight *= h / i
+        acc += weight * power
+        mass += weight
+    return acc

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammainc
+from scipy.special import gammainc, gammaincc
 
 from cutofflab import (
     BadDelta,
@@ -27,10 +27,11 @@ from cutofflab import (
 from cutofflab.chain import (
     SEARCH_CAP,
     _EXP_RANGE,
-    _PoissonSum,
+    _poisson_weights,
     _pure_birth_tail,
     _uniformized,
 )
+from cutofflab.distances import _poisson_power
 
 from conftest import ehrenfest, flip, random_bd, two_state
 import oracles
@@ -410,14 +411,15 @@ def test_contiguous_step_equals_the_row_by_row_step(chain):
 
 
 def _poisson_run(time, tol):
-    row = np.ones(1)
-    poisson = _PoissonSum(time, row, tol)
-    weights, i = [poisson.weight], 0
-    while poisson.more:
-        i += 1
-        poisson.add(i, row)
-        weights.append(poisson.weight)
-    return poisson, weights, i
+    # the collected terms (i, w_i) of Poisson(time) and their mass, up to
+    # the stop of a uniformization pass
+    terms, mass = [], 0.0
+    cap = int(time + 40.0 * math.sqrt(time + 1.0) + 120.0)
+    for i, weight in _poisson_weights(time):
+        terms.append((i, weight))
+        mass += weight
+        if mass >= 1.0 - tol or i >= cap:
+            return terms, mass
 
 
 def test_poisson_sums_stop_with_the_true_tail_below_tol():
@@ -425,16 +427,20 @@ def test_poisson_sums_stop_with_the_true_tail_below_tol():
     # overstate the weights' true total past t = 700
     tol = 1e-10 / 128
     for time in (701.5, 1000.25, 2048.0, 4999.0, 17000.0):
-        poisson, _, i = _poisson_run(time, tol)
-        assert poisson.mass >= poisson.stop, time
+        terms, mass = _poisson_run(time, tol)
+        (first, _), (i, _) = terms[0], terms[-1]
+        assert mass >= 1.0 - tol, time
         assert i <= time + 8.0 * math.sqrt(time), time
         # the exact Poisson mass beyond term i is P(Gamma(i + 1) < t)
         assert gammainc(i + 1, time) <= tol, time
+        # and the skipped terms before the first collected one carry
+        # P(Poisson(t) < first), which the factors keep below t e^{-350}
+        assert gammaincc(first, time) <= time * math.exp(-350.0), time
 
 
 @pytest.mark.parametrize("time", [0.0, 0.25, 3.0, 699.5, _EXP_RANGE])
 def test_poisson_weights_up_to_the_exp_range_are_the_plain_recurrence(time):
-    poisson, weights, terms = _poisson_run(time, 1e-10)
+    terms, collected = _poisson_run(time, 1e-10)
     w = math.exp(-time)
     plain, mass = [w], w
     i = 0
@@ -443,9 +449,54 @@ def test_poisson_weights_up_to_the_exp_range_are_the_plain_recurrence(time):
         w *= time / i
         plain.append(w)
         mass += w
-    assert terms == i
-    assert [x.hex() for x in weights] == [x.hex() for x in plain]
-    assert poisson.mass.hex() == mass.hex()
+    assert [j for j, _ in terms] == list(range(i + 1))
+    assert [x.hex() for _, x in terms] == [x.hex() for x in plain]
+    assert collected.hex() == mass.hex()
+
+
+# at tol = 1e-16 the mass of t = 699.5, 700.5 and 2048 stays below 1 - tol,
+# and those sums stop at the term cap
+@pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-10 / 128, 1e-13, 1e-16])
+def test_poisson_sums_keep_the_bits_of_the_per_time_sums(tol):
+    # the pass over one weight generator per time against the per-time
+    # Poisson sums it replaced, on both sides of _EXP_RANGE; a counted step
+    # pins the number of kernel applications too
+    times = (0.0, 0.25, 3.0, 699.5, _EXP_RANGE, 700.5, 760.0, 2048.0, 4999.0)
+    chain = random_bd(3, 12)
+    cases = [
+        (chain.apply, np.eye(13)[4:5]),                  # one row
+        (chain.apply, _endpoint_rows(12)),               # stacked rows
+        (chain.dense_kernel.__rmatmul__, np.eye(13)),    # every state, dense step
+    ]
+    for step, rows in cases:
+        for until in (None, 4):
+            runs = []
+            for uniformized in (_uniformized, oracles.uniformized_by_poisson_sums):
+                steps, seen = [], []
+
+                def counted(rows):
+                    steps.append(1)
+                    return step(rows)
+
+                def stop(finished):
+                    seen.append(finished)
+                    return len(seen) == until
+
+                out = uniformized(counted, rows, times, tol, stop if until else None)
+                runs.append(([_hex(r) for r in out], len(steps)))
+            assert runs[0] == runs[1]
+            assert len(runs[0][0]) == (until or len(times))
+    # the pure-birth tail of Ehrenfest 64's stage rates, at L * time = times
+    rates = 2.0 * np.arange(1, 65) / 64
+    for time in times:
+        got = _pure_birth_tail(rates, 0.5 * time, tol)
+        assert got.hex() == oracles.pure_birth_tail_by_poisson_sum(rates, 0.5 * time, tol).hex()
+
+
+@pytest.mark.parametrize("h", [2.0 ** -10, 0.3, 0.5, 1.0])
+def test_poisson_power_keeps_the_bits_of_its_recurrence(h):
+    kernel = random_bd(3, 12).dense_kernel
+    assert _hex(_poisson_power(kernel, h)) == _hex(oracles.poisson_power_by_recurrence(kernel, h))
 
 
 def test_pure_birth_tail_meets_a_tight_tol_on_a_long_horizon():
