@@ -8,9 +8,11 @@ scans):
 * ``family   --spec FILE``    full scan of a chain family; optional --csv table
 * ``verify   --chain FILE``   inequality suite with per-instance margins
 
-Exit codes: 0 success, 2 validation or usage error, 3 mixing-time search hit
-its cap.  Output files are written atomically (temp file then rename) and the
-same invocation always produces byte-identical output.
+Exit codes: 0 success, 2 validation or usage error (an unreadable input file,
+or an ``--out`` or ``--csv`` path that cannot be written, such as one in a
+missing directory or naming a directory), 3 mixing-time search hit its cap.
+Output files are written atomically (temp file then rename) and the same
+invocation always produces byte-identical output.
 """
 from __future__ import annotations
 
@@ -40,20 +42,25 @@ _FLOAT_FMT = "%.12g"
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to a temp file beside ``path``, then rename it there;
+    BadShape "cannot write <path>" when that fails, with no temp file left."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        # mkstemp makes the file 0600; give it the mode open() would
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            # mkstemp makes the file 0600; give it the mode open() would
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise BadShape(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _fmt(value) -> str:

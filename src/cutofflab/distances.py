@@ -51,8 +51,9 @@ all read.  The clocks differ only where they must:
   max(1e-6, 1e-4 t) in continuous time; discrete midpoints round down and
   close at width 1, so a discrete bracket is (m, m).  A target goes on from
   the last point at which it is above eps to the point after it.  Each
-  probe reduces only the metrics of its group; discrete values are cached
-  per (step, metric).
+  probe reduces only the metrics of its group; a discrete probe requests
+  its values from ``_Evaluator.evaluate``, which holds them per (step,
+  metric).
 * Probes.  Discrete probes, and continuous ones where many rows on a small
   chain multiply by dense powers E(h) = exp(-h (I - K)), walk the points
   top down while some target is still below (``_Evaluator`` picks every
@@ -69,7 +70,14 @@ out of ``found``, and so is every smaller eps of its metric; ``search``
 raises the first period-floor refusal in target order, else the refusal at
 the cap, after every other target has been searched.
 
-Fixed times reduce one evolution, ``_Evaluator.evolve``.  One route rule
+Values at fixed times are requested from ``_Evaluator.evaluate`` as
+(time, metric) pairs.  It returns them in request order, reduces each value
+it does not hold once, from one evolution over the distinct missing times,
+and is the only code that writes the evaluator's value cache;
+``distance``, ``distance_curve``, the discrete search probes and
+``verify_bounds`` all read through it.  Separation, which divides by pi, is
+checked at most once per evaluator, on the first request or search that
+names it.  The evolution is ``_Evaluator.evolve``.  One route rule
 serves all three clocks: on a chain of at most 300 states, a time whose
 start rows would take more row steps to evolve than its power takes n x n
 products to build reads them from that power (K**m, K_delta**m or E(t)).
@@ -193,11 +201,15 @@ class _Evaluator:
     Every route evolves those rows (uniformization, products with the
     powers of the clock's one-step matrix, and banded steps from ``_kept``,
     which holds them at step 0), and the period floors read their exact
-    class masses.  ``evaluate`` reduces every requested metric at several
-    times from one evolution, ``evolve``, and caches the values per (time,
-    metric).  ``search`` brackets every (metric, eps) target in one grouped
-    search (see the module docstring), whose discrete probes read and extend
-    that cache, and keeps the brackets in ``found``, keyed by target.
+    class masses.  ``evaluate`` takes (time, metric) requests and returns
+    their values in request order; it reduces each value it does not hold
+    once, from one evolution, ``evolve``, over the distinct missing times,
+    and is the only writer of the value cache, ``_cache``, keyed by (time,
+    metric).  ``value`` and the discrete probes of ``search`` read through
+    it.  Separation is checked at most once per evaluator, by
+    ``_check_metrics``; a refusal raises on every request.  ``search``
+    brackets every (metric, eps) target in one grouped search (see the
+    module docstring) and keeps the brackets in ``found``, keyed by target.
     ``_metric`` reduces rows to one metric.  For dbar it takes a block of
     rows at a time against every later row, at most ``_DBAR_BLOCK``
     differences per block unless one row's alone take more, so a few numpy
@@ -291,6 +303,7 @@ class _Evaluator:
         starts.flags.writeable = False
         self.starts = starts
         self._cache: dict[tuple[float, str], float] = {}
+        self._sep_checked = False
         self._kept: dict[int, np.ndarray] = {0: starts}
         self._semigroup: dict[float, np.ndarray] = {}
         self.found: dict[tuple[str, float], tuple] = {}
@@ -298,9 +311,7 @@ class _Evaluator:
         self.dense_probes = self.continuous and n <= _POW_MAX_STATES and 4 * len(starts) >= n
 
     def value(self, time, metric: str) -> float:
-        time = self._time(time)
-        self.evaluate((time,), (metric,))
-        return self._cache[(float(time), metric)]
+        return self.evaluate([(time, metric)])[0]
 
     def search(self, targets) -> None:
         """Mixing brackets (lo, hi) at (metric, eps) targets, written to
@@ -312,8 +323,7 @@ class _Evaluator:
         """
         targets = list(dict.fromkeys((metric, _check_eps(eps)) for metric, eps in targets))
         targets = [tg for tg in targets if tg not in self.found]
-        if any(metric == "sep" for metric, _ in targets):
-            _check_separation(self.pi)
+        self._check_metrics(metric for metric, _ in targets)
         # refusals are kept as messages: a kept exception's traceback would
         # hold this frame, and through the caller's frame every evaluator,
         # in a cycle only the full garbage collection frees
@@ -348,17 +358,29 @@ class _Evaluator:
             return "excess", float(Fraction(eps) - floor)
         return metric, eps
 
-    def evaluate(self, times, metrics) -> None:
-        """Reduce every metric at every time, evolving the start set once."""
-        if "sep" in metrics:
-            _check_separation(self.pi)
-        times = sorted({self._time(t) for t in times})
-        times = [t for t in times if any((float(t), m) not in self._cache for m in metrics)]
-        if not times:
-            return
+    def evaluate(self, requests) -> list[float]:
+        """The value of each (time, metric) request, in request order.  The
+        values not yet held are reduced from one evolution, ``evolve``, over
+        their distinct times, each once, and held in ``_cache``, which no
+        other code writes."""
+        requests = [(self._time(t), metric) for t, metric in requests]
+        self._check_metrics(metric for _, metric in requests)
+        missing = {}
+        for t, metric in requests:
+            if (float(t), metric) not in self._cache:
+                missing.setdefault(t, {})[metric] = None
+        times = sorted(missing)
         for time, rows in zip(times, self.evolve(times)):
-            for metric in metrics:
+            for metric in missing[time]:
                 self._cache[(float(time), metric)] = self._metric(rows, metric, time)
+        return [self._cache[(float(t), metric)] for t, metric in requests]
+
+    def _check_metrics(self, metrics) -> None:
+        # separation divides by pi: checked at most once per evaluator, and
+        # a refusal leaves the flag unset, so it raises on every request
+        if not self._sep_checked and "sep" in metrics:
+            _check_separation(self.pi)
+            self._sep_checked = True
 
     def evolve(self, times) -> list:
         """The start set's rows at each of the ascending ``times``.  A time
@@ -583,10 +605,7 @@ def mixing_time(chain: Chain, eps: float, query: DistanceQuery, tol: float = 1e-
     eps at 10**7, or at once when a periodic chain's distance floor lies
     above eps (or equals a positive sep floor that no step meets).
     """
-    ev = _Evaluator(chain, query, tol)
-    target = (query.metric, _check_eps(eps))
-    ev.search([target])
-    lo, hi = ev.found[target]
+    lo, hi = _bracket(chain, eps, query, tol)
     if query.time_mode == "continuous":
         return 0.5 * (lo + hi)
     return hi
@@ -598,11 +617,18 @@ def mixing_bracket(
     """(lo, hi) enclosing the exact mixing time; equal endpoints in the
     discrete modes.  Inequality checks against a computed mixing time should
     compare with the safe end of this bracket, not the midpoint."""
+    lo, hi = _bracket(chain, eps, query, tol)
+    return float(lo), float(hi)
+
+
+def _bracket(chain: Chain, eps: float, query: DistanceQuery, tol: float) -> tuple:
+    # one target's search on a fresh evaluator; mixing_time does not call
+    # mixing_bracket, since bench/spans.py counts a call of either as one
+    # search
     ev = _Evaluator(chain, query, tol)
     target = (query.metric, _check_eps(eps))
     ev.search([target])
-    lo, hi = ev.found[target]
-    return float(lo), float(hi)
+    return ev.found[target]
 
 
 def _sep_floor_unmet(ev: _Evaluator) -> bool:
@@ -671,15 +697,11 @@ def _grouped_search(ev: _Evaluator, tests: dict, refusals: list) -> None:
 
     def above(t, rows, group) -> set:
         # the targets of group above their thresholds at time t
-        metrics = {tests[tg][0] for tg in group}
+        metrics = list(dict.fromkeys(tests[tg][0] for tg in group))
         if continuous:
             values = {m: ev._metric(rows, m) for m in metrics}
         else:
-            need = [m for m in metrics if (float(t), m) not in ev._cache]
-            if need:
-                rows = ev._rows(t)
-                ev._cache.update({(float(t), m): ev._metric(rows, m, t) for m in need})
-            values = {m: ev._cache[(float(t), m)] for m in metrics}
+            values = dict(zip(metrics, ev.evaluate([(t, m) for m in metrics])))
         return {tg for tg in group if values[tests[tg][0]] > tests[tg][1]}
 
     def task(a, b, rows, group, base=None):
@@ -784,9 +806,7 @@ def distance_curve(chain: Chain, query: DistanceQuery, times, tol: float = 1e-10
     times = tuple(times)
     if any(b < a for a, b in zip(times, times[1:])):
         raise BadShape("time grid must be nondecreasing")
-    ev = _Evaluator(chain, query, tol)
-    ev.evaluate(times, (query.metric,))
-    values = tuple(ev.value(t, query.metric) for t in times)
+    values = tuple(_Evaluator(chain, query, tol).evaluate([(t, query.metric) for t in times]))
     for (t0, v0), (t1, v1) in zip(zip(times, values), zip(times[1:], values[1:])):
         if v1 > v0 + 1e-9:
             raise NumericalFailure(

@@ -193,15 +193,11 @@ def generate(spec: FamilySpec, n: int) -> Chain:
         p = 1.0 - idx / n
         q = idx / n
         r = np.zeros(n + 1)
-    elif spec.family == "path_symmetric":
-        p = np.full(n + 1, 0.5)
-        q = np.full(n + 1, 0.5)
-        p[n] = 0.0
-        q[0] = 0.0
-        r = 1.0 - p - q
-    elif spec.family == "path_biased":
-        p = np.full(n + 1, spec.rho)
-        q = np.full(n + 1, 1.0 - spec.rho)
+    elif spec.family in ("path_symmetric", "path_biased"):
+        # path_symmetric is path_biased at rho = 1/2: 1.0 - 0.5 == 0.5 exactly
+        rho = 0.5 if spec.family == "path_symmetric" else spec.rho
+        p = np.full(n + 1, rho)
+        q = np.full(n + 1, 1.0 - rho)
         p[n] = 0.0
         q[0] = 0.0
         r = 1.0 - p - q
@@ -445,13 +441,15 @@ def verify_bounds(
     # Metric comparisons at fixed times: tv <= dbar <= 2 tv, dbar <= sep,
     # and the separation doubling bound sep(2t) <= 1 - (1 - dbar(t))^2.
     for mode, grid in (("discrete", m_grid), ("continuous", t_grid)):
-        ev = clocks[mode]
-        ev.evaluate([*grid, *(2 * t for t in grid)], ("tv", "dbar", "sep"))
-        for t in grid:
-            tv = ev.value(t, "tv")
-            dbar = ev.value(t, "dbar")
-            sep = ev.value(t, "sep")
-            sep2 = ev.value(2 * t, "sep")
+        reads = [(u, m) for t in grid
+                 for u, m in ((t, "tv"), (t, "dbar"), (t, "sep"), (2 * t, "sep"))]
+        # no entry reads discrete tv at 2t, but its held values seed the
+        # discrete tv search below: without them one verify_corpus round
+        # reduces tv 268 more times and applies the kernel 290 more times
+        seeds = [(2 * t, "tv") for t in grid] if mode == "discrete" else []
+        values = iter(clocks[mode].evaluate(reads + seeds))
+        # the four reads of each grid time, in request order
+        for t, tv, dbar, sep, sep2 in zip(grid, values, values, values, values):
             point = f"{mode} t={t:g}"
             entries.append(BoundEntry("tv-below-dbar", point, tv, dbar))
             entries.append(BoundEntry("dbar-below-2tv", point, dbar, 2.0 * tv))
@@ -489,10 +487,10 @@ def verify_bounds(
         mu = t / (1.0 - delta)
         base_m = max(0, round(mu))
         poisson += [(t, mu, m) for m in (base_m, base_m + math.ceil(2.0 * math.sqrt(mu)) + 1)]
-    clocks["lazy"].evaluate([m for _, _, m in poisson], ("tv",))
-    for t, mu, m in poisson:
+    lazy_tv = clocks["lazy"].evaluate([(m, "tv") for _, _, m in poisson])
+    for (t, mu, m), tv in zip(poisson, lazy_tv):
         lhs = clocks["continuous"].value(t, "tv")
-        rhs = _poisson_cdf(m, mu) + clocks["lazy"].value(m, "tv")
+        rhs = _poisson_cdf(m, mu) + tv
         entries.append(BoundEntry("continuous-below-poisson-lazy", f"t={t:g} m={m}", lhs, rhs))
 
     if summary is not None:

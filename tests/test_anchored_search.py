@@ -190,8 +190,8 @@ class _PublicCallEvaluator:
     def value(self, time, metric):
         return distance(self.chain, self._query(metric), time, self.tol)
 
-    def evaluate(self, times, metrics):
-        pass
+    def evaluate(self, requests):
+        return [self.value(time, metric) for time, metric in requests]
 
     def search(self, targets):
         error = None
@@ -244,7 +244,9 @@ def test_verify_bounds_ehrenfest_64_shares_its_continuous_factors(work_count):
     query = _query("continuous", "tv")
     s = eigen_summary(chain).spectral_sum
     grid = [0.3 * s, 0.7 * s, 1.2 * s]
-    _Evaluator(chain, query, 1e-10).evaluate([*grid, *(2 * t for t in grid)], ("tv", "sep"))
+    _Evaluator(chain, query, 1e-10).evaluate(
+        [(t, metric) for t in [*grid, *(2 * t for t in grid)] for metric in ("tv", "sep")]
+    )
     fixed, work_count.continuous_factors = work_count.continuous_factors, 0
     # verify_bounds' continuous targets
     _Evaluator(chain, query, 1e-10).search(
@@ -325,7 +327,7 @@ def test_few_row_probes_repeat_no_uniformization(monkeypatch):
     ev = _Evaluator(ehrenfest(64), _query("continuous", "tv", exhaustive=False), 1e-10)
     assert not ev.dense_probes
     ev.search([(metric, eps) for metric in ("tv", "sep") for eps in LEVELS])
-    ev.evaluate([0.5, 3.0, 20.0], ("tv", "sep"))
+    ev.evaluate([(t, metric) for t in (0.5, 3.0, 20.0) for metric in ("tv", "sep")])
     assert len(uniformized) > 50
     assert len(set(uniformized)) == len(uniformized)
     assert built == []
@@ -473,7 +475,7 @@ def test_a_level_bracketed_by_held_values_probes_only_inside(chain, mode, metric
     assert m >= 3
     lo, hi = m // 2, 2 * m
     ev = _Evaluator(chain, query, 1e-10)
-    ev.evaluate([lo, hi], (metric,))
+    ev.evaluate([(lo, metric), (hi, metric)])
     held = set(ev._cache)
     ev.search([(metric, 0.01)])
     assert ev.found[(metric, 0.01)] == (m, m)
@@ -773,7 +775,8 @@ def test_refused_targets_leave_no_evaluator_to_the_cycle_collector():
 
 def test_discrete_probes_reduce_only_their_groups_metrics(monkeypatch):
     # 115 reductions on the discrete clock when every probe reduced every
-    # metric still to be searched
+    # metric still to be searched, and 81 when the fixed times also reduced
+    # dbar at 2m, which no entry reads
     reductions, checks = [], []
     real_metric, real_check = _Evaluator._metric, distances_module._check_separation
 
@@ -784,13 +787,37 @@ def test_discrete_probes_reduce_only_their_groups_metrics(monkeypatch):
 
     monkeypatch.setattr(_Evaluator, "_metric", counted_metric)
     verify_bounds(random_bd(2031, 34))
-    assert len(reductions) == 81
+    assert len(reductions) == 78
     # separation is checked once per search, not at every probe
     monkeypatch.setattr(distances_module, "_check_separation",
                         lambda pi: checks.append(1) or real_check(pi))
     ev = _Evaluator(random_bd(2031, 34), _query("discrete", "tv"), 1e-10)
     ev.search([(metric, eps) for metric in ("tv", "sep") for eps in (0.4, 0.2, 0.1)])
     assert len(checks) == 1 and len(ev.found) == 6
+
+
+def test_verify_bounds_reduces_only_the_fixed_time_values_it_reads(monkeypatch):
+    # the metric comparisons read tv, dbar and sep at each grid time and sep
+    # at 2t; discrete tv at 2t is reduced too, to seed the discrete tv search
+    reductions = []
+    real_metric = _Evaluator._metric
+
+    def counted_metric(ev, rows, metric, time=None):
+        reductions.append((ev.query.time_mode, metric, time))
+        return real_metric(ev, rows, metric, time)
+
+    monkeypatch.setattr(_Evaluator, "_metric", counted_metric)
+    chain = random_bd(2031, 34)
+    verify_bounds(chain)
+    s = eigen_summary(chain).spectral_sum
+    t_grid = [0.3 * s, 0.7 * s, 1.2 * s]
+    m_grid = sorted({max(1, round(t)) for t in t_grid})
+    dbar = [(mode, time) for mode, metric, time in reductions if metric == "dbar"]
+    assert sorted(dbar) == sorted([("discrete", m) for m in m_grid]
+                                  + [("continuous", t) for t in t_grid])
+    assert ("continuous", "tv") not in {
+        (mode, metric) for mode, metric, time in reductions if time in {2 * t for t in t_grid}
+    }
 
 
 FAMILY_LEVELS = (0.75, 0.5, 0.25, 0.1, 0.05)

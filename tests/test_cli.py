@@ -4,6 +4,7 @@ import glob
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -12,7 +13,9 @@ import numpy as np
 import pytest
 
 import cutofflab
-from cutofflab import FamilyReport, FamilySpec, NumericalFailure, SizeRecord, cli, family_scan
+from cutofflab import (
+    Chain, FamilyReport, FamilySpec, NumericalFailure, SizeRecord, cli, family_scan,
+)
 from cutofflab.cli import export_csv, main
 
 from conftest import bench_workloads
@@ -212,6 +215,24 @@ def test_out_flag_writes_atomically(capsys, two_state_file, tmp_path):
     assert payload["mixing_time"] == pytest.approx(math.log(2.0), rel=2e-4)
     leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("flag,target", [
+    ("--out", "missing/report.json"), ("--csv", "missing/table.csv"), ("--out", "."),
+])
+def test_an_unwritable_output_path_exits_two(capsys, two_state_file, tmp_path, flag, target):
+    # a missing directory, or a path naming a directory: an error line and
+    # exit 2, not a traceback, and no temp file left behind
+    spec_file = write_json(tmp_path / "family.json", {"family": "ehrenfest", "sizes": [4]})
+    path = str(tmp_path / target)
+    if flag == "--out":
+        argv = ["spectrum", "--chain", two_state_file, "--out", path]
+    else:
+        argv = ["family", "--spec", spec_file, "--eps-grid", "0.25", "--csv", path]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert glob.glob(str(tmp_path / "**" / ".tmp-*"), recursive=True) == []
 
 
 def test_out_and_csv_files_take_the_umask_mode(capsys, two_state_file, tmp_path):
@@ -466,3 +487,32 @@ def test_demo_runs(demo):
         [sys.executable, demo], capture_output=True, text=True, env=child_env()
     )
     assert proc.returncode == 0, proc.stderr
+
+
+
+def _readme_blocks(language):
+    """The fenced ``language`` blocks of README.md, as (section heading,
+    block text) pairs."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        sections = re.split(r"^## ", fh.read(), flags=re.M)[1:]
+    return [(section.splitlines()[0], block) for section in sections
+            for block in re.findall(rf"^```{language}\n(.*?)^```", section, flags=re.M | re.S)]
+
+
+def test_readme_examples_run():
+    # the library quick start runs as printed, and every JSON example loads
+    # as the spec it shows
+    quick = [block for heading, block in _readme_blocks("python")
+             if heading == "Library quick start"]
+    assert len(quick) == 1
+    exec(compile(quick[0], "README.md", "exec"), {})
+    specs = [json.loads(line) for _, block in _readme_blocks("json")
+             for line in block.splitlines()]
+    chains = [spec for spec in specs if "type" in spec]
+    families = [spec for spec in specs if "family" in spec]
+    assert len(chains) == 2 and len(families) == 3 and len(specs) == 5
+    for spec in chains:
+        Chain.from_spec(spec)
+    for spec in families:
+        FamilySpec.from_dict(spec)

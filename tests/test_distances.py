@@ -521,9 +521,15 @@ def test_separation_refuses_an_underflowed_stationary_entry(work_count):
         lambda: corner_separation(chain, 5.0),
         lambda: corner_separation(chain, 5, mode="lazy", delta=0.5),
     ]
+    # one evaluator refuses every separation request and search, not only
+    # the first
+    ev = _Evaluator(chain, lazy, 1e-10)
+    calls += [lambda: ev.value(5, "sep"), lambda: ev.search([("sep", 0.25)]),
+              lambda: ev.evaluate([(3, "tv"), (5, "sep")])]
     for call in calls:
         with pytest.raises(ChainError, match="underflows"):
             call()
+    assert ev._cache == {}
     assert work_count.applies == 0
     assert work_count.matrix_powers == 0 and work_count.uniformized_calls == 0
     # tv and dbar divide by nothing and stay defined

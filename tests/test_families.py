@@ -183,6 +183,16 @@ def test_generate_paths():
     biased = generate(FamilySpec("path_biased", (5,), rho=0.7), 5)
     assert np.allclose(biased.birth[:5], 0.7)
     assert np.allclose(biased.death[1:], 0.3)
+    # path_symmetric takes the path_biased branch at rho = 1/2 (a spec
+    # refuses that rho); its chain is the one built from p = q = 1/2 itself,
+    # bit for bit
+    for n in (2, 3, 8, 64, 1025):
+        sym = generate(FamilySpec("path_symmetric", (n,)), n)
+        p, q = np.full(n + 1, 0.5), np.full(n + 1, 0.5)
+        p[n], q[0] = 0.0, 0.0
+        built = Chain.from_rates(p, q, 1.0 - p - q)
+        for part in ("birth", "death", "hold", "stationary"):
+            assert np.array_equal(getattr(sym, part), getattr(built, part)), (n, part)
 
 
 def test_generate_random_bd_is_deterministic_and_floored():
