@@ -11,13 +11,16 @@ scans):
 Exit codes: 0 success, 2 validation or usage error (an unreadable input file,
 or an ``--out`` or ``--csv`` path that cannot be written, such as one in a
 missing directory or naming a directory), 3 mixing-time search hit its cap.
-Output files are written atomically (temp file then rename) and the same
-invocation always produces byte-identical output.
+Output files are written atomically and together: every output is rendered
+and written to a temp file first, and renamed into place only once all of
+them are, so a failed invocation leaves none of them.  The same invocation
+always produces byte-identical output.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import os
 import sys
@@ -41,26 +44,45 @@ from .spectral import eigen_summary
 _FLOAT_FMT = "%.12g"
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write ``text`` to a temp file beside ``path``, then rename it there;
-    BadShape "cannot write <path>" when that fails, with no temp file left."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+def _write_all(files) -> None:
+    """Write every (path, text) of ``files`` or none: each text goes to a
+    temp file beside its path, and the temp files are renamed into place
+    only once all of them are written.  A path that cannot be written raises
+    BadShape "cannot write <path>", with no temp file left."""
+    staged = []  # (temp file, path), not yet renamed
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-            # mkstemp makes the file 0600; give it the mode open() would
-            umask = os.umask(0)
-            os.umask(umask)
-            os.chmod(tmp, 0o666 & ~umask)
+        for path, text in files:
+            staged.append((_stage(path, text), path))
+        while staged:
+            tmp, path = staged[0]
             os.replace(tmp, path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-            raise
+            staged.pop(0)
     except OSError as exc:
         raise BadShape(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        for tmp, _ in staged:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+
+
+def _stage(path: str, text: str) -> str:
+    # text in a temp file beside path; a path naming a directory is refused
+    # here, since its rename would fail only after the others had been made
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        # mkstemp makes the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+    return tmp
 
 
 def _fmt(value) -> str:
@@ -70,6 +92,11 @@ def _fmt(value) -> str:
 
 
 def export_csv(report: FamilyReport, path: str) -> None:
+    """Write the per-size table of ``_csv_table`` to ``path`` atomically."""
+    _write_all([(path, _csv_table(report))])
+
+
+def _csv_table(report: FamilyReport) -> str:
     """Per-size table: n, gap, s, product, continuous and lazy mixing times
     per eps grid value, the continuous/lazy ratio, window, sqrt_t, and a
     verdict footer row.  Floats carry 12 significant digits."""
@@ -90,7 +117,7 @@ def export_csv(report: FamilyReport, path: str) -> None:
     if report.records:
         footer = ["verdict", report.verdict or ""] + [""] * (len(header) - 2)
         lines.append(",".join(footer))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _eps_grid_arg(text: str) -> tuple[float, ...]:
@@ -103,7 +130,11 @@ def _eps_grid_arg(text: str) -> tuple[float, ...]:
     return values
 
 
-def _cmd_spectrum(args) -> dict:
+# Each verb returns its JSON payload and the other files it writes, as
+# (path, text) pairs; ``main`` writes them with the report or not at all.
+
+
+def _cmd_spectrum(args) -> tuple[dict, list]:
     chain = load_chain(args.chain)
     summary = eigen_summary(chain)
     return {
@@ -112,10 +143,10 @@ def _cmd_spectrum(args) -> dict:
         "gap": summary.gap,
         "spectral_sum": summary.spectral_sum,
         "kernel_eigenvalues": [float(x) for x in summary.kernel_spectrum],
-    }
+    }, []
 
 
-def _cmd_analyze(args) -> dict:
+def _cmd_analyze(args) -> tuple[dict, list]:
     if (args.eps is None) == (args.time is None):
         raise BadShape("analyze needs exactly one of --eps or --time")
     chain = load_chain(args.chain)
@@ -147,23 +178,21 @@ def _cmd_analyze(args) -> dict:
     else:
         out["time"] = args.time
         out["distance"] = float(distance(chain, query, args.time, args.tol))
-    return out
+    return out, []
 
 
-def _cmd_family(args) -> dict:
+def _cmd_family(args) -> tuple[dict, list]:
     spec = load_family(args.spec)
     report = family_scan(spec, delta=args.delta, eps_grid=args.eps_grid, tol=args.tol)
-    if args.csv:
-        export_csv(report, args.csv)
-    return report.to_dict()
+    return report.to_dict(), [(args.csv, _csv_table(report))] if args.csv else []
 
 
-def _cmd_verify(args) -> dict:
+def _cmd_verify(args) -> tuple[dict, list]:
     chain = load_chain(args.chain)
     delta = args.delta if args.delta is not None else DEFAULT_DELTA
     grid = args.eps_grid if args.eps_grid is not None else VERIFY_EPS_GRID
     report = verify_bounds(chain, delta=delta, eps_grid=grid, tol=args.tol)
-    return report.to_dict()
+    return report.to_dict(), []
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,11 +251,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        payload = args.handler(args)
+        payload, files = args.handler(args)
         text = json.dumps(payload, indent=2)
-        if getattr(args, "out", None):
-            _atomic_write(args.out, text + "\n")
-        else:
+        if args.out:
+            files = [(args.out, text + "\n"), *files]
+        _write_all(files)
+        if not args.out:
             print(text)
     except NoConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)

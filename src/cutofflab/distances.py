@@ -392,19 +392,15 @@ class _Evaluator:
         if not times:
             return []
         _check_cap(times[-1])
-        if not self.continuous:
-            return [self._rows(t) for t in times]
         powered = [self._takes_power(t) for t in times]
-        passed = tuple(t for t, power in zip(times, powered) if not power)
-        rows = iter(_uniformized(self.step, self.starts, passed, self.tol) if passed else ())
+        passed = [t for t, power in zip(times, powered) if not power]
+        if not self.continuous:
+            rows = map(self._rows, passed)
+        else:
+            # one dense product per term where dense_probes holds
+            step = self.base.dense_kernel.__rmatmul__ if self.dense_probes else self.base.apply
+            rows = iter(_uniformized(step, self.starts, tuple(passed), self.tol) if passed else ())
         return [self._power_rows(t) if power else next(rows) for t, power in zip(times, powered)]
-
-    @property
-    def step(self):
-        """``rows @ K`` on the base chain for a uniformization pass: one
-        dense product where ``dense_probes`` holds, ``Chain.apply``
-        otherwise."""
-        return self.base.dense_kernel.__rmatmul__ if self.dense_probes else self.base.apply
 
     def semigroup(self, h) -> np.ndarray:
         """The clock's one-step matrix at time h, read-only: K**h or
@@ -473,9 +469,8 @@ class _Evaluator:
         return power if self.starts.shape[0] == power.shape[0] else self.starts @ power
 
     def _rows(self, steps: int) -> np.ndarray:
-        _check_cap(steps)
-        if self._takes_power(steps):
-            return self._power_rows(steps)
+        # banded rows at ``steps``, stepped on from the largest kept step
+        # below it
         done = max(k for k in self._kept if k <= steps)
         rows = self._kept[done]
         while done < steps:
@@ -532,6 +527,8 @@ class _Evaluator:
                 heavy, np.clip(self.pi - rows, 0.0, None), np.clip(rows - self.pi, 0.0, None)
             )
             return float(excess.sum(axis=1).max())
+        if metric != "dbar":
+            raise BadShape(f"unknown metric {metric!r}")
         # dbar: a block of rows against every row after its first, in one
         # buffer of at most _DBAR_BLOCK entries unless one row needs more;
         # each pair's sum runs over one contiguous row, as numpy's pairwise
@@ -646,7 +643,7 @@ def _sep_floor_unmet(ev: _Evaluator) -> bool:
     chain, mass = ev.base, ev.class_mass
     n, d = chain.num_states, chain.period
     least = min(map(min, mass))
-    now, later = ev._rows(n), ev._rows(n + d)
+    now, later = ev.evolve([n, n + d])
     for row, masses in enumerate(mass):
         for c, m in enumerate(masses):
             on = chain._classes == (c + n) % d
@@ -726,7 +723,7 @@ def _grouped_search(ev: _Evaluator, tests: dict, refusals: list) -> None:
                 last.update(dict.fromkeys(up, k))
                 return not up
 
-            _uniformized(ev.step, rows, tuple(t - a for t in times), inc_tol, until=finished)
+            _uniformized(ev.base.apply, rows, tuple(t - a for t in times), inc_tol, until=finished)
             return probed, last
         # top down, one probe per point, while some target has been below at
         # every point so far

@@ -495,7 +495,6 @@ def verify_bounds(
 
     if summary is not None:
         lam = summary.gap
-        s = summary.spectral_sum
 
         # Gap sandwich for the lazy contraction factor across laziness values.
         for d10 in range(1, 10):
@@ -557,62 +556,35 @@ def verify_bounds(
                     )
                 )
 
-        # Spectral-sum brackets specific to birth-death chains.
+        # Spectral-sum brackets specific to birth-death chains.  The spectral
+        # sum is the mean of the fastest strong stationary time, so these are
+        # the mean brackets of sep_bounds: both at eps for sep, and for tv
+        # the upper one at eps and half the lower one at 4 eps.
         if chain.is_birth_death:
+            sst = stationary_time_summary(chain)
             for eps in eps_grid:
                 point = f"eps={eps:g}"
+                _, _, below, above = sep_bounds(sst, eps)
                 if eps < 0.5:
                     t_sep = mix("continuous", "sep", eps)
-                    root_e, root_1e = math.sqrt(eps), math.sqrt(1.0 - eps)
                     if t_sep is not None:
-                        entries.append(
-                            BoundEntry(
-                                "sep-time-above-sum",
-                                point,
-                                (root_1e - root_e) / root_1e * s,
-                                t_sep[1],
-                            )
-                        )
-                        entries.append(
-                            BoundEntry(
-                                "sep-time-below-sum",
-                                point,
-                                t_sep[0],
-                                (root_e + root_1e) / root_e * s,
-                            )
-                        )
+                        entries.append(BoundEntry("sep-time-above-sum", point, below, t_sep[1]))
+                        entries.append(BoundEntry("sep-time-below-sum", point, t_sep[0], above))
                 else:
                     skipped.append(
                         SkippedEntry("sep-time-vs-sum", point, "needs eps < 1/2")
                     )
                 if eps < 0.125:
                     t_tv = mix("continuous", "tv", eps)
-                    root4 = math.sqrt(4.0 * eps)
-                    root4c = math.sqrt(1.0 - 4.0 * eps)
-                    root_e, root_1e = math.sqrt(eps), math.sqrt(1.0 - eps)
                     if t_tv is not None:
-                        entries.append(
-                            BoundEntry(
-                                "tv-time-above-sum",
-                                point,
-                                0.5 * (root4c - root4) / root4c * s,
-                                t_tv[1],
-                            )
-                        )
-                        entries.append(
-                            BoundEntry(
-                                "tv-time-below-sum",
-                                point,
-                                t_tv[0],
-                                (root_e + root_1e) / root_e * s,
-                            )
-                        )
+                        below_tv = 0.5 * sep_bounds(sst, 4.0 * eps)[2]
+                        entries.append(BoundEntry("tv-time-above-sum", point, below_tv, t_tv[1]))
+                        entries.append(BoundEntry("tv-time-below-sum", point, t_tv[0], above))
                 else:
                     skipped.append(
                         SkippedEntry("tv-time-vs-sum", point, "needs eps < 1/8")
                     )
 
-            sst = stationary_time_summary(chain)
             for eps in eps_grid:
                 point = f"eps={eps:g}"
                 lower, upper, lower_mean, upper_mean = sep_bounds(sst, eps)

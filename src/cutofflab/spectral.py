@@ -17,7 +17,11 @@ Two eigensolvers back the summary:
   ``0.5 * (lo + hi)`` of the floats that one-level bisection would halve,
   and a shift's count does not depend on the shifts counted beside it, so
   every eigenvalue keeps the bits of one count per level.
-* dense form: LAPACK's symmetric eigensolver on the symmetrized kernel.
+* dense form: LAPACK's symmetric eigensolver on sqrt(K * K^T), entrywise.
+  For a reversible K, K(x,y) K(y,x) = K(x,y)**2 pi(x) / pi(y), so this is
+  the similarity D^{1/2} K D^{-1/2} without pi: symmetric by construction,
+  and as accurate where pi's small entries carry few correct digits.  Pi is
+  read only by the detailed-balance test.
 """
 from __future__ import annotations
 
@@ -281,10 +285,8 @@ def _solve_summary(chain: Chain) -> SpectralSummary:
             raise NotReversible(
                 f"detailed balance residual {residual:.3e} exceeds {DETAILED_BALANCE_TOL}"
             )
-        root = np.sqrt(chain.stationary)
-        sym = (root[:, None] * chain.kernel) / root[None, :]
-        sym = 0.5 * (sym + sym.T)
-        theta = np.linalg.eigvalsh(sym)  # ascending eigenvalues of K
+        # ascending eigenvalues of K, from sqrt(K * K^T) (module docstring)
+        theta = np.linalg.eigvalsh(np.sqrt(chain.kernel * chain.kernel.T))
         lam = np.sort(1.0 - theta)
 
     zero_pos = int(np.argmin(np.abs(lam)))

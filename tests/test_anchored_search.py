@@ -651,11 +651,11 @@ def test_every_state_takes_the_power_itself(steps, work_count):
         expect = (ev.starts @ np.linalg.matrix_power(kernel, steps)).tobytes()
         work_count.apply_by_chain.clear()
         before = work_count.matrix_powers
-        assert ev._rows(steps).tobytes() == expect, query
+        assert ev.evolve([steps])[0].tobytes() == expect, query
         # K**(2**k) for k = 0..floor(log2 steps), each built once
         built = work_count.matrix_powers
         assert built - before == steps.bit_length() and work_count.applies == 0
-        assert ev._rows(steps).tobytes() == expect, query
+        assert ev.evolve([steps])[0].tobytes() == expect, query
         assert work_count.matrix_powers == built and work_count.applies == 0
 
 

@@ -95,6 +95,31 @@ def test_from_rates_validation():
         Chain.from_rates([0.5], [0.3, 0.2], [0.5, 0.2])
 
 
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: Chain.from_dense([[0.5, np.nan], [0.5, 0.5]]), BadShape,
+     "kernel has non-finite entries"),
+    (lambda: Chain.from_dense([[np.inf, 0.0], [0.5, 0.5]]), BadShape,
+     "kernel has non-finite entries"),
+    (lambda: Chain.from_rates([[0.5, 0.0]], [[0.0, 0.5]], [[0.5, 0.5]]), BadShape,
+     "rate arrays must be 1-d"),
+    (lambda: Chain.from_rates([0.0], [0.0], [1.0]), BadShape, "need at least two states"),
+    (lambda: Chain.from_rates([0.5, 0.0], [0.0, np.nan], [0.5, 0.5]), BadShape,
+     "death rates have non-finite entries"),
+    (lambda: Chain.from_rates([0.5, 0.0], [0.0, 0.5], [0.5, np.inf]), BadShape,
+     "hold rates have non-finite entries"),
+    (lambda: Chain.from_rates([0.5, 0.0], [0.0, 1.5], [0.5, -0.5]), NotStochastic,
+     "negative hold rate -0.5"),
+    (lambda: Chain.from_spec({"type": "dense"}), BadShape,
+     'dense chain spec needs a "matrix" field'),
+    (lambda: Chain.from_spec({"type": "birth_death", "q": [0.0, 0.5]}), BadShape,
+     "birth_death chain spec missing fields: ['p', 'r']"),
+])
+def test_construction_refusals_name_their_cause(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message
+
+
 def test_ehrenfest_stationary_is_binomial():
     chain = ehrenfest(2)
     assert np.allclose(chain.stationary, [0.25, 0.5, 0.25], atol=1e-14)

@@ -235,6 +235,21 @@ def test_an_unwritable_output_path_exits_two(capsys, two_state_file, tmp_path, f
     assert glob.glob(str(tmp_path / "**" / ".tmp-*"), recursive=True) == []
 
 
+@pytest.mark.parametrize("out,csv", [("missing/r.json", "t.csv"), ("r.json", ".")])
+def test_family_writes_both_outputs_or_neither(capsys, tmp_path, out, csv):
+    # the CSV was written before the report, and stayed behind when the
+    # report could not be written; a CSV path naming a directory fails only
+    # at its rename, so it is refused before any output is renamed
+    spec_file = write_json(tmp_path / "family.json", {"family": "ehrenfest", "sizes": [4]})
+    out, csv = str(tmp_path / out), str(tmp_path / csv)
+    code, stdout, err = run_cli(capsys, "family", "--spec", spec_file, "--eps-grid", "0.25",
+                                "--csv", csv, "--out", out)
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: cannot write ")
+    assert sorted(os.listdir(tmp_path)) == ["family.json"]
+    assert glob.glob(str(tmp_path / "**" / ".tmp-*"), recursive=True) == []
+
+
 def test_out_and_csv_files_take_the_umask_mode(capsys, two_state_file, tmp_path):
     # the files get the mode a plain open() gives, not mkstemp's 0600
     spec_file = write_json(tmp_path / "family.json", {"family": "ehrenfest", "sizes": [4]})
@@ -339,6 +354,16 @@ def test_family_bad_grid_flag(capsys, tmp_path):
     with pytest.raises(SystemExit) as info:
         main(["family", "--spec", spec_file, "--eps-grid", "0.1,2.0"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("verb", ["family", "verify"])
+def test_eps_grid_flag_refuses_an_entry_that_is_not_a_float(capsys, tmp_path, two_state_file, verb):
+    spec_file = write_json(tmp_path / "family.json", {"family": "ehrenfest", "sizes": [4]})
+    source = ["--spec", spec_file] if verb == "family" else ["--chain", two_state_file]
+    with pytest.raises(SystemExit) as info:
+        main([verb, *source, "--eps-grid", "0.1,quarter"])
+    assert info.value.code == 2
+    assert "expected comma-separated floats, got '0.1,quarter'" in capsys.readouterr().err
 
 
 def test_verify_verb(capsys, two_state_file):

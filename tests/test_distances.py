@@ -14,6 +14,7 @@ from cutofflab import (
     Chain,
     ChainError,
     DistanceQuery,
+    FamilySpec,
     LengthMismatch,
     NoConvergence,
     NonIntegerTime,
@@ -21,6 +22,7 @@ from cutofflab import (
     corner_separation,
     distance,
     distance_curve,
+    generate,
     mixing_time,
     total_variation,
 )
@@ -395,6 +397,18 @@ def test_blocked_dbar_keeps_the_row_loop_bits(n):
         # one block of at most 2**16 differences, or one row's against the
         # rest; all pairs at once would take count**2 * n / 2
         assert peak <= 2 * 8 * max(2**16, rows.size)
+
+
+def test_evaluator_refuses_a_metric_it_does_not_know():
+    # an unknown name fell through to the dbar reduction and was cached
+    # under its own key
+    path = generate(FamilySpec("path_symmetric", (6,)), 6)
+    ev = _Evaluator(path, DistanceQuery("lazy", "tv", delta=0.5), 1e-10)
+    for name in ("tvv", "DBAR", "excess2"):
+        with pytest.raises(BadShape, match=f"unknown metric '{name}'"):
+            ev.value(3, name)
+    assert ev._cache == {}
+    assert ev.value(3, "dbar") == distance(path, DistanceQuery("lazy", "dbar", delta=0.5), 3)
 
 
 def test_dbar_below_separation(small_corpus):

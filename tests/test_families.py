@@ -20,6 +20,8 @@ from cutofflab import (
     family_scan,
     generate,
     load_family,
+    sep_bounds,
+    stationary_time_summary,
     verify_bounds,
 )
 from cutofflab.distances import _Evaluator
@@ -173,6 +175,20 @@ def test_generate_refuses_sizes_that_are_not_integers(size):
     with pytest.raises(BadFamily, match="integer"):
         generate(FamilySpec("ehrenfest", (4,)), size)
     assert generate(FamilySpec("ehrenfest", (4,)), np.int64(5)).num_states == 6
+
+
+def test_generate_refuses_a_size_below_two():
+    for size in (1, 0, -3):
+        with pytest.raises(BadFamily) as info:
+            generate(FamilySpec("ehrenfest", (4,)), size)
+        assert str(info.value) == f"size must be >= 2, got {size}"
+
+
+def test_family_spec_from_dict_names_the_required_fields():
+    for obj in ({"sizes": [4]}, {"family": "ehrenfest"}, {}):
+        with pytest.raises(BadShape) as info:
+            FamilySpec.from_dict(obj)
+        assert str(info.value) == 'family spec needs "family" and "sizes" fields'
 
 
 def test_generate_paths():
@@ -370,6 +386,27 @@ def test_verify_bounds_random_chain_passes():
     assert len(blob["entries"]) == len(report.entries)
 
 
+def test_verify_bounds_sum_brackets_are_those_of_sep_bounds():
+    # the spectral-sum brackets were restated from the summary's np.sum of
+    # 1/lambda, which differs from the fsum behind sep_bounds' mean in the
+    # last bits on 4 of these 13 chains
+    eps_grid = (0.05, 0.1, 0.3, 0.6)
+    for seed, n in [(2000 + k, 3 + k) for k in range(12)] + [(7, 15)]:
+        chain = random_bd(seed, n)
+        sst = stationary_time_summary(chain)
+        entries = {(e.inequality, e.point): e for e in verify_bounds(chain, eps_grid=eps_grid).entries}
+        for eps in eps_grid:
+            point = f"eps={eps:g}"
+            if eps < 0.5:
+                assert (entries[("sep-time-above-sum", point)].lhs
+                        == entries[("mean-bracket-lower", point)].lhs)
+                assert (entries[("sep-time-below-sum", point)].rhs
+                        == entries[("mean-bracket-upper", point)].rhs)
+            if eps < 0.125:
+                assert (entries[("tv-time-above-sum", point)].lhs
+                        == 0.5 * sep_bounds(sst, 4 * eps)[2])
+
+
 def test_verify_bounds_composes_each_discrete_power_once(monkeypatch):
     # the tv and sep searches of one clock probe the same steps; each probe
     # reduces its rows for every searched metric, so a power composed for one
@@ -424,6 +461,17 @@ def test_verify_bounds_periodic_chain_skips_discrete_mixing():
     assert any("non-mixing" in r for r in reasons)
     assert any(e.inequality == "tv-time-below-sep-time" and e.point.startswith("continuous")
                for e in report.entries)
+
+
+def test_verify_bounds_skips_the_lazy_floor_where_beta_is_zero():
+    # the 1/2-lazy flip is the uniform kernel, whose contraction factor is 0:
+    # log(beta) is undefined, so the lazy spectral floor is skipped per eps
+    report = verify_bounds(Chain.from_dense([[0.0, 1.0], [1.0, 0.0]]))
+    assert report.passed
+    skips = [(s.point, s.reason) for s in report.skipped
+             if s.inequality == "mixing-spectral-floor-lazy"]
+    assert skips == [("eps=0.1", "beta zero"), ("eps=0.2", "beta zero"), ("eps=0.4", "beta zero")]
+    assert "mixing-spectral-floor-continuous" in {e.inequality for e in report.entries}
 
 
 def test_verify_bounds_dense_chain_skips_bd_entries():

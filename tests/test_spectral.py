@@ -252,11 +252,17 @@ def test_birth_death_eigenvalues_are_simple():
 
 
 def test_dense_and_tridiagonal_paths_agree():
-    chain = random_bd(7, 15)
-    dense = Chain.from_dense(chain.dense_kernel)
-    a = eigen_summary(chain)
-    b = eigen_summary(dense)
-    assert np.max(np.abs(a.eigenvalues - b.eigenvalues)) <= 1e-9
+    # path_biased and Ehrenfest chains whose pi spans many decades: the dense
+    # spectrum must not read pi, whose small entries lose their digits
+    chains = [generate(FamilySpec("path_biased", (n,), rho=rho), n)
+              for rho, n in ((0.3, 40), (0.3, 60), (0.2, 40), (0.1, 60), (0.7, 60), (0.05, 100))]
+    chains += [ehrenfest(n) for n in (16, 64, 200)]
+    chains += [random_bd(seed, n) for seed, n in ((3, 40), (7, 15), (11, 120))]
+    for chain in chains:
+        dense = Chain.from_dense(chain.dense_kernel)
+        a = eigen_summary(chain)
+        b = eigen_summary(dense)
+        assert np.max(np.abs(a.eigenvalues - b.eigenvalues)) <= 1e-9, chain.num_states
 
 
 def test_dense_reversible_matches_numpy_oracle():
