@@ -39,7 +39,7 @@ import numpy as np
 from .chain import Chain, _check_eps, _check_separation, _check_time, _pure_birth_tail, _real
 from .distances import DistanceQuery, _Evaluator
 from .errors import BadDelta, BadShape, ChainError, NotBirthDeath, NumericalFailure
-from .spectral import eigen_summary, tridiagonal_eigenvalues
+from .spectral import _check_resolved, eigen_summary, tridiagonal_eigenvalues
 
 
 def _require_bd(chain: Chain) -> None:
@@ -67,12 +67,6 @@ class PassageReport:
     residual: float
 
 
-# passage_time answers by the spectrum only while u * theta_max / theta_min
-# stays at or below this resolution
-_UNIT_ROUNDOFF = 2.2e-16
-_SPECTRUM_RESOLUTION = 1e-6
-
-
 def passage_time(chain: Chain) -> PassageReport:
     """E[tau_n] from state 0 via rates and via the restricted spectrum.
 
@@ -80,11 +74,12 @@ def passage_time(chain: Chain) -> PassageReport:
     internal consistency certificate.  The smallest restricted eigenvalue
     is at most 1/E[tau_n], and it carries the absolute rounding error of the
     largest, about u * theta_max with u = 2.2e-16.  So the spectral route is
-    answered only while u * theta_max / theta_min <= 1e-6, and the residual
-    tracks that ratio: on Ehrenfest n it reads 4e-7 against 5e-7 at n = 30,
-    0.42 against 0.87 at n = 50.  Raises ChainError when the restricted
-    spectrum is not resolvable in that sense (Ehrenfest n >= 40) or the mean
-    overflows a double (Ehrenfest n = 1100).
+    answered only while u * theta_max / theta_min <= 1e-6, the resolution
+    rule ``eigen_summary`` applies too, and the residual tracks that ratio:
+    on Ehrenfest n it reads 4e-7 against 5e-7 at n = 30, 0.42 against 0.87
+    at n = 50.  Raises ChainError when the restricted spectrum is not
+    resolvable in that sense (Ehrenfest n >= 40) or the mean overflows a
+    double (Ehrenfest n = 1100).
     """
     _require_bd(chain)
     with np.errstate(over="ignore"):
@@ -98,12 +93,7 @@ def passage_time(chain: Chain) -> PassageReport:
     diag = (1.0 - chain.hold)[:-1]
     off2 = (chain.birth[:-1] * chain.death[1:])[:-1]
     theta = tridiagonal_eigenvalues(diag, off2)
-    # u * theta_max / theta_min > 1e-6, also when theta_min is not positive
-    if _UNIT_ROUNDOFF * theta[-1] > _SPECTRUM_RESOLUTION * theta[0]:
-        raise ChainError(
-            f"the restricted spectrum is not resolvable: smallest eigenvalue {theta[0]:.3g} "
-            f"against rounding error {_UNIT_ROUNDOFF * theta[-1]:.3g} of the largest"
-        )
+    _check_resolved(theta, ChainError, "the restricted spectrum")
     by_spectrum = math.fsum((1.0 / theta).tolist())
 
     residual = abs(by_rates - by_spectrum) / max(abs(by_rates), abs(by_spectrum))

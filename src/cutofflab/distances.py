@@ -210,13 +210,10 @@ class _Evaluator:
     ``_check_metrics``; a refusal raises on every request.  ``search``
     brackets every (metric, eps) target in one grouped search (see the
     module docstring) and keeps the brackets in ``found``, keyed by target.
-    ``_metric`` reduces rows to one metric.  For dbar it takes a block of
-    rows at a time against every later row, at most ``_DBAR_BLOCK``
-    differences per block unless one row's alone take more, so a few numpy
-    calls replace a Python loop over rows, and memory stays
-    O(_DBAR_BLOCK + r n) for r rows of n states.  Each pair's sum is numpy's
-    over one contiguous row, as in the row-by-row loop, so its bits are
-    that loop's.
+    ``_metric`` reduces rows to one metric; for dbar it takes the distinct
+    pairs i < j of the r rows, ``_DBAR_BLOCK // (4 n)`` pairs of n states
+    per numpy call, and sums each pair's differences over one contiguous
+    row, as the row-by-row loop does, so every value keeps that loop's bits.
 
     Every clock has one one-step matrix, K, K_delta or E(1) = exp(-(I - K)),
     and ``semigroup(h)`` reads its powers from one table, ``_semigroup``,
@@ -529,22 +526,16 @@ class _Evaluator:
             return float(excess.sum(axis=1).max())
         if metric != "dbar":
             raise BadShape(f"unknown metric {metric!r}")
-        # dbar: a block of rows against every row after its first, in one
-        # buffer of at most _DBAR_BLOCK entries unless one row needs more;
-        # each pair's sum runs over one contiguous row, as numpy's pairwise
-        # sum.  The few pairs inside a block are met twice, or with the row
-        # itself at 0; since |a - b| = |b - a| exactly, no maximum moves.
-        r, n = rows.shape
-        buf = np.empty(min((r - 1) ** 2 * n, max(_DBAR_BLOCK, (r - 1) * n)))
-        best, i = 0.0, 0
-        while i < r - 1:
-            later = r - 1 - i
-            k = max(1, min(later, _DBAR_BLOCK // (later * n)))
-            gaps = buf[: k * later * n].reshape(k, later, n)
-            np.subtract(rows[i + 1 :], rows[i : i + k, None], out=gaps)
-            np.abs(gaps, out=gaps)
-            best = max(best, float(gaps.sum(axis=2).max()))
-            i += k
+        # dbar over the distinct pairs i < j, a chunk of pairs at a time: the
+        # two gathered row sets and their difference stay within _DBAR_BLOCK
+        # entries, and each pair's sum runs over one contiguous row, as
+        # numpy's pairwise sum
+        first, second = np.triu_indices(len(rows), 1)
+        chunk = max(1, _DBAR_BLOCK // (4 * rows.shape[1]))
+        best = 0.0
+        for lo in range(0, len(first), chunk):
+            gaps = rows[second[lo : lo + chunk]] - rows[first[lo : lo + chunk]]
+            best = max(best, float(np.abs(gaps, out=gaps).sum(axis=1).max()))
         return min(0.5 * best, 1.0)
 
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .chain import Chain, _check_delta, _check_eps, _check_tol, _integer, _read_json, _real
 from .distances import DistanceQuery, _Evaluator
-from .errors import BadFamily, BadShape, NoConvergence, NotReversible
+from .errors import BadFamily, BadShape, NoConvergence, NotReversible, NumericalFailure
 from .birth_death import sep_bounds, stationary_time_summary
 from .spectral import beta_delta, eigen_summary
 
@@ -320,8 +320,9 @@ def family_scan(
         verdict=_trend_verdict([r.product for r in records]),
     )
     if eps_grid:
-        report.delta = delta
-        report.ratio_target = 1.0 - delta
+        # the checked delta, a Python float, as the JSON report needs
+        report.delta = lazy.delta
+        report.ratio_target = 1.0 - lazy.delta
         report.ratio_deviation_final = abs(records[-1].ratio_c_over_lazy - report.ratio_target)
     return report
 
@@ -392,9 +393,10 @@ def verify_bounds(
 
     Entries report (lhs, rhs, margin = rhs - lhs) per instance; the report
     passes when every margin is >= -1e-9.  Inapplicable instances (mixing
-    search cannot converge on periodic chains, non-reversible spectra,
-    non-birth-death bracket bounds, eps outside a bound's validity range)
-    are recorded as skipped with a reason.
+    search cannot converge on periodic chains, non-reversible spectra or
+    gaps ``eigen_summary`` cannot resolve, non-birth-death bracket bounds,
+    eps outside a bound's validity range) are recorded as skipped with a
+    reason.
     """
     delta = _check_delta(delta)
     eps_grid = tuple(_check_eps(eps) for eps in eps_grid)
@@ -427,6 +429,8 @@ def verify_bounds(
         skipped.append(
             SkippedEntry("spectral", "all", "chain is not reversible; no spectral entries")
         )
+    except NumericalFailure as exc:
+        skipped.append(SkippedEntry("spectral", "all", str(exc)))
 
     if summary is not None:
         base = summary.spectral_sum

@@ -3,7 +3,11 @@
 For a reversible kernel K the similarity D^{1/2} K D^{-1/2} (D = diag(pi)) is
 symmetric, so I - K has a real spectrum 0 = lambda_0 < lambda_1 <= ... <=
 lambda_n <= 2.  ``eigen_summary`` returns the nonzero part together with the
-spectral gap and the spectral sum s = sum(1/lambda_i).
+spectral gap and the spectral sum s = sum(1/lambda_i).  A computed eigenvalue
+carries the absolute rounding error of the largest, about 2.2e-16 lambda_n,
+so a gap below 2.2e-10 lambda_n is refused (NumericalFailure) rather than
+read at the rounding floor; ``birth_death.passage_time`` applies the same
+rule to its restricted spectrum.
 
 Two eigensolvers back the summary:
 
@@ -34,6 +38,10 @@ from .errors import BadShape, NotReversible, NumericalFailure
 
 DETAILED_BALANCE_TOL = 1e-10
 ZERO_SNAP_TOL = 1e-9
+# a spectrum is answered only while u * largest / smallest stays at or below
+# this resolution
+_UNIT_ROUNDOFF = 2.2e-16
+_SPECTRUM_RESOLUTION = 1e-6
 
 
 @dataclass(frozen=True)
@@ -262,14 +270,30 @@ def _sturm_counts(d: np.ndarray, e2: np.ndarray, xs: np.ndarray, carried=None) -
     return counts
 
 
+def _check_resolved(eigenvalues: np.ndarray, error: type, what: str) -> None:
+    """Raise ``error`` unless the ascending ``eigenvalues`` resolve their
+    smallest: an eigenvalue carries the absolute rounding error of the
+    largest, about u * largest with u = 2.2e-16, so the rule is
+    u * largest / smallest <= 1e-6, and it refuses a smallest eigenvalue
+    that is not positive."""
+    smallest, largest = eigenvalues[0], eigenvalues[-1]
+    if _UNIT_ROUNDOFF * largest > _SPECTRUM_RESOLUTION * smallest:
+        raise error(
+            f"{what} is not resolvable: smallest eigenvalue {smallest:.3g} "
+            f"against rounding error {_UNIT_ROUNDOFF * largest:.3g} of the largest"
+        )
+
+
 def eigen_summary(chain: Chain) -> SpectralSummary:
     """Spectral summary of I - K; raises NotReversible for dense chains that
     fail detailed balance within 1e-10.
 
     The eigenvalue closest to 0 is snapped to exactly 0 when within 1e-9
     (irreducibility guarantees its existence and simplicity) and excluded
-    from the spectral sum.  Chains are immutable, so each chain object solves
-    once and keeps its summary.
+    from the spectral sum.  Raises NumericalFailure when the gap is not
+    resolved, 2.2e-16 * lambda_n > 1e-6 * gap (a gap at the rounding floor,
+    zero or negative), as on two blocks joined by a rate of 1e-20.  Chains
+    are immutable, so each chain object solves once and keeps its summary.
     """
     return chain._spectrum
 
@@ -297,6 +321,7 @@ def _solve_summary(chain: Chain) -> SpectralSummary:
     lam[zero_pos] = 0.0
     nonzero = np.delete(lam, zero_pos)
     nonzero.sort()
+    _check_resolved(nonzero, NumericalFailure, "the spectrum of I-K")
     summary = SpectralSummary(
         eigenvalues=nonzero,
         gap=float(nonzero[0]),

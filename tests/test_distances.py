@@ -385,17 +385,22 @@ def test_blocked_dbar_keeps_the_row_loop_bits(n):
     # 129 states cross the 128-entry block of numpy's pairwise sum
     ev = _Evaluator(ehrenfest(n - 1), DistanceQuery("discrete", "dbar"), 1e-10)
     rng = np.random.default_rng(n)
-    for count in (1, 2, n):
-        rows = rng.dirichlet(np.full(n, 0.5), size=count)
+    inputs = [rng.dirichlet(np.full(n, 0.5), size=count) for count in (1, 2, n)]
+    if n == 64:
+        # every start of Ehrenfest 64 at a few steps: rows x and 64 - x are
+        # mirror images, so many pairs tie
+        full = _Evaluator(ehrenfest(64), DistanceQuery("discrete", "dbar", exhaustive=True), 1e-10)
+        inputs += full.evolve([1, 5, 32, 300])
+    for rows in inputs:
         tracemalloc.start()
         try:
             value = ev._metric(rows, "dbar")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert value.hex() == oracles.dbar_by_rows(rows).hex(), count
-        # one block of at most 2**16 differences, or one row's against the
-        # rest; all pairs at once would take count**2 * n / 2
+        assert value.hex() == oracles.dbar_by_rows(rows).hex(), rows.shape
+        # one chunk of pairs within 2**16 entries, and r (r - 1) pair
+        # indices for r rows; all pairs at once would take r**2 n / 2
         assert peak <= 2 * 8 * max(2**16, rows.size)
 
 

@@ -500,6 +500,30 @@ def test_verify_bounds_nonreversible_skips_spectral_entries():
     assert "gap-sandwich-lower" not in names
 
 
+def test_verify_bounds_skips_the_spectral_entries_of_an_unresolved_gap():
+    # two fast pairs joined by rate 1e-20: the gap read 4.52e-16, and the
+    # time grid built from its spectral sum, 2.21e15, passed the cap
+    p = np.array([0.5, 1e-20, 0.5, 0.0])
+    q = np.array([0.0, 0.5, 1e-20, 0.5])
+    report = verify_bounds(Chain.from_rates(p, q, 1.0 - p - q))
+    spectral = report.skipped[0]
+    assert (spectral.inequality, spectral.point) == ("spectral", "all")
+    assert "not resolvable" in spectral.reason
+    assert len(report.entries) == 30 and report.passed
+    names = {e.inequality for e in report.entries}
+    assert "tv-below-dbar" in names
+    assert "gap-sandwich-lower" not in names and "chebyshev-lower" not in names
+
+
+def test_family_scan_report_stores_the_checked_delta():
+    # a numpy delta was stored as given, and the report's JSON refused it
+    report = family_scan(FamilySpec("ehrenfest", (4,)), delta=np.float32(0.5))
+    assert type(report.delta) is float and type(report.ratio_target) is float
+    assert json.loads(json.dumps(report.to_dict())) == family_scan(
+        FamilySpec("ehrenfest", (4,)), delta=0.5
+    ).to_dict()
+
+
 @pytest.mark.parametrize("n", workloads.FAMILY_SIZES)
 def test_family_scan_equals_the_bench_goldens_exactly(n):
     # the benchmark's own check allows 1e-10 on the spectrum and 1e-4 on the

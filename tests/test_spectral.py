@@ -13,6 +13,7 @@ from cutofflab import (
     Chain,
     FamilySpec,
     NotReversible,
+    NumericalFailure,
     beta_delta,
     detailed_balance_residual,
     eigen_summary,
@@ -274,6 +275,33 @@ def test_dense_reversible_matches_numpy_oracle():
     summary = eigen_summary(chain)
     ref = np.sort(np.linalg.eigvals(kernel).real)[::-1]
     assert np.max(np.abs(summary.kernel_spectrum - ref)) <= 1e-9
+
+
+def _joined_pairs(weak):
+    # two fast pairs, {0, 1} and {2, 3}, joined by rate `weak`; the gap is
+    # about weak
+    p = np.array([0.5, weak, 0.5, 0.0])
+    q = np.array([0.0, 0.5, weak, 0.5])
+    return Chain.from_rates(p, q, 1.0 - p - q)
+
+
+@pytest.mark.parametrize("weak", [1e-20, 1e-30])
+def test_summary_refuses_a_gap_at_the_rounding_floor(weak):
+    # both rates read the same gap, 4.52e-16, and spectral sum, 2.21e15:
+    # rounding error of the largest eigenvalue, not the gap
+    with pytest.raises(NumericalFailure, match="smallest eigenvalue 4.52e-16 against rounding"):
+        eigen_summary(_joined_pairs(weak))
+    # a gap the rule resolves is answered
+    assert eigen_summary(_joined_pairs(1e-8)).gap == pytest.approx(1e-8, rel=1e-6)
+
+
+def test_dense_summary_refuses_a_zero_gap():
+    # two [[.5, .5], [.5, .5]] blocks joined by 1e-17 between states 0 and
+    # 2: the gap came out 0, and the spectral sum divided by it
+    kernel = np.kron(np.eye(2), np.full((2, 2), 0.5))
+    kernel[0, 2] = kernel[2, 0] = 1e-17
+    with pytest.raises(NumericalFailure, match="smallest eigenvalue 0 against rounding"):
+        eigen_summary(Chain.from_dense(kernel))
 
 
 def test_detailed_balance_residual_flags_nonreversible():
