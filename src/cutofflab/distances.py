@@ -34,7 +34,10 @@ all read.  The clocks differ only where they must:
 * Seeds.  A discrete value depends on the step alone, so a discrete target
   starts between the values the evaluator holds for its metric: the
   largest held step above its threshold (step 0, probed, when none is) and
-  the smallest held step after that.  A continuous target starts at 0,
+  the smallest held step after that.  A held value seeds it whatever
+  request made it: an earlier search's probe, a fixed time, or a step
+  requested only to seed, as ``family_scan`` requests lazy steps near its
+  continuous times over 1 - delta.  A continuous target starts at 0,
   since a continuous value's bits depend on the anchor it was advanced
   from.
 * Gallop.  Targets with no upper end gallop together: from rung lo the

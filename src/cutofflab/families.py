@@ -13,7 +13,9 @@ size drives the trend verdict (grows 1.5x and near-monotone ->
 "cutoff-trend"; flat within 30% -> "no-cutoff-trend"; anything else
 "inconclusive").  A nonempty eps grid adds mixing columns that compare
 continuous times against delta-lazy times, whose ratio should stabilize near
-1 - delta; an empty grid leaves them out.
+1 - delta; an empty grid leaves them out.  That ratio is also how the scan
+searches: each size's continuous column comes first, and its times over
+1 - delta seed the lazy search.
 
 ``verify_bounds`` instantiates every applicable inequality relating the
 metrics, the spectrum, and the stationary-time brackets on concrete grids,
@@ -31,7 +33,16 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .chain import Chain, _check_delta, _check_eps, _check_tol, _integer, _read_json, _real
+from .chain import (
+    SEARCH_CAP,
+    Chain,
+    _check_delta,
+    _check_eps,
+    _check_tol,
+    _integer,
+    _read_json,
+    _real,
+)
 from .distances import DistanceQuery, _Evaluator
 from .errors import BadFamily, BadShape, NoConvergence, NotReversible, NumericalFailure
 from .birth_death import sep_bounds, stationary_time_summary
@@ -264,6 +275,21 @@ def _trend_verdict(products: list[float]) -> str:
     return "inconclusive"
 
 
+def _lazy_hints(column: dict, delta: float) -> list[int]:
+    """The lazy steps whose tv seeds a lazy search from a continuous column.
+
+    Each level's continuous time t becomes the lazy time m = t / (1 - delta)
+    by the clock change, and the steps floor(m) - w and ceil(m) + w, with
+    w = ceil(sqrt(m) / 4) + 1, are meant to straddle the lazy mixing time;
+    each step is clamped to [0, SEARCH_CAP], past which no evolution runs."""
+    hints = set()
+    for t in column.values():
+        m = t / (1.0 - delta)
+        w = math.ceil(math.sqrt(m) / 4.0) + 1
+        hints.update(min(max(k, 0), SEARCH_CAP) for k in (math.floor(m) - w, math.ceil(m) + w))
+    return sorted(hints)
+
+
 def family_scan(
     spec: FamilySpec,
     delta: float | None = None,
@@ -278,7 +304,20 @@ def family_scan(
     report alone: ``delta`` and every clock column stay None or empty.
 
     ``delta`` and ``eps_grid`` default to the spec's, and where the spec has
-    none to ``DEFAULT_DELTA`` and ``DEFAULT_EPS_GRID``."""
+    none to ``DEFAULT_DELTA`` and ``DEFAULT_EPS_GRID``.
+
+    Each size searches its continuous column first.  Before the lazy search,
+    the lazy evaluator holds tv at the steps ``_lazy_hints`` forms from that
+    column by the clock change m = t / (1 - delta), a few steps either side
+    of each level's m.  The lazy search starts every level between those
+    held values, so where they straddle its mixing time it bisects inside
+    them, and elsewhere it bisects below them or gallops on from them as
+    from step 0.  Every lazy answer is still the minimal step wherever float
+    tv is nonincreasing at eps (see ``distances``); only the work moves.
+    The steps are clamped to ``SEARCH_CAP``, since an evolution past it is
+    refused with ``BadShape``.  A size whose search cannot converge raises
+    ``NoConvergence``; where both clocks refuse, the continuous refusal is
+    the one raised."""
     tol = _check_tol(tol)
     if delta is None:
         delta = DEFAULT_DELTA if spec.delta is None else spec.delta
@@ -297,8 +336,12 @@ def family_scan(
         records.append(rec)
         if not eps_grid:
             continue
-        for query, column in ((lazy, rec.mixing_lazy), (continuous, rec.mixing_continuous)):
+        for query, column in ((continuous, rec.mixing_continuous), (lazy, rec.mixing_lazy)):
             ev = _Evaluator(chain, query, tol)
+            if query is lazy:
+                # held lazy values around the continuous column's clock
+                # change seed the lazy search (see _lazy_hints)
+                ev.evaluate([(m, "tv") for m in _lazy_hints(rec.mixing_continuous, lazy.delta)])
             ev.search(targets)
             for level in levels:
                 lo, hi = ev.found[("tv", level)]

@@ -13,6 +13,7 @@ from cutofflab import (
     BadFamily,
     BadShape,
     Chain,
+    DistanceQuery,
     FamilyReport,
     FamilySpec,
     SizeRecord,
@@ -20,14 +21,17 @@ from cutofflab import (
     family_scan,
     generate,
     load_family,
+    mixing_time,
     sep_bounds,
     stationary_time_summary,
     verify_bounds,
 )
+from cutofflab import families as families_module
+from cutofflab.chain import SEARCH_CAP
 from cutofflab.distances import _Evaluator
-from cutofflab.families import DEFAULT_DELTA, DEFAULT_EPS_GRID, _trend_verdict
+from cutofflab.families import DEFAULT_DELTA, DEFAULT_EPS_GRID, _lazy_hints, _trend_verdict
 
-from conftest import bench_workloads, flip, random_bd, rank_one
+from conftest import bench_workloads, flip, random_bd, rank_one, two_state
 
 workloads = bench_workloads()
 
@@ -369,6 +373,68 @@ def test_family_scan_is_deterministic():
     a = family_scan(spec, eps_grid=(0.1, 0.4))
     b = family_scan(spec, eps_grid=(0.1, 0.4))
     assert a.to_dict() == b.to_dict()
+
+
+def test_lazy_hints_straddle_the_clock_change_and_stay_within_the_cap():
+    # m = 100 / (1 - 1/2) = 200 and w = ceil(sqrt(200) / 4) + 1 = 5
+    assert _lazy_hints({0.25: 100.0}, 0.5) == [195, 205]
+    # a level mixed at time 0 clamps its lower step to 0
+    assert _lazy_hints({0.75: 0.0}, 0.5) == [0, 1]
+    assert _lazy_hints({0.25: 100.0, 0.75: 0.0}, 0.5) == [0, 1, 195, 205]
+    # a continuous time near the cap maps past it: both steps clamp to the
+    # cap, where an unclamped step would be refused before any evolution
+    assert _lazy_hints({0.25: 0.9 * SEARCH_CAP}, 0.5) == [SEARCH_CAP]
+    lazy = _Evaluator(two_state(), DistanceQuery("lazy", "tv", delta=0.5), 1e-10)
+    with pytest.raises(BadShape):
+        lazy.evaluate([(SEARCH_CAP + 1, "tv")])
+
+
+SEEDED_SPECS = [
+    FamilySpec("ehrenfest", (24, 48)),
+    FamilySpec("path_symmetric", (24, 48)),
+    FamilySpec("path_biased", (24, 48), rho=0.7),
+    FamilySpec("random_bd", (24, 48), seed=4),
+]
+
+
+@pytest.mark.parametrize("delta", [0.2, 0.5])
+@pytest.mark.parametrize("spec", SEEDED_SPECS, ids=lambda spec: spec.family)
+def test_seeded_lazy_column_equals_fresh_searches(monkeypatch, spec, delta):
+    # the lazy search starts between the held values at the steps the
+    # continuous column gives by the clock change; each level's answer is
+    # still a fresh search's minimal step
+    report = family_scan(spec, delta=delta)
+    lazy = DistanceQuery("lazy", "tv", delta=delta)
+    for rec in report.records:
+        chain = generate(spec, rec.n)
+        assert rec.mixing_lazy == {
+            eps: float(mixing_time(chain, eps, lazy)) for eps in rec.mixing_lazy
+        }
+    # misplaced hints, planted for every level at 4 times the longest
+    # continuous time, where every held value is below every level (the
+    # search bisects below them), or at a quarter of the shortest, where
+    # every one is above (the search gallops on from them): no answer moves
+    planted = []
+
+    def misplaced(place):
+        def hints(column, delta):
+            t = place(column.values())
+            steps = _lazy_hints({eps: t for eps in column}, delta)
+            planted.append(steps)
+            return steps
+        return hints
+
+    places = {"below": lambda ts: 4.0 * max(ts), "above": lambda ts: 0.25 * min(ts)}
+    for side, place in places.items():
+        planted.clear()
+        monkeypatch.setattr(families_module, "_lazy_hints", misplaced(place))
+        assert family_scan(spec, delta=delta).to_dict() == report.to_dict()
+        for steps, rec in zip(planted, report.records, strict=True):
+            times = rec.mixing_lazy.values()
+            if side == "below":
+                assert min(steps) >= max(times)
+            else:
+                assert max(steps) < min(times)
 
 
 def test_verify_bounds_random_chain_passes():
