@@ -20,7 +20,13 @@ Two eigensolvers back the summary:
   shifts, and walks each index down them.  Each midpoint is
   ``0.5 * (lo + hi)`` of the floats that one-level bisection would halve,
   and a shift's count does not depend on the shifts counted beside it, so
-  every eigenvalue keeps the bits of one count per level.
+  every eigenvalue keeps the bits of one count per level.  Once a large
+  spectrum's brackets are separated, one certified stage skips most of the
+  remaining levels: Newton steps on log|det(T - xI)| estimate each
+  eigenvalue, two counts a few ulps either side certify it, and, the count
+  being monotone in the shift (Kahan 1966; Demmel, Dhillon and Ren, ETNA
+  1995), every halving whose midpoint lies outside those two points takes
+  the branch they decide, uncounted.
 * dense form: LAPACK's symmetric eigensolver on sqrt(K * K^T), entrywise.
   For a reversible K, K(x,y) K(y,x) = K(x,y)**2 pi(x) / pi(y), so this is
   the similarity D^{1/2} K D^{-1/2} without pi: symmetric by construction,
@@ -92,6 +98,22 @@ def tridiagonal_eigenvalues(diag, off_squared) -> np.ndarray:
     Sturm recurrence: a subtree's midpoints are ``0.5 * (lo + hi)`` of the
     same floats that loop halves, and a shift's count does not depend on
     the shifts counted beside it.
+
+    One certified stage runs at most once per solve, as soon as every
+    unfinished index has its own bracket, a pass would take one level
+    (3 * nodes > ``_PASS_SHIFTS``), and every bracket is at most 1/32 of its
+    gap to its neighbours'.  Three Newton steps on log|det(T - xI)| from
+    each bracket's midpoint give an estimate x; an index k is certified when
+    the counts at x - delta and x + delta (delta = max(16 ulps, 1e-15)) put
+    k between them.  The clamped Sturm count is monotone in the shift in
+    IEEE arithmetic (Kahan 1966; Demmel, Dhillon and Ren, ETNA 3, 1995), so
+    a halving at a midpoint at or below x - delta counts at most k and one at
+    or above x + delta more than k: a certified index replays the plain
+    loop's halvings, with its done test and the 120-halving cap, and takes
+    those branches without counting until its midpoint falls between the
+    two points.  It then returns to the passes with its bracket, as does
+    every uncertified index, and each eigenvalue keeps its bits.  The
+    brackets stay disjoint, so each remaining index is one node.
     """
     d = np.asarray(diag, dtype=float)
     e2 = np.asarray(off_squared, dtype=float)
@@ -116,17 +138,29 @@ def tridiagonal_eigenvalues(diag, off_squared) -> np.ndarray:
     lo = np.full(n, lo0 - pad)
     hi = np.full(n, hi0 + pad)
 
-    depth = 0
-    while depth < _MAX_HALVINGS:
-        active = np.flatnonzero(~_finished(lo, hi))
+    depth = np.zeros(n, dtype=np.int64)  # halvings made, index by index
+    certify = True  # the certified stage runs at most once per solve
+    while True:
+        active = np.flatnonzero(~_finished(lo, hi) & (depth < _MAX_HALVINGS))
         if active.size == 0:
             break
-        # every unfinished index was halved `depth` times, so indices whose
-        # brackets share lo share the bracket: one node per distinct lo
+        # until the certified stage, every unfinished index was halved as
+        # often as the others, so indices whose brackets share lo share the
+        # bracket: one node per distinct lo.  The stage runs once every
+        # bracket is disjoint from the others, and they stay so.
         starts, node = np.unique(lo[active], return_inverse=True)
+        if (
+            certify
+            and 3 * starts.size > _PASS_SHIFTS
+            and starts.size == active.size
+            and _isolated(lo, hi, active)
+        ):
+            certify = False
+            _certified_halvings(d, e2, lo, hi, depth, active)
+            continue
         ends = np.empty_like(starts)
         ends[node] = hi[active]
-        levels, room = 1, _MAX_HALVINGS - depth
+        levels, room = 1, _MAX_HALVINGS - int(depth[active].max())
         while levels < room and (2 ** (levels + 1) - 1) * starts.size <= _PASS_SHIFTS:
             levels += 1
         points, finished, counts = _subtree(d, e2, starts, ends, levels)
@@ -142,7 +176,7 @@ def tridiagonal_eigenvalues(diag, off_squared) -> np.ndarray:
             b = np.where(go & ~upper, mid, b)
         lo[active] = points[a]
         hi[active] = points[b]
-        depth += levels
+        depth[active] += levels
     return 0.5 * (lo + hi)
 
 
@@ -150,11 +184,100 @@ def tridiagonal_eigenvalues(diag, off_squared) -> np.ndarray:
 # below each of its nodes while nodes * (2**L - 1) stays within this.
 _PASS_SHIFTS = 512
 _MAX_HALVINGS = 120
+# The certified stage waits until every unfinished bracket is at most
+# 1/_ISOLATION of its gap to its neighbours': there the one eigenvalue it
+# holds dominates sum 1/(x - lambda_j), so Newton from the midpoint
+# converges to it rather than to a neighbour.
+_ISOLATION = 32
+# Newton steps from each bracket's midpoint.  Three reach the rounding
+# floor on every spectrum the tests pin; an estimate that falls short only
+# fails its certification and goes back to the passes.
+_NEWTON_STEPS = 3
+# Half-width of the two certifying counts around each Newton estimate:
+# wider than the estimate's few ulps of error, so the two land either side
+# of the eigenvalue, and at least the done test's absolute floor.
+_CERTIFY_ULPS = 16
+_CERTIFY_FLOOR = 1e-15
 
 
 def _finished(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     # the done test of the plain bisection loop, bracket by bracket
     return hi - lo <= np.maximum(1e-15, 4e-16 * np.abs(0.5 * (lo + hi)))
+
+
+def _isolated(lo: np.ndarray, hi: np.ndarray, active: np.ndarray) -> bool:
+    # every active bracket is at most 1/_ISOLATION of its gap to the brackets
+    # of the indices either side of it
+    below = np.concatenate(([-np.inf], hi[:-1]))[active]
+    above = np.concatenate((lo[1:], [np.inf]))[active]
+    gap = np.minimum(lo[active] - below, above - hi[active])
+    return bool((_ISOLATION * (hi[active] - lo[active]) <= gap).all())
+
+
+def _certified_halvings(d, e2, lo, hi, depth, active):
+    # The certified stage of tridiagonal_eigenvalues, in place on lo, hi and
+    # depth.  count(x - delta) <= k < count(x + delta) certifies index k; the
+    # count being monotone, a halving at mid <= x - delta keeps the upper
+    # half and one at mid >= x + delta the lower, as the plain loop's count
+    # would.  What is left, and every uncertified index, goes back to the
+    # passes as it is.
+    a, b = lo[active], hi[active]
+    x = _newton(d, e2, 0.5 * (a + b), a, b)
+    delta = np.maximum(_CERTIFY_ULPS * np.spacing(np.abs(x)), _CERTIFY_FLOOR)
+    left, right = x - delta, x + delta
+    # two calls of m shifts, not one of 2m: the count's block stays as wide
+    # as a one-level pass's
+    certified = _negative_pivots(d, e2, left) <= active
+    certified &= active < _negative_pivots(d, e2, right)
+    index = active[certified]
+    a, b, left, right = a[certified], b[certified], left[certified], right[certified]
+    halvings = depth[index]
+    going = np.ones(index.size, dtype=bool)
+    while going.any():
+        mid = 0.5 * (a + b)
+        upper, lower = mid <= left, mid >= right
+        going &= ~_finished(a, b) & (halvings < _MAX_HALVINGS) & (upper | lower)
+        a = np.where(going & upper, mid, a)
+        b = np.where(going & lower, mid, b)
+        halvings += going
+    lo[index], hi[index], depth[index] = a, b, halvings
+
+
+def _newton(d, e2, x, lo, hi):
+    # _NEWTON_STEPS Newton steps on log|det(T - xI)| for each shift in x,
+    # along the pivot recurrence: q_i = d_i - x - e2_{i-1} / q_{i-1} has
+    # derivative q'_i = (e2_{i-1} / q_{i-1}) (q'_{i-1} / q_{i-1}) - 1, and
+    # S = sum q'_i / q_i = sum_j 1 / (x - lambda_j) gives x <- x - 1 / S.  A
+    # step that leaves [lo, hi], or meets a zero pivot, keeps the previous x.
+    # Rows are taken a block at a time, as in _negative_pivots, so memory
+    # stays O(_BLOCK_ROWS * len(x)).
+    n, m = d.shape[0], x.shape[0]
+    off = e2.tolist()
+    pivots = np.empty((min(_BLOCK_ROWS, n), m))
+    t, r = np.empty(m), np.empty(m)  # e2_{i-1} / q_{i-1}, and q'_i / q_i
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            for i0 in range(0, n, _BLOCK_ROWS):
+                i1 = min(i0 + _BLOCK_ROWS, n)
+                if i0:
+                    q = pivots[-1].copy()  # the next block overwrites it
+                np.subtract.outer(d[i0:i1], x, out=pivots[: i1 - i0])
+                for i in range(i0, i1):
+                    row = pivots[i - i0]
+                    if i:
+                        np.divide(off[i - 1], q, out=t)
+                        row -= t
+                        r *= t
+                        r -= 1.0
+                        r /= row
+                        s += r
+                    else:
+                        np.divide(-1.0, row, out=r)
+                        s = r.copy()
+                    q = row
+            step = x - 1.0 / s
+            x = np.where((lo <= step) & (step <= hi), step, x)
+    return x
 
 
 def _subtree(d, e2, starts, ends, levels):

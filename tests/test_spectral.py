@@ -99,13 +99,76 @@ def _bisection_cases():
     return cases
 
 
-def test_sturm_bisection_keeps_the_original_bits():
-    cases = _bisection_cases()
-    assert len(cases) == 234
-    assert any(not off2.all() for _, off2 in cases)
-    for diag, off2 in cases:
+def _certified_stage_cases():
+    # spectra with more than _PASS_SHIFTS / 3 separated brackets, on which
+    # the certified Newton stage runs; the last prepends a 1e30 diagonal
+    # entry to a 300-state path, so its 1e30-wide bracket leaves every index
+    # near [0, 2] about 7.5e-7 wide after 120 halvings, and the cap binds on
+    # replayed indices
+    cases = []
+    for n in (256, 512, 1024):
+        cases += _bd_tridiagonals(ehrenfest(n))
+    for seed, n in ((0, 300), (1, 500), (2, 700)):
+        cases += _bd_tridiagonals(random_bd(seed, n))
+    for rho in (0.3, 0.7):
+        cases += _bd_tridiagonals(generate(FamilySpec("path_biased", (2,), rho=rho), 700))
+    rng = np.random.default_rng(3)
+    diag = rng.normal(size=400) * 10.0 ** rng.uniform(-3, 3, 400)
+    off2 = (rng.normal(size=399) * 10.0 ** rng.uniform(-3, 3, 399)) ** 2
+    cases.append((diag, off2))
+    (diag, off2), _ = _bd_tridiagonals(generate(FamilySpec("path_symmetric", (2,)), 300))
+    cases.append((np.concatenate(([1e30], diag)), np.concatenate(([0.25], off2))))
+    return cases
+
+
+def _record_stages(monkeypatch):
+    # for each certified stage: the indices it saw, how many it halved and
+    # how many of those it left at the halving cap
+    stages = []
+    real = spectral._certified_halvings
+
+    def recorded(d, e2, lo, hi, depth, active):
+        before = depth[active].copy()
+        real(d, e2, lo, hi, depth, active)
+        after = depth[active]
+        stages.append((active.size, int((after > before).sum()), int((after == spectral._MAX_HALVINGS).sum())))
+
+    monkeypatch.setattr(spectral, "_certified_halvings", recorded)
+    return stages
+
+
+def test_sturm_bisection_keeps_the_original_bits(monkeypatch):
+    plain, certified = _bisection_cases(), _certified_stage_cases()
+    assert len(plain) + len(certified) == 252
+    assert any(not off2.all() for _, off2 in plain)
+    stages = _record_stages(monkeypatch)
+    for diag, off2 in plain:
         expect = oracles.sturm_bisection(diag, off2)
         assert tridiagonal_eigenvalues(diag, off2).tobytes() == expect.tobytes(), len(diag)
+    for diag, off2 in certified:
+        del stages[:]
+        expect = oracles.sturm_bisection(diag, off2)
+        assert tridiagonal_eigenvalues(diag, off2).tobytes() == expect.tobytes(), len(diag)
+        # the stage ran once and skipped counted halvings
+        assert len(stages) == 1 and stages[0][1] > 0, len(diag)
+    # on the last case it halved indices up to the cap
+    assert stages[0][2] > 0
+
+
+def test_the_sturm_count_never_decreases_across_consecutive_floats():
+    # the certified stage skips every halving that two counts decide, which
+    # holds only while the count is monotone in the shift: 201 consecutive
+    # floats around sampled eigenvalues of the spectra it runs on
+    for diag, off2 in _certified_stage_cases():
+        vals = tridiagonal_eigenvalues(diag, off2)
+        sample = vals[np.linspace(0, vals.size - 1, 12).astype(int)]
+        below, above = [sample], [sample]
+        for _ in range(100):
+            below.append(np.nextafter(below[-1], -np.inf))
+            above.append(np.nextafter(above[-1], np.inf))
+        window = np.vstack(below[:0:-1] + above)  # ascending down each column
+        counts = spectral._negative_pivots(diag, off2, window.ravel()).reshape(window.shape)
+        assert (np.diff(counts, axis=0) >= 0).all(), len(diag)
 
 
 def test_a_solve_that_runs_out_of_halvings_keeps_the_original_bits():
@@ -165,9 +228,12 @@ def test_clamped_recount_runs_on_the_flagged_shifts_only(monkeypatch):
 def test_ehrenfest_1024_solve_counts_each_distinct_unfinished_shift_once(monkeypatch):
     # the plain loop counts all 1,025 indices in each of its 52 sweeps: 53,300
     # shifts.  One sweep per call counted 43,051 distinct shifts in 52 calls;
-    # the first pass now takes the 511 midpoints of 9 levels, then one level
-    # per pass while the brackets are many, and the last pass 7 levels below
-    # 4 brackets, whose midpoints repeat at ulp widths
+    # multisection passes counted 43,067 in 44: the first pass takes the 511
+    # midpoints of 9 levels, then one level per pass while the brackets are
+    # many, and the last pass 7 levels below 4 brackets, whose midpoints
+    # repeat at ulp widths.  Now, after 16 levels, the certified stage counts
+    # twice, 1,025 shifts a call, and its replay skips 1,021 indices to a few
+    # ulps; the passes finish them
     (diag, off2), _ = _bd_tridiagonals(ehrenfest(1024))
     swept, clamped, rows = _record_counts(monkeypatch)
     tracemalloc.start()
@@ -176,13 +242,14 @@ def test_ehrenfest_1024_solve_counts_each_distinct_unfinished_shift_once(monkeyp
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(swept) == 44
-    assert sum(xs.size for xs in swept) == 43_067
+    assert len(swept) == 22
+    assert [xs.size for xs in swept[8:10]] == [1025, 1025]  # after 8 passes
+    assert sum(xs.size for xs in swept) == 15_735
     assert all(np.unique(xs).size == xs.size for xs in swept)
-    assert sum(xs.size for xs in clamped) == 14
+    assert sum(xs.size for xs in clamped) == 22
     # each recount starts at the first block of 64 rows that holds a pivot
-    # below pivmin; from row 0, its 4 calls ran 4,100 rows
-    assert len(rows) == 4 and sum(rows) == 2_756
+    # below pivmin; from row 0, its 7 calls would run 7,175 rows
+    assert len(rows) == 7 and sum(rows) == 4_935
     assert peak < 1025 * 1025 * 8 / 4  # no n x n table
     assert np.max(np.abs(vals - 2.0 * np.arange(1025) / 1024)) <= 1e-12
 
