@@ -143,8 +143,12 @@ from .chain import (
 )
 from .errors import BadDelta, BadShape, LengthMismatch, NoConvergence, NumericalFailure
 
-# Dense-power probing pays off for repeated large-m probes on small chains.
-_POW_MIN_STEPS = 256
+# No discrete or lazy step below this takes a power, whatever the product
+# rule says.  Its one remaining reason is the goldens' bits: the pinned CLI
+# outputs read steps up to 28 (the Ehrenfest {4, 8} family scan; verify on
+# two states reads up to 8), and those stay banded.  ROADMAP item 3 deletes
+# the floor together with a golden regeneration.
+_POW_MIN_STEPS = 32
 _POW_MAX_STATES = 300
 # n x n products counted for one factor E(h <= 1): its Poisson sum takes 21
 # kernel powers at h = 1, and as many scaled sums
@@ -245,7 +249,7 @@ class _Evaluator:
     on a chain of n <= 300 states, the time t takes ``starts @
     semigroup(t)`` (or the power itself when the rows are every state) when
     terms * r > n * p, with r start rows, terms the row steps an evolution
-    from 0 takes (the step m, from m >= 256; or about t + 10 sqrt(t) + 10
+    from 0 takes (the step m, from m >= 32; or about t + 10 sqrt(t) + 10
     Poisson terms) and p the n x n products of the power built from an
     empty table (squarings plus multiplies, and on the continuous clock the
     Poisson sums of E(1) and of E(frac) for t's fractional part).  So

@@ -118,8 +118,9 @@ def test_shared_levels_equal_fresh_searches_and_linear_scan(chain, mode, metric)
 
 @pytest.mark.parametrize("n", [150, 290, 310])
 def test_lazy_ehrenfest_levels_across_the_dense_power_cliff(n):
-    # 151 and 291 states take dense matrix powers for probes of >= 256
-    # steps; 311 states evolve every probe with Chain.apply
+    # 151 and 291 states take dense matrix powers for the late gallop
+    # probes, where the two rows' steps from 0 outnumber the power's rows
+    # (n per product); 311 states evolve every probe with Chain.apply
     chain = ehrenfest(n)
     query = _query("lazy", "tv", exhaustive=False)
     levels = (0.5, 0.25, 0.05)
@@ -601,18 +602,22 @@ def _bottleneck(n: int = 20, rate: float = 1e-5) -> Chain:
     return _rates_path(p, q)
 
 
-@pytest.mark.parametrize("chain,expected", [
-    (_rates_path([1e-6, 1e-6, 0.0], [0.0, 1e-6, 1e-6]), 763_097),
-    (_bottleneck(), 387_525),
+@pytest.mark.parametrize("chain,expected,banded", [
+    (_rates_path([1e-6, 1e-6, 0.0], [0.0, 1e-6, 1e-6]), 763_097, 16),
+    (_bottleneck(), 387_525, 32),
 ])
-def test_slow_mixing_endpoint_searches_take_dense_powers(chain, expected, work_count):
+def test_slow_mixing_endpoint_searches_take_dense_powers(chain, expected, banded, work_count):
     # hundreds of thousands of steps from two endpoint rows: dense powers
     # keep the search to a few banded steps, where banded evolution alone
-    # would apply the kernel at every one of them
+    # would apply the kernel at every one of them.  The banded steps are the
+    # gallop's rungs below the first power: with the step floor at 256 both
+    # chains applied the kernel 128 times; at 32, the 3-state chain takes
+    # the power from step 32 and the 21-state path from step 64, where two
+    # rows' row steps first exceed n times the power's products
     work_count.apply_by_chain.clear()
     assert mixing_time(chain, 0.25, _query("discrete", "tv", exhaustive=False)) == expected
     assert work_count.matrix_powers > 0
-    assert work_count.applies == 128
+    assert work_count.applies == banded
 
 
 def test_public_evolutions_take_the_evaluator_route(work_count):
@@ -659,6 +664,41 @@ def test_every_state_takes_the_power_itself(steps, work_count):
         assert built - before == steps.bit_length() and work_count.applies == 0
         assert ev.evolve([steps])[0].tobytes() == expect, query
         assert work_count.matrix_powers == built and work_count.applies == 0
+
+
+@pytest.mark.parametrize("steps", [31, 32, 33, 100, 255])
+def test_every_state_takes_the_power_from_the_step_floor(steps, work_count):
+    # every state on 41 states: from step 32 each step takes the power on
+    # both integer clocks, with numpy's bits; step 31 would too by the
+    # product rule (31 * 41 row steps against 41 * 8), but lies below the
+    # floor and stays banded
+    chain = random_bd(5, 40)
+    for mode, delta in (("discrete", None), ("lazy", 0.5)):
+        ev = _Evaluator(chain, DistanceQuery(mode, "tv", delta=delta, exhaustive=True), 1e-10)
+        kernel = ev.eff.dense_kernel
+        work_count.apply_by_chain.clear()
+        before = work_count.matrix_powers
+        rows = ev.evolve([steps])[0]
+        if steps == 31:
+            assert work_count.matrix_powers == before and work_count.applies == 31
+            expect = oracles.rows_at(chain.dense_kernel, steps, mode, delta)
+            assert np.abs(rows - expect).max() <= 1e-14
+        else:
+            assert rows.tobytes() == np.linalg.matrix_power(kernel, steps).tobytes(), mode
+            built = work_count.matrix_powers - before
+            assert built == steps.bit_length() and work_count.applies == 0
+
+
+@pytest.mark.parametrize("seed,n,parent", [(2035, 38, 251), (2020, 23, 575)])
+def test_verify_bounds_on_small_chains_applies_no_kernel(seed, n, parent, work_count):
+    # criterion-7 chains, every start state: each discrete and lazy step
+    # that verify_bounds reads here is 32 or more and takes a dense power,
+    # and the continuous clock multiplies by E(h).  With the step floor at
+    # 256, the steps 32..255 were banded (``parent`` applications)
+    chain = random_bd(seed, n)
+    work_count.apply_by_chain.clear()  # construction checks pi with one application
+    verify_bounds(chain)
+    assert work_count.applies == 0 < parent
 
 
 def test_period_refusal_does_no_work(work_count):

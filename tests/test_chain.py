@@ -366,7 +366,7 @@ def test_multi_time_pass_equals_single_time_passes(chain, rows):
 
 
 def test_evolutions_past_the_cap_are_refused_before_any_step(work_count):
-    small = two_state(0.3, 0.6)   # discrete probes of >= 256 steps take matrix powers
+    small = two_state(0.3, 0.6)   # discrete probes of >= 32 steps take matrix powers
     large = ehrenfest(400)        # every discrete probe runs Chain.apply
     work_count.apply_by_chain.clear()  # construction checks pi with one application
     past = SEARCH_CAP + 1
