@@ -14,19 +14,17 @@ Two eigensolvers back the summary:
 * birth-death form: the symmetrized I - K is tridiagonal; eigenvalues come
   from bisection on Sturm-sequence negative-pivot counts, vectorized across
   eigenvalue indices.  Bisection gives guaranteed containment and is run
-  well past 1e-12 interval width (to ~1 ulp of each eigenvalue).  It runs
-  as multisection: one pass counts the midpoints of the next few levels
-  below every distinct bracket in one call, at most ``_PASS_SHIFTS``
-  shifts, and walks each index down them.  Each midpoint is
-  ``0.5 * (lo + hi)`` of the floats that one-level bisection would halve,
-  and a shift's count does not depend on the shifts counted beside it, so
-  every eigenvalue keeps the bits of one count per level.  Once a large
-  spectrum's brackets are separated, one certified stage skips most of the
-  remaining levels: Newton steps on log|det(T - xI)| estimate each
-  eigenvalue, two counts a few ulps either side certify it, and, the count
-  being monotone in the shift (Kahan 1966; Demmel, Dhillon and Ren, ETNA
-  1995), every halving whose midpoint lies outside those two points takes
-  the branch they decide, uncounted.
+  well past 1e-12 interval width (to ~1 ulp of each eigenvalue).  Every
+  pass counts one ascending list of shifts and lets each index replay the
+  halvings of one-level bisection that those counts decide: the count is
+  monotone in the shift (Kahan 1966; Demmel, Dhillon and Ren, ETNA 1995),
+  so a midpoint at or below a shift that counts at most k eigenvalues, or
+  at or above one that counts more, takes the branch that shift decides.
+  A list is the midpoints of the next few levels below every distinct
+  bracket (multisection), or, once a large spectrum's brackets are
+  separated, two points a few ulps either side of a Newton estimate of
+  each eigenvalue.  Every eigenvalue keeps the bits of one-level
+  bisection, and a pass whose counts decrease is refused.
 * dense form: LAPACK's symmetric eigensolver on sqrt(K * K^T), entrywise.
   For a reversible K, K(x,y) K(y,x) = K(x,y)**2 pi(x) / pi(y), so this is
   the similarity D^{1/2} K D^{-1/2} without pi: symmetric by construction,
@@ -78,42 +76,40 @@ def tridiagonal_eigenvalues(diag, off_squared) -> np.ndarray:
 
     ``off_squared`` holds the squared off-diagonal entries, which is all the
     Sturm count needs; signs of the off-diagonal never affect the spectrum.
-    Raises BadShape for mismatched lengths, a non-finite entry or a negative
-    ``off_squared``.
+    Raises BadShape for mismatched lengths, a non-finite entry, a negative
+    ``off_squared`` or a padded Gershgorin interval that leaves
+    [-2**1022, 2**1022], where ``lo + hi`` could overflow.
 
     Bisection keeps one bracket per eigenvalue index, from the padded
     Gershgorin interval, and halves it at ``0.5 * (lo + hi)`` until its width
-    is at most max(1e-15, 4e-16 |mid|) (~1 ulp), at most 120 times.  The
-    halvings run in multi-level passes (multisection; Lo, Philippe and
-    Sameh, SISSC 1987).  Every unfinished index has been halved as often as
-    the others, so indices whose brackets share ``lo`` share the bracket,
-    and each distinct bracket is one node.  A pass counts, in one
-    ``_negative_pivots`` call, the 2**L - 1 midpoints of the next L levels
-    below every node, then walks each unfinished index L levels down its
-    node's subtree, with the done test before each level.  L grows while
-    the pass's shifts stay within ``_PASS_SHIFTS``: the first pass of a
-    solve takes 9 levels, and once a large spectrum's brackets have
-    separated a pass is one level.  Every eigenvalue keeps the bits of the
-    plain loop that counts every index each sweep with the pivmin-clamped
-    Sturm recurrence: a subtree's midpoints are ``0.5 * (lo + hi)`` of the
-    same floats that loop halves, and a shift's count does not depend on
-    the shifts counted beside it.
+    is at most max(1e-15, 4e-16 |mid|) (~1 ulp), at most 120 times.  Every
+    eigenvalue keeps the bits of the plain loop that counts every index each
+    sweep with the pivmin-clamped Sturm recurrence, but the halvings run in
+    passes of one rule.  A pass counts one ascending list of shifts, each
+    distinct shift once; then each unfinished index k, with ``left`` the
+    last shift counting at most k and ``right`` the next, replays the plain
+    loop's halvings (its done test, its cap) while the midpoint lies at or
+    below ``left`` or at or above ``right``.  The clamped count is monotone
+    in the shift in IEEE arithmetic (Kahan 1966; Demmel, Dhillon and Ren,
+    ETNA 3, 1995), so such a midpoint's own count would take the same
+    branch; a pass whose counts decrease is refused with NumericalFailure,
+    never read.
 
-    One certified stage runs at most once per solve, as soon as every
-    unfinished index has its own bracket, a pass would take one level
-    (3 * nodes > ``_PASS_SHIFTS``), and every bracket is at most 1/32 of its
-    gap to its neighbours'.  Three Newton steps on log|det(T - xI)| from
-    each bracket's midpoint give an estimate x; an index k is certified when
-    the counts at x - delta and x + delta (delta = max(16 ulps, 1e-15)) put
-    k between them.  The clamped Sturm count is monotone in the shift in
-    IEEE arithmetic (Kahan 1966; Demmel, Dhillon and Ren, ETNA 3, 1995), so
-    a halving at a midpoint at or below x - delta counts at most k and one at
-    or above x + delta more than k: a certified index replays the plain
-    loop's halvings, with its done test and the 120-halving cap, and takes
-    those branches without counting until its midpoint falls between the
-    two points.  It then returns to the passes with its bracket, as does
-    every uncertified index, and each eigenvalue keeps its bits.  The
-    brackets stay disjoint, so each remaining index is one node.
+    A pass's list is one of two kinds.  Until every bracket is separated,
+    indices halved equally often share their bracket when they share
+    ``lo``; the list holds the 2**L - 1 midpoints of the next L levels below
+    each distinct bracket (multisection; Lo, Philippe and Sameh, SISSC
+    1987), each ``0.5 * (lo + hi)`` of the floats the plain loop halves, so
+    the index replays at least L halvings.  L grows while the list stays
+    within ``_PASS_SHIFTS`` shifts: the first pass of a solve takes 9
+    levels, and once a large spectrum's brackets have separated a pass is
+    one level.  Once at most per solve, as soon as every unfinished index
+    has its own bracket, a pass would take one level (3 * brackets >
+    ``_PASS_SHIFTS``), and every bracket is at most 1/32 of its gap to its
+    neighbours', the list is instead x - delta and x + delta (delta =
+    max(16 ulps, 1e-15)) around an estimate x of each eigenvalue from three
+    Newton steps on log|det(T - xI)|: a good estimate lets its index skip to
+    a few ulps.  The brackets then stay disjoint, one per index.
     """
     d = np.asarray(diag, dtype=float)
     e2 = np.asarray(off_squared, dtype=float)
@@ -135,20 +131,23 @@ def tridiagonal_eigenvalues(diag, off_squared) -> np.ndarray:
     lo0 = float((d - radius).min())
     hi0 = float((d + radius).max())
     pad = 1e-10 * max(1.0, abs(lo0), abs(hi0))
+    # within 2**1022 in magnitude, lo + hi and d - x in the count stay finite
+    if not -(2.0**1022) <= lo0 - pad <= hi0 + pad <= 2.0**1022:
+        raise BadShape("the Gershgorin interval must lie within [-2**1022, 2**1022]")
     lo = np.full(n, lo0 - pad)
     hi = np.full(n, hi0 + pad)
 
     depth = np.zeros(n, dtype=np.int64)  # halvings made, index by index
-    certify = True  # the certified stage runs at most once per solve
+    certify = True  # the certified pass runs at most once per solve
     while True:
-        active = np.flatnonzero(~_finished(lo, hi) & (depth < _MAX_HALVINGS))
+        active = np.flatnonzero(_unfinished(lo, hi, 0.5 * (lo + hi)) & (depth < _MAX_HALVINGS))
         if active.size == 0:
             break
-        # until the certified stage, every unfinished index was halved as
+        # until the certified pass, every unfinished index was halved as
         # often as the others, so indices whose brackets share lo share the
-        # bracket: one node per distinct lo.  The stage runs once every
-        # bracket is disjoint from the others, and they stay so.
-        starts, node = np.unique(lo[active], return_inverse=True)
+        # bracket.  That pass runs once every bracket is disjoint from the
+        # others, and they stay so.
+        starts, first = np.unique(lo[active], return_index=True)
         if (
             certify
             and 3 * starts.size > _PASS_SHIFTS
@@ -156,53 +155,44 @@ def tridiagonal_eigenvalues(diag, off_squared) -> np.ndarray:
             and _isolated(lo, hi, active)
         ):
             certify = False
-            _certified_halvings(d, e2, lo, hi, depth, active)
-            continue
-        ends = np.empty_like(starts)
-        ends[node] = hi[active]
-        levels, room = 1, _MAX_HALVINGS - int(depth[active].max())
-        while levels < room and (2 ** (levels + 1) - 1) * starts.size <= _PASS_SHIFTS:
-            levels += 1
-        points, finished, counts = _subtree(d, e2, starts, ends, levels)
-        # an index starts from its node's whole row [a, b] and halves it at
-        # (a + b) // 2, staying at the first finished bracket it meets
-        a = node * (2**levels + 1)
-        b = a + 2**levels
-        for _ in range(levels):
-            mid = (a + b) >> 1
-            go = ~finished[mid]
-            upper = counts[mid] <= active  # the eigenvalue is not below mid
-            a = np.where(go & upper, mid, a)
-            b = np.where(go & ~upper, mid, b)
-        lo[active] = points[a]
-        hi[active] = points[b]
-        depth[active] += levels
+            a, b = lo[active], hi[active]
+            x = _newton(d, e2, 0.5 * (a + b), a, b)
+            delta = np.maximum(_CERTIFY_ULPS * np.spacing(np.abs(x)), _CERTIFY_FLOOR)
+            # sorted: a delta wider than a bracket may pass a neighbour's
+            shifts = np.sort(np.concatenate((x - delta, x + delta)))
+        else:
+            levels, room = 1, _MAX_HALVINGS - int(depth[active].max())
+            while levels < room and (2 ** (levels + 1) - 1) * starts.size <= _PASS_SHIFTS:
+                levels += 1
+            shifts = _subtree(starts, hi[active][first], levels)
+        _halve(d, e2, lo, hi, depth, active, shifts)
     return 0.5 * (lo + hi)
 
 
 # Shifts one pass of tridiagonal_eigenvalues may count: it takes L levels
-# below each of its nodes while nodes * (2**L - 1) stays within this.
+# below each of its brackets while brackets * (2**L - 1) stays within this.
 _PASS_SHIFTS = 512
 _MAX_HALVINGS = 120
-# The certified stage waits until every unfinished bracket is at most
+# The certified pass waits until every unfinished bracket is at most
 # 1/_ISOLATION of its gap to its neighbours': there the one eigenvalue it
 # holds dominates sum 1/(x - lambda_j), so Newton from the midpoint
 # converges to it rather than to a neighbour.
 _ISOLATION = 32
 # Newton steps from each bracket's midpoint.  Three reach the rounding
 # floor on every spectrum the tests pin; an estimate that falls short only
-# fails its certification and goes back to the passes.
+# lets its index skip fewer halvings.
 _NEWTON_STEPS = 3
-# Half-width of the two certifying counts around each Newton estimate:
+# Half-width of the two certified pass's shifts around each Newton estimate:
 # wider than the estimate's few ulps of error, so the two land either side
 # of the eigenvalue, and at least the done test's absolute floor.
 _CERTIFY_ULPS = 16
 _CERTIFY_FLOOR = 1e-15
 
 
-def _finished(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    # the done test of the plain bisection loop, bracket by bracket
-    return hi - lo <= np.maximum(1e-15, 4e-16 * np.abs(0.5 * (lo + hi)))
+def _unfinished(lo: np.ndarray, hi: np.ndarray, mid: np.ndarray) -> np.ndarray:
+    # the done test of the plain bisection loop, negated, bracket by bracket;
+    # mid is 0.5 * (lo + hi)
+    return hi - lo > np.maximum(1e-15, 4e-16 * np.abs(mid))
 
 
 def _isolated(lo: np.ndarray, hi: np.ndarray, active: np.ndarray) -> bool:
@@ -214,33 +204,41 @@ def _isolated(lo: np.ndarray, hi: np.ndarray, active: np.ndarray) -> bool:
     return bool((_ISOLATION * (hi[active] - lo[active]) <= gap).all())
 
 
-def _certified_halvings(d, e2, lo, hi, depth, active):
-    # The certified stage of tridiagonal_eigenvalues, in place on lo, hi and
-    # depth.  count(x - delta) <= k < count(x + delta) certifies index k; the
-    # count being monotone, a halving at mid <= x - delta keeps the upper
-    # half and one at mid >= x + delta the lower, as the plain loop's count
-    # would.  What is left, and every uncertified index, goes back to the
-    # passes as it is.
-    a, b = lo[active], hi[active]
-    x = _newton(d, e2, 0.5 * (a + b), a, b)
-    delta = np.maximum(_CERTIFY_ULPS * np.spacing(np.abs(x)), _CERTIFY_FLOOR)
-    left, right = x - delta, x + delta
-    # two calls of m shifts, not one of 2m: the count's block stays as wide
-    # as a one-level pass's
-    certified = _negative_pivots(d, e2, left) <= active
-    certified &= active < _negative_pivots(d, e2, right)
-    index = active[certified]
-    a, b, left, right = a[certified], b[certified], left[certified], right[certified]
-    halvings = depth[index]
-    going = np.ones(index.size, dtype=bool)
-    while going.any():
+def _halve(d, e2, lo, hi, depth, active, shifts):
+    # One pass of tridiagonal_eigenvalues, in place on lo, hi and depth:
+    # count the ascending shifts, each distinct one once (repeats are
+    # adjacent), and let every active index k replay the plain loop's
+    # halvings, with its done test and the halving cap, while the midpoint
+    # lies at or below ``left``, the last shift whose count is at most k, or
+    # at or above ``right``, the next one.  The count being monotone, a
+    # halving at mid <= left keeps the upper half and one at mid >= right
+    # the lower, as the plain loop's count at mid would; counts that
+    # decrease are refused.
+    shifts = shifts[np.concatenate(([True], shifts[1:] != shifts[:-1]))]
+    # calls of at most max(_PASS_SHIFTS, m) shifts: a multisection list is
+    # one call and the certified pass's 2m shifts two, so the count's block,
+    # and the memory it takes, stay as wide as a one-level pass's
+    width = max(_PASS_SHIFTS, active.size)
+    parts = [shifts[i : i + width] for i in range(0, shifts.size, width)]
+    counts = np.concatenate([_negative_pivots(d, e2, part) for part in parts])
+    if (counts[1:] < counts[:-1]).any():
+        raise NumericalFailure("the Sturm count decreases across ascending shifts")
+    bounds = np.concatenate(([-np.inf], shifts, [np.inf]))
+    j = np.searchsorted(counts, active, side="right")
+    left, right = bounds[j], bounds[j + 1]
+    a, b, halvings = lo[active], hi[active], depth[active]
+    go = np.ones(active.size, dtype=bool)
+    # an index that stops never moves again, its bracket staying as it is;
+    # count_nonzero costs a third of go.any() on few indices
+    while np.count_nonzero(go):
         mid = 0.5 * (a + b)
-        upper, lower = mid <= left, mid >= right
-        going &= ~_finished(a, b) & (halvings < _MAX_HALVINGS) & (upper | lower)
-        a = np.where(going & upper, mid, a)
-        b = np.where(going & lower, mid, b)
-        halvings += going
-    lo[index], hi[index], depth[index] = a, b, halvings
+        go = _unfinished(a, b, mid) & (halvings < _MAX_HALVINGS)
+        upper, lower = (mid <= left) & go, (mid >= right) & go
+        go = upper | lower
+        np.copyto(a, mid, where=upper)
+        np.copyto(b, mid, where=lower)
+        halvings += go
+    lo[active], hi[active], depth[active] = a, b, halvings
 
 
 def _newton(d, e2, x, lo, hi):
@@ -280,34 +278,19 @@ def _newton(d, e2, x, lo, hi):
     return x
 
 
-def _subtree(d, e2, starts, ends, levels):
-    # The next ``levels`` halvings below each node [starts[k], ends[k]], as
-    # one row of 2**levels + 1 points per node in ascending order: a bracket
-    # k halvings down is [j s, (j + 1) s] with s = 2**(levels - k), halved
-    # at the point between.  For each inner point, the done test of the
-    # bracket it halves and the count at it, every node's counted in one
-    # call; the rows come out flat.
+def _subtree(starts, ends, levels):
+    # The inner points of the next ``levels`` halvings below each bracket
+    # [starts[k], ends[k]], ascending: a row of 2**levels + 1 points per
+    # bracket, where a bracket k halvings down is [j s, (j + 1) s] with
+    # s = 2**(levels - k), halved at the point between.  The brackets
+    # ascend, so the rows do too.
     width = 2**levels
     points = np.empty((starts.size, width + 1))
     points[:, 0], points[:, -1] = starts, ends
     for k in range(levels):
         span = width >> k
         points[:, span // 2 :: span] = 0.5 * (points[:, :-1:span] + points[:, span::span])
-    inner = np.arange(1, width)
-    half = inner & -inner  # the point m halves [m - half, m + half]
-    finished = np.zeros(points.shape, dtype=bool)
-    finished[:, 1:-1] = _finished(points[:, inner - half], points[:, inner + half])
-    # the rows ascend, and so do the nodes; near the end of a solve,
-    # subtrees a few ulps wide repeat points, which are counted once (a
-    # repeat that were not adjacent would only be counted twice)
-    shifts = points[:, 1:-1].ravel()
-    fresh = np.empty(shifts.size, dtype=bool)
-    fresh[0] = True
-    np.not_equal(shifts[1:], shifts[:-1], out=fresh[1:])
-    counts = np.zeros(points.shape, dtype=np.int64)
-    distinct = _negative_pivots(d, e2, shifts[fresh])
-    counts[:, 1:-1] = distinct[np.cumsum(fresh) - 1].reshape(-1, width - 1)
-    return points.ravel(), finished.ravel(), counts.ravel()
+    return points[:, 1:-1].ravel()
 
 
 _PIVMIN = 1e-290
@@ -328,8 +311,8 @@ def _negative_pivots(d: np.ndarray, e2: np.ndarray, xs: np.ndarray) -> np.ndarra
     # O(_BLOCK_ROWS * len(xs)).  Each shift is one column, and every
     # operation, the recount included, acts on its column alone, so a
     # shift's count does not depend on the shifts beside it: a multisection
-    # pass counts midpoints that no index reaches along with those it walks
-    # through, and each keeps the count it would have alone.
+    # pass counts midpoints that no index reaches along with those its
+    # indices halve at, and each keeps the count it would have alone.
     n, m = d.shape[0], xs.shape[0]
     block = np.empty((min(_BLOCK_ROWS, n) + 1, m))
     row = list(block)

@@ -64,6 +64,10 @@ def test_sturm_bisection_refuses_malformed_entries():
         ([1.0, 1.0, 2.0], [inf, 0.5]),
         ([1.0, 1.0, 2.0], [0.5, -0.25]),
         ([nan], []),
+        # 0.5 * (lo + hi) would overflow beyond 2**1022
+        ([1.7e308, 1.0], [1e300]),
+        ([-1.7e308, 1.0], [1e300]),
+        ([1e308, -1e308], [1e200]),
     ):
         with pytest.raises(BadShape):
             tridiagonal_eigenvalues(diag, off2)
@@ -101,7 +105,7 @@ def _bisection_cases():
 
 def _certified_stage_cases():
     # spectra with more than _PASS_SHIFTS / 3 separated brackets, on which
-    # the certified Newton stage runs; the last prepends a 1e30 diagonal
+    # the certified Newton pass runs; the last prepends a 1e30 diagonal
     # entry to a 300-state path, so its 1e30-wide bracket leaves every index
     # near [0, 2] about 7.5e-7 wide after 120 halvings, and the cap binds on
     # replayed indices
@@ -122,18 +126,26 @@ def _certified_stage_cases():
 
 
 def _record_stages(monkeypatch):
-    # for each certified stage: the indices it saw, how many it halved and
-    # how many of those it left at the halving cap
-    stages = []
-    real = spectral._certified_halvings
+    # for each certified pass, the _halve call that follows a _newton call:
+    # the indices it saw, how many it halved and how many of those it left
+    # at the halving cap
+    stages, estimated = [], []
+    newton, halve = spectral._newton, spectral._halve
 
-    def recorded(d, e2, lo, hi, depth, active):
+    def recorded_newton(*args):
+        estimated.append(True)
+        return newton(*args)
+
+    def recorded_halve(d, e2, lo, hi, depth, active, shifts):
         before = depth[active].copy()
-        real(d, e2, lo, hi, depth, active)
-        after = depth[active]
-        stages.append((active.size, int((after > before).sum()), int((after == spectral._MAX_HALVINGS).sum())))
+        halve(d, e2, lo, hi, depth, active, shifts)
+        if estimated:
+            del estimated[:]
+            after = depth[active]
+            stages.append((active.size, int((after > before).sum()), int((after == spectral._MAX_HALVINGS).sum())))
 
-    monkeypatch.setattr(spectral, "_certified_halvings", recorded)
+    monkeypatch.setattr(spectral, "_newton", recorded_newton)
+    monkeypatch.setattr(spectral, "_halve", recorded_halve)
     return stages
 
 
@@ -149,16 +161,16 @@ def test_sturm_bisection_keeps_the_original_bits(monkeypatch):
         del stages[:]
         expect = oracles.sturm_bisection(diag, off2)
         assert tridiagonal_eigenvalues(diag, off2).tobytes() == expect.tobytes(), len(diag)
-        # the stage ran once and skipped counted halvings
+        # the certified pass ran once and halved some indices
         assert len(stages) == 1 and stages[0][1] > 0, len(diag)
     # on the last case it halved indices up to the cap
     assert stages[0][2] > 0
 
 
 def test_the_sturm_count_never_decreases_across_consecutive_floats():
-    # the certified stage skips every halving that two counts decide, which
-    # holds only while the count is monotone in the shift: 201 consecutive
-    # floats around sampled eigenvalues of the spectra it runs on
+    # every pass skips the halvings its counts decide, which keeps the bits
+    # only while the count is monotone in the shift: 201 consecutive floats
+    # around sampled eigenvalues of the spectra the certified pass runs on
     for diag, off2 in _certified_stage_cases():
         vals = tridiagonal_eigenvalues(diag, off2)
         sample = vals[np.linspace(0, vals.size - 1, 12).astype(int)]
@@ -169,6 +181,21 @@ def test_the_sturm_count_never_decreases_across_consecutive_floats():
         window = np.vstack(below[:0:-1] + above)  # ascending down each column
         counts = spectral._negative_pivots(diag, off2, window.ravel()).reshape(window.shape)
         assert (np.diff(counts, axis=0) >= 0).all(), len(diag)
+
+
+def test_a_count_that_decreases_within_a_pass_is_refused(monkeypatch):
+    # every pass reads its counts as monotone in the shift; a list whose
+    # counts decrease is refused, not halved by
+    count = spectral._negative_pivots
+
+    def swapped(d, e2, xs):
+        counts = count(d, e2, xs)
+        return counts[::-1] if counts[0] < counts[-1] else counts
+
+    monkeypatch.setattr(spectral, "_negative_pivots", swapped)
+    (diag, off2), _ = _bd_tridiagonals(ehrenfest(16))
+    with pytest.raises(NumericalFailure):
+        tridiagonal_eigenvalues(diag, off2)
 
 
 def test_a_solve_that_runs_out_of_halvings_keeps_the_original_bits():
@@ -213,7 +240,7 @@ def _meets_a_tiny_pivot(d, e2, x) -> bool:
 def test_clamped_recount_runs_on_the_flagged_shifts_only(monkeypatch):
     # Ehrenfest 4's spectrum is symmetric about 1, and its bisection
     # midpoints hit eigenvalues exactly; so do speculative subtree midpoints
-    # that no index walks through (3 flagged shifts before multisection)
+    # that no index halves at (3 flagged shifts before multisection)
     (diag, off2), _ = _bd_tridiagonals(ehrenfest(4))
     swept, clamped, _ = _record_counts(monkeypatch)
     vals = tridiagonal_eigenvalues(diag, off2)
@@ -231,9 +258,10 @@ def test_ehrenfest_1024_solve_counts_each_distinct_unfinished_shift_once(monkeyp
     # multisection passes counted 43,067 in 44: the first pass takes the 511
     # midpoints of 9 levels, then one level per pass while the brackets are
     # many, and the last pass 7 levels below 4 brackets, whose midpoints
-    # repeat at ulp widths.  Now, after 16 levels, the certified stage counts
-    # twice, 1,025 shifts a call, and its replay skips 1,021 indices to a few
-    # ulps; the passes finish them
+    # repeat at ulp widths.  A certified stage after 16 levels, counting
+    # twice, 1,025 shifts a call, and replaying the halvings those counts
+    # decide, cut that to 22 calls and 15,735 shifts.  Now every pass
+    # replays the halvings its counts decide, past the levels it counted
     (diag, off2), _ = _bd_tridiagonals(ehrenfest(1024))
     swept, clamped, rows = _record_counts(monkeypatch)
     tracemalloc.start()
@@ -244,12 +272,12 @@ def test_ehrenfest_1024_solve_counts_each_distinct_unfinished_shift_once(monkeyp
         tracemalloc.stop()
     assert len(swept) == 22
     assert [xs.size for xs in swept[8:10]] == [1025, 1025]  # after 8 passes
-    assert sum(xs.size for xs in swept) == 15_735
+    assert sum(xs.size for xs in swept) == 15_401
     assert all(np.unique(xs).size == xs.size for xs in swept)
-    assert sum(xs.size for xs in clamped) == 22
+    assert sum(xs.size for xs in clamped) == 17
     # each recount starts at the first block of 64 rows that holds a pivot
-    # below pivmin; from row 0, its 7 calls would run 7,175 rows
-    assert len(rows) == 7 and sum(rows) == 4_935
+    # below pivmin; from row 0, its 8 calls would run 8,200 rows
+    assert len(rows) == 8 and sum(rows) == 4_936
     assert peak < 1025 * 1025 * 8 / 4  # no n x n table
     assert np.max(np.abs(vals - 2.0 * np.arange(1025) / 1024)) <= 1e-12
 
